@@ -25,7 +25,6 @@ from .lattice import (
     MaxLaw,
     StoppedLaw,
     convolution_power,
-    convolution_power_tail,
     convolve,
     discretize,
     exp_moment,
@@ -74,7 +73,6 @@ __all__ = [
     "discretize",
     "convolve",
     "convolution_power",
-    "convolution_power_tail",
     "lindley_fixed_point",
     "finite_horizon",
     "stopped_max_sigma1",

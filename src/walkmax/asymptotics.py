@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .increments import IncrementModel, ModelError, PolyExp
+from .increments import IncrementModel, ModelError
 from .lattice import Bracket, LatticePMF, LatticeError, MaxLaw, StoppedLaw, exp_moment
 
 __all__ = [
@@ -68,8 +68,8 @@ class AsymptoticConstants:
 def _resolve_gamma(model: IncrementModel, gamma: float | None) -> float:
     if gamma is not None:
         return float(gamma)
-    if isinstance(model, PolyExp):
-        return model.gamma
+    if model.decay_rate is not None:
+        return model.decay_rate
     raise ModelError(
         "model family has no intrinsic decay rate; pass the twist explicitly"
     )

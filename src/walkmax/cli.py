@@ -23,9 +23,10 @@ import numpy as np
 
 from . import __version__
 from .increments import (
+    BAND_RULES,
     IncrementModel,
     ModelError,
-    PolyExp,
+    band_h,
     lgamma_diagnostic,
     parse_model,
     sgamma_diagnostic,
@@ -132,24 +133,30 @@ def _ints(text: str) -> list[int]:
 
 # --- shared pipelines -------------------------------------------------------------
 
-def oracle_pmf(model: IncrementModel, h: float, fold: float = 1e-15,
-               span_hi: float | None = None) -> LatticePMF:
-    """Increment lattice for the oracle pipelines."""
-    if span_hi is None:
+def oracle_pmf(model: IncrementModel, h: float, span_hi: float | None = None) -> LatticePMF:
+    """Increment lattice for the oracle pipelines; ``span_hi`` moves the right
+    end of a smooth tail's span (atomic families keep their exact support)."""
+    if span_hi is None or model.decay_rate is None:
         return discretize(model, h)
-    if not isinstance(model, PolyExp):
-        return discretize(model, h)
-    return discretize(model, h, span=(-model.shift, span_hi))
+    return discretize(model, h, span=(model.default_span()[0], span_hi))
+
+
+def _span_hi(model: IncrementModel, level: float, decay_lengths: float) -> float | None:
+    """Right span end that covers jumps past ``level`` with a margin of
+    ``decay_lengths`` (None for the atomic families)."""
+    rate = model.decay_rate
+    if rate is None:
+        return None
+    return max(model.default_span()[1], level + decay_lengths / rate)
 
 
 def oracle_top(model: IncrementModel, gamma: float | None) -> float | None:
     """Grid top for maximum laws: 75 decay lengths keeps both the tail range
     and the twisted-moment remainder certified."""
-    if isinstance(model, PolyExp):
-        return 75.0 / model.gamma
-    if gamma is not None:
-        return 75.0 / gamma
-    return None  # lattice sizes itself from the increment law
+    rate = model.decay_rate or gamma
+    if rate is None:
+        return None  # lattice sizes itself from the increment law
+    return 75.0 / rate
 
 
 def constants_pipeline(
@@ -178,9 +185,8 @@ def bigjump_dp_ratio(
     """Conditional single-jump ratio measured on the lattice: the flow of
     first exceedances of x - h(x) from below the h(x) band, each landing
     weighted by the probability the remaining walk carries it past x."""
-    a = x / 4.0 if h_choice == "quarter" else math.sqrt(x)
-    gamma = model.gamma if isinstance(model, PolyExp) else None
-    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=gamma, rel_tol=rel_tol)
+    a = band_h(h_choice, x)
+    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate, rel_tol=rel_tol)
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
     weights = np.array([1.0 if y < 0 else law.tail(y) for y in x - cells * pmf.h])
     numerator = float(flow.landing_mass @ weights)
@@ -378,14 +384,9 @@ def cmd_bigjump(args) -> int:
     xs = _floats(args.x)
     try:
         if args.measured == "oracle":
+            # span must cover jumps past x - h(x) with decay margin
             x_top = max(xs)
-            a_top = x_top / 4.0 if args.h_choice == "quarter" else math.sqrt(x_top)
-            span_hi = None
-            if isinstance(model, PolyExp):
-                # span must cover jumps past x - h(x) with decay margin
-                span_hi = max(
-                    model.inverse_tail(1e-15), x_top - a_top + 22.0 / model.gamma
-                )
+            span_hi = _span_hi(model, x_top - band_h(args.h_choice, x_top), 22.0)
             pmf = oracle_pmf(model, args.step, span_hi=span_hi)
             law = lindley_fixed_point(pmf, top=oracle_top(model, args.gamma))
             rows = [
@@ -442,10 +443,7 @@ def cmd_convolution_check(args) -> int:
     xs = _floats(args.x)
     ns = _ints(args.n)
     try:
-        span_hi = None
-        if isinstance(model, PolyExp):
-            span_hi = max(model.inverse_tail(1e-15), max(xs) + 15.0 / model.gamma)
-        pmf = oracle_pmf(model, args.step, span_hi=span_hi)
+        pmf = oracle_pmf(model, args.step, span_hi=_span_hi(model, max(xs), 15.0))
         powers = convolution_power(pmf, max(ns))
         rows = []
         verdicts = []
@@ -492,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--x", default="20,40,80")
     p.add_argument("--k", default="0.5,1,2")
-    p.add_argument("--h-choice", choices=["quarter", "sqrt"], default="quarter")
+    p.add_argument("--h-choice", choices=BAND_RULES, default="quarter")
     p.set_defaults(func=cmd_verify_class)
 
     p = sub.add_parser("constants", help="oracle tail constants")
@@ -529,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bigjump", help="single-jump conditional ratio")
     _add_common(p)
     p.add_argument("--x", default="10,20,40")
-    p.add_argument("--h-choice", choices=["quarter", "sqrt"], default="quarter")
+    p.add_argument("--h-choice", choices=BAND_RULES, default="quarter")
     p.add_argument("--measured", choices=["oracle", "mc"], default="oracle")
     p.set_defaults(func=cmd_bigjump)
 

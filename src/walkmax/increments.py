@@ -38,6 +38,8 @@ __all__ = [
     "lgamma_diagnostic",
     "sgamma_diagnostic",
     "ClassDiagnostic",
+    "BAND_RULES",
+    "band_h",
 ]
 
 QUAD_ABS_TOL = 1e-10
@@ -91,8 +93,18 @@ class IncrementModel:
     def sample(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
-    def conditional_tail_sample(self, u: float, rng: np.random.Generator, size: int):
-        """Draw from the law of xi given xi > u."""
+    # --- family knowledge --------------------------------------------------------
+    @property
+    def decay_rate(self) -> float | None:
+        """Exponential decay rate of the tail; None for the atomic families."""
+        return None
+
+    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
+        """Span [lo, hi] with true increment mass outside it below ``fold``."""
+        raise NotImplementedError
+
+    def twist_envelope(self, alpha: float) -> float:
+        """sup_y exp(alpha*y) * P(xi > y)."""
         raise NotImplementedError
 
     # --- certification helpers -------------------------------------------------
@@ -268,12 +280,18 @@ class PolyExp(IncrementModel):
         u = np.maximum(u, 1e-300)
         return self._eta_from_log_tail(np.log(u)) - self.shift
 
-    def conditional_tail_sample(self, u: float, rng: np.random.Generator, size: int):
-        if u < -self.shift:
-            return self.sample(rng, size)
-        log_tu = float(self.log_tail(u))
-        v = np.maximum(rng.random(size), 1e-300)
-        return self._eta_from_log_tail(np.log(v) + log_tu) - self.shift
+    @property
+    def decay_rate(self) -> float:
+        return self.gamma
+
+    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
+        # hard left support: only the right tail is ever folded
+        return (-self.shift, self.inverse_tail(fold))
+
+    def twist_envelope(self, alpha: float) -> float:
+        if alpha > self.gamma:
+            raise ModelError("twist above the decay rate has no finite envelope")
+        return math.exp(-alpha * self.shift)
 
     def max_tail_bound(self, t: float) -> float:
         phg = self.mgf_at_gamma
@@ -344,12 +362,12 @@ class TwoPoint(IncrementModel):
     def sample(self, rng: np.random.Generator, size: int):
         return np.where(rng.random(size) < self.pu, self.u, self.v)
 
-    def conditional_tail_sample(self, u: float, rng: np.random.Generator, size: int):
-        if u >= self.u:
-            raise ModelError(f"conditioning event xi > {u} has probability 0")
-        if u >= self.v:
-            return np.full(size, self.u)
-        return self.sample(rng, size)
+    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
+        return (self.v, self.u)
+
+    def twist_envelope(self, alpha: float) -> float:
+        # step tail: the envelope peaks at the left edge of each level piece
+        return max(math.exp(alpha * self.v), self.pu * math.exp(alpha * self.u))
 
     def max_tail_bound(self, t: float) -> float:
         return _atom_chernoff_bound(self._atoms(), t)
@@ -383,10 +401,11 @@ class PointMass(IncrementModel):
         rng.random(size)  # consume the stream so seeds stay comparable
         return np.full(size, self.v)
 
-    def conditional_tail_sample(self, u: float, rng: np.random.Generator, size: int):
-        if u >= self.v:
-            raise ModelError(f"conditioning event xi > {u} has probability 0")
-        return np.full(size, self.v)
+    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
+        return (self.v, self.v)
+
+    def twist_envelope(self, alpha: float) -> float:
+        return math.exp(alpha * self.v)
 
     def max_tail_bound(self, t: float) -> float:
         return _atom_chernoff_bound([(self.v, 1.0)], t)
@@ -496,8 +515,17 @@ def lgamma_diagnostic(model: IncrementModel, k_grid, x_grid) -> ClassDiagnostic:
     )
 
 
-def _h_quarter(x: float) -> float:
-    return x / 4.0
+BAND_RULES = ("quarter", "sqrt")
+
+
+def band_h(h_choice: str, x: float) -> float:
+    """Band width h(x) of the single-jump split: "quarter" gives x/4 and
+    "sqrt" gives sqrt(x)."""
+    if h_choice == "quarter":
+        return x / 4.0
+    if h_choice == "sqrt":
+        return math.sqrt(x)
+    raise ModelError(f"h_choice must be one of {BAND_RULES}, got {h_choice!r}")
 
 
 def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiagnostic:
@@ -508,8 +536,8 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
     ``h_choice`` is "quarter" (h(x) = x/4) or "sqrt" (h(x) = sqrt(x)); both
     satisfy h(x) <= x/2 and h(x) -> inf on the probe range.
     """
-    if h_choice not in ("quarter", "sqrt"):
-        raise ModelError(f"h_choice must be 'quarter' or 'sqrt', got {h_choice!r}")
+    if h_choice not in BAND_RULES:
+        raise ModelError(f"h_choice must be one of {BAND_RULES}, got {h_choice!r}")
     if not model.in_class:
         # the middle band carries no mass for an atom at or below 0
         rows = [{"x": float(x), "integral": 0.0, "error": 0.0} for x in x_grid]
@@ -522,11 +550,10 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
             notes="lattice family: middle band empty on the probe grid",
         )
     assert isinstance(model, PolyExp)
-    h_fun = _h_quarter if h_choice == "quarter" else math.sqrt
     rows = []
     values = []
     for x in x_grid:
-        hx = h_fun(float(x))
+        hx = band_h(h_choice, float(x))
         if not hx <= x / 2.0:
             raise ModelError(f"h(x)={hx} exceeds x/2 at x={x}")
         log_tx = float(model.log_tail(x))

@@ -1,29 +1,34 @@
 """Exact lattice oracle for the maximum of a negative-drift random walk.
 
 An increment law is discretized onto a uniform grid (cell ``k`` covers
-``((k-1/2)h, (k+1/2)h]``) and the laws of the all-time maximum ``M``, the
-finite-horizon maxima ``M_N``, and the maximum up to the first strictly
-negative sum are computed by dynamic programming with the reflected kernel
+``((k-1/2)h, (k+1/2)h]``).  Every law here then comes from one primitive,
+``_sweep``: it advances a sub-law on a window of cells by one convolution
+with the increment pmf and reports the mass that landed below and above the
+window.  Each oracle is a loop over that primitive with its own stop rule:
 
-    V_{n+1} = reflect_0(V_n (*) pmf),
+* ``lindley_fixed_point`` and ``finite_horizon`` reflect the mass below onto
+  cell 0, which is the distributional recursion ``M =d (M + xi)^+``, and
+  count the mass above the grid top as overflow;
+* ``stopped_max_sigma1`` absorbs below 0 (the overshoot law) and, per level,
+  above the level (the first-passage probability);
+* ``bigjump_flow`` collects the landings above a jump level.
 
-which is the distributional recursion ``M =d (M + xi)^+``.  All convolutions
-are direct summations: per-bin results then carry relative (not absolute)
-accuracy, which is what lets the exponential moments of the far tail be
-certified.  Every law keeps explicit truncation bookkeeping; nothing is ever
-silently renormalized.
+All convolutions are direct summations: per-bin results then carry relative
+(not absolute) accuracy, which is what lets the exponential moments of the
+far tail be certified.  Every law keeps explicit truncation bookkeeping;
+nothing is ever silently renormalized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .increments import IncrementModel, ModelError, PointMass, PolyExp, TwoPoint
+from .increments import IncrementModel, PolyExp
 
 __all__ = [
     "LatticeError",
@@ -32,11 +37,9 @@ __all__ = [
     "MaxLaw",
     "StoppedLaw",
     "BigJumpFlow",
-    "default_span",
     "discretize",
     "convolve",
     "convolution_power",
-    "convolution_power_tail",
     "lindley_fixed_point",
     "finite_horizon",
     "stopped_max_sigma1",
@@ -46,10 +49,8 @@ __all__ = [
 
 MASS_TOL = 1e-12
 FOLD_REFUSE = 1e-6
-DEFAULT_FOLD = 1e-15
 DEFAULT_FIXED_POINT_TOL = 1e-13
 MAX_ITERATIONS = 10**6
-DIRECT_CONV_LIMIT = 1 << 24  # len(a)*len(b) above this switches the generic op to FFT
 
 
 class LatticeError(RuntimeError):
@@ -168,21 +169,6 @@ class LatticePMF:
         return best
 
 
-def default_span(model: IncrementModel, fold: float = DEFAULT_FOLD) -> tuple[float, float]:
-    """Span [lo, hi] with true increment mass outside it below ``fold``.
-
-    The smooth family has hard left support, so only the right tail is ever
-    folded.  Atomic families get their exact support.
-    """
-    if isinstance(model, PolyExp):
-        return (-model.shift, model.inverse_tail(fold))
-    if isinstance(model, TwoPoint):
-        return (model.v, model.u)
-    if isinstance(model, PointMass):
-        return (model.v, model.v)
-    raise ModelError(f"no default span rule for {type(model).__name__}")
-
-
 def discretize(
     model: IncrementModel,
     h: float,
@@ -198,7 +184,7 @@ def discretize(
     if h <= 0:
         raise LatticeError(f"grid step must be positive, got {h}")
     if span is None:
-        span = default_span(model)
+        span = model.default_span()
     lo, hi = span
     if lo > hi:
         raise LatticeError(f"empty span {span}")
@@ -231,28 +217,13 @@ def discretize(
     return LatticePMF(h=h, k0=k_lo, probs=probs, mass_below=below, mass_above=above)
 
 
-def _convolve_raw(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:
-    if method == "auto":
-        method = "direct" if a.size * b.size <= DIRECT_CONV_LIMIT else "fft"
-    if method == "direct":
-        return np.convolve(a, b)
-    if method == "fft":
-        out = fftconvolve(a, b)
-        return np.maximum(out, 0.0)
-    raise LatticeError(f"unknown convolution method {method!r}")
-
-
-def convolve(a: LatticePMF, b: LatticePMF, method: str = "direct") -> LatticePMF:
-    """Distribution of the sum of independent lattice variables.
-
-    ``method`` is "direct" (exact summation, the default: per-bin results keep
-    relative accuracy, which deep-tail work needs), "fft", or "auto".  The FFT
-    path must agree with direct summation to 1e-12 in the sup norm; its
-    clipped roundoff noise (~1e-16 per bin) makes it unfit below that scale.
-    """
+def convolve(a: LatticePMF, b: LatticePMF) -> LatticePMF:
+    """Distribution of the sum of independent lattice variables, by direct
+    summation (per-bin results keep relative accuracy, which deep-tail work
+    needs)."""
     if a.h != b.h:
         raise LatticeError(f"grid step mismatch: {a.h} vs {b.h}")
-    probs = _convolve_raw(a.probs, b.probs, method)
+    probs = np.convolve(a.probs, b.probs)
     probs = probs / probs.sum()  # remove float-level drift, never visible above 1e-15
     return LatticePMF(
         h=a.h,
@@ -263,20 +234,35 @@ def convolve(a: LatticePMF, b: LatticePMF, method: str = "direct") -> LatticePMF
     )
 
 
-def convolution_power(pmf: LatticePMF, n: int, method: str = "direct") -> list[LatticePMF]:
+def convolution_power(pmf: LatticePMF, n: int) -> list[LatticePMF]:
     """Laws of S_1, ..., S_n (n-fold convolutions), computed iteratively."""
     if n < 1:
         raise LatticeError(f"need n >= 1, got {n}")
     out = [pmf]
     for _ in range(n - 1):
-        out.append(convolve(out[-1], pmf, method))
+        out.append(convolve(out[-1], pmf))
     return out
 
 
-def convolution_power_tail(pmf: LatticePMF, n: int, x_grid) -> list[dict]:
-    """Tails of the n-fold convolution at the grid points."""
-    law = convolution_power(pmf, n)[-1]
-    return [{"n": n, "x": float(x), "tail": law.tail(float(x))} for x in x_grid]
+def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False):
+    """Advance the sub-law ``V`` on a window of cells, one increment per step.
+
+    Yields ``(V, below, above)`` per step: the new sub-law on the window, and
+    by cell the mass that landed below and above it.  With ``reflect`` the
+    mass below moves onto the window's first cell instead (``below`` is then
+    empty).  Each yielded ``V`` is a fresh array, so callers may keep it.
+    """
+    nneg = -pmf.k0  # index of the window's first cell in the convolution
+    while True:
+        W = np.convolve(V, pmf.probs)
+        body = W[nneg : nneg + V.size]
+        below, above = W[:nneg], W[nneg + V.size :]
+        V = np.zeros(V.size)  # no mass above 0 leaves ``body`` short
+        V[: body.size] = body
+        if reflect:
+            V[0] = W[: nneg + 1].sum()
+            below = below[:0]
+        yield V, below, above
 
 
 @dataclass
@@ -340,50 +326,20 @@ class MaxLaw:
         return rows
 
 
-def _reflected_engine(
-    pmf: LatticePMF,
-    top: float,
-    tol: float,
-    n_steps: int | None,
-    keep_all: bool,
-    max_iter: int = MAX_ITERATIONS,
-):
-    """Iterate V <- reflect_0(V (*) pmf) from the point mass at 0.
-
-    Runs exactly ``n_steps`` steps when given, else until the sup-norm change
-    drops below ``tol``.  Mass pushed above ``top`` accumulates as overflow
-    and never returns (its effect anywhere is bounded by the accumulated
-    amount).
-    """
-    if pmf.mean() >= 0 and n_steps is None:
-        raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
+def _reflected(pmf: LatticePMF, top: float):
+    """Laws of M_0 = 0, M_1, M_2, ... on cells [0, top/h], each with the
+    overflow lost above the top so far (it never returns, so its effect
+    anywhere is bounded by the accumulated amount)."""
     K = int(round(top / pmf.h))
     if K < 1:
         raise LatticeError(f"top {top} is below one grid step")
     if pmf.k0 >= 0:
         raise LatticeError("increment law has no mass below 0; walk cannot reflect")
-    nneg = -pmf.k0
-    V = np.zeros(K + 1)
-    V[0] = 1.0
+    V = np.eye(1, K + 1)[0]  # point mass at cell 0
     overflow = 0.0
-    history = [(V.copy(), 0.0)] if keep_all else None
-    delta = math.inf
-    n = 0
-    while True:
-        if n_steps is not None and n >= n_steps:
-            break
-        if n_steps is None and delta < tol:
-            break
-        if n >= max_iter:
-            raise LatticeError(
-                f"no convergence within {max_iter} iterations", residual=delta
-            )
-        W = np.convolve(V, pmf.probs)
-        V2 = np.zeros(K + 1)
-        V2[0] = W[: nneg + 1].sum()
-        body = W[nneg + 1 : nneg + 1 + K]
-        V2[1 : 1 + body.size] = body
-        overflow += W[nneg + 1 + K :].sum()
+    yield V, overflow
+    for n, (V, _, above) in enumerate(_sweep(V, pmf, reflect=True)):
+        overflow += above.sum()
         if overflow > 1e-3:
             # a sound grid loses ~1e-30 per sweep; this is a sizing mistake,
             # and waiting for the drained iteration to settle takes forever
@@ -392,12 +348,7 @@ def _reflected_engine(
                 f"after {n} iterations",
                 residual=overflow,
             )
-        delta = float(np.abs(V2 - V).max())
-        V = V2
-        n += 1
-        if keep_all:
-            history.append((V.copy(), overflow))
-    return V, overflow, n, delta, history
+        yield V, overflow
 
 
 def _auto_top(pmf: LatticePMF) -> float:
@@ -421,13 +372,24 @@ def lindley_fixed_point(
 
     Iterates from the point mass at 0 until the sup-norm step change drops
     below ``tol``.  Each iterate is exactly the law of the n-step maximum, so
-    ``finite_horizon`` reuses this engine.
+    ``finite_horizon`` runs the same recursion.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
     if top is None:
         top = _auto_top(pmf)
-    V, overflow, n, delta, _ = _reflected_engine(pmf, top, tol, None, False, max_iter)
+    laws = _reflected(pmf, top)
+    V, overflow = next(laws)
+    n, delta = 0, math.inf
+    while delta >= tol:
+        if n >= max_iter:
+            raise LatticeError(
+                f"no convergence within {max_iter} iterations", residual=delta
+            )
+        V_next, overflow = next(laws)
+        delta = float(np.abs(V_next - V).max())
+        V = V_next
+        n += 1
     K = len(V) - 1
     return MaxLaw(
         h=pmf.h,
@@ -450,24 +412,22 @@ def finite_horizon(
         raise LatticeError(f"horizon must be >= 0, got {N}")
     if top is None:
         top = _auto_top(pmf)
-    _, _, _, _, history = _reflected_engine(pmf, top, 0.0, N, True)
-    K = int(round(top / pmf.h))
+    history = list(islice(_reflected(pmf, top), N + 1))
+    K = len(history[0][0]) - 1
     trunc = min(pmf.chernoff_tail_bound(K * pmf.h), 1.0)
-    out = []
-    for n, (V, leaked) in enumerate(history):
-        out.append(
-            MaxLaw(
-                h=pmf.h,
-                probs=V,
-                increment=pmf,
-                trunc_bound=trunc,
-                overflow=leaked,
-                n_iter=n,
-                final_delta=0.0,
-                horizon=n,
-            )
+    return [
+        MaxLaw(
+            h=pmf.h,
+            probs=V,
+            increment=pmf,
+            trunc_bound=trunc,
+            overflow=leaked,
+            n_iter=n,
+            final_delta=0.0,
+            horizon=n,
         )
-    return out
+        for n, (V, leaked) in enumerate(history)
+    ]
 
 
 @dataclass
@@ -517,34 +477,6 @@ class StoppedLaw:
         return rows
 
 
-def _absorbing_sweep(pmf: LatticePMF, upper_cells: int, residual_tol: float, horizon: int):
-    """Run the kernel on cells [0, upper_cells], absorbing strictly below 0 and
-    (separately) strictly above upper_cells.  Returns (below-absorption vector
-    by overshoot cell, above-absorbed mass, survival trace, residual)."""
-    nneg = -pmf.k0
-    if nneg <= 0:
-        raise LatticeError("increment law has no mass below 0; stopping time is infinite")
-    S = np.zeros(upper_cells + 1)
-    S[0] = 1.0
-    chi_cells = np.zeros(nneg + 1)  # overshoot cell j means chi = j*h, j >= 1
-    up_mass = 0.0
-    survival = [1.0]
-    n = 0
-    while n < horizon:
-        W = np.convolve(S, pmf.probs)
-        absorbed_below = W[:nneg]  # landing cells pmf.k0 .. -1
-        chi_cells[1:] += absorbed_below[::-1]
-        up = W[nneg + upper_cells + 1 :].sum()
-        up_mass += float(up)
-        S = W[nneg : nneg + upper_cells + 1].copy()
-        n += 1
-        # paths above the working top are still unabsorbed, hence still alive
-        survival.append(float(S.sum()) + up_mass)
-        if S.sum() + up_mass < residual_tol:
-            break
-    return chi_cells, up_mass, np.array(survival), float(S.sum()), n
-
-
 def stopped_max_sigma1(
     pmf: LatticePMF,
     horizon: int = 100_000,
@@ -565,13 +497,27 @@ def stopped_max_sigma1(
     if top is None:
         top = _auto_top(pmf)
     upper_cells = int(round(top / pmf.h))
+    nneg = -pmf.k0
+    if nneg <= 0:
+        raise LatticeError("increment law has no mass below 0; stopping time is infinite")
 
-    chi_cells, up_mass, survival, residual, n_run = _absorbing_sweep(
-        pmf, upper_cells, residual_tol, horizon
-    )
+    # absorb below 0 (overshoot cell j means chi = j*h) and above the working
+    # top; paths above the top are still unabsorbed, hence still alive
+    chi_cells = np.zeros(nneg + 1)
+    up_mass = 0.0
+    survival = [1.0]
+    S = np.eye(1, upper_cells + 1)[0]
+    n_run = 0
+    for n_run, (S, below, above) in enumerate(islice(_sweep(S, pmf), horizon), 1):
+        chi_cells[1:] += below[::-1]
+        up_mass += float(above.sum())
+        survival.append(float(S.sum()) + up_mass)
+        if survival[-1] < residual_tol:
+            break
+    survival = np.array(survival)
     # mass that escaped above the working grid is below the chernoff bound at top;
     # it is part of the residual bookkeeping rather than the overshoot law
-    residual += up_mass
+    residual = float(S.sum()) + up_mass
     if residual > max(100 * residual_tol, 1e-9):
         raise LatticeError(
             f"stopping-time horizon {horizon} exhausted with residual {residual:.3e}",
@@ -591,7 +537,18 @@ def stopped_max_sigma1(
             )
         x_grid = [(k + 0.5) * pmf.h for k in range(upper_cells)]
     xs = np.asarray(list(x_grid), dtype=float)
-    tails = np.array([_first_passage_up(pmf, float(x), horizon, residual_tol) for x in xs])
+    tails = np.ones(xs.size)
+    for i, x in enumerate(xs):
+        # P(walk exceeds x before its first strictly negative sum)
+        kx = int(math.floor(x / pmf.h + 1e-9))  # cells with center <= x survive
+        if kx < 0:
+            continue
+        up = 0.0
+        for S, _, above in islice(_sweep(np.eye(1, kx + 1)[0], pmf), horizon):
+            up += float(above.sum())
+            if S.sum() < residual_tol * 1e-3:
+                break
+        tails[i] = up
     return StoppedLaw(
         h=pmf.h,
         chi=chi,
@@ -602,24 +559,6 @@ def stopped_max_sigma1(
         max_tail=tails,
         horizon_used=n_run,
     )
-
-
-def _first_passage_up(pmf: LatticePMF, x: float, horizon: int, residual_tol: float) -> float:
-    """P(walk exceeds x before its first strictly negative sum)."""
-    nneg = -pmf.k0
-    kx = int(math.floor(x / pmf.h + 1e-9))  # cells with center <= x survive
-    if kx < 0:
-        return 1.0
-    S = np.zeros(kx + 1)
-    S[0] = 1.0
-    up = 0.0
-    for _ in range(horizon):
-        W = np.convolve(S, pmf.probs)
-        up += float(W[nneg + kx + 1 :].sum())
-        S = W[nneg : nneg + kx + 1].copy()
-        if S.sum() < residual_tol * 1e-3:
-            break
-    return up
 
 
 def exp_moment(
@@ -733,32 +672,29 @@ def bigjump_flow(
     k_floor = int(math.floor(floor / h))
     if k_floor > 0 or k_floor >= k_bar:
         raise LatticeError(f"floor {floor} must lie below 0 and below the barrier")
-    nb = k_bar - k_floor + 1
-    nu = np.zeros(nb)
-    nu[-k_floor] = 1.0
+    nu = np.eye(1, k_bar - k_floor + 1, -k_floor)[0]  # point mass at cell 0
     landing_k0 = k_jump + 1
     landing = np.zeros(0)
     per_step: list[float] = []
+    total = 0.0
     tilt = None
+    if gamma is not None:
+        weights = np.exp(gamma * np.arange(k_floor, k_bar + 1) * h)
+        phi = pmf.mgf(gamma)
     n = 0
-    for n in range(1, n_max + 1):
-        W = np.convolve(nu, pmf.probs)
-        base = k_floor + pmf.k0
-        jump_start = landing_k0 - base
-        flow = W[jump_start:] if jump_start < W.size else np.zeros(0)
+    for n, (nu, _, above) in enumerate(islice(_sweep(nu, pmf), n_max), 1):
+        # landings in (barrier, jump_level] leave the computation for good
+        flow = above[k_jump - k_bar :]
         if flow.size > landing.size:
             landing = np.concatenate([landing, np.zeros(flow.size - landing.size)])
         landing[: flow.size] += flow
         per_step.append(float(flow.sum()))
-        start = k_floor - base
-        nu = W[start : start + nb].copy()
+        total += per_step[-1]
         if gamma is not None:
-            cells = np.arange(k_floor, k_bar + 1)
-            tilt = float((nu * np.exp(gamma * cells * h)).sum())
+            tilt = float((nu * weights).sum())
             # future landings are bounded by sup_y e^{gamma y} T(y) * e^{-gamma level}
             # * tilt / (1 - phi); the constant prefactor is conservative at 1
-            remaining = math.exp(-gamma * jump_level) * tilt / max(1.0 - pmf.mgf(gamma), 1e-12)
-            total = sum(per_step)
+            remaining = math.exp(-gamma * jump_level) * tilt / max(1.0 - phi, 1e-12)
             if remaining < rel_tol * max(total, 1e-300):
                 break
     return BigJumpFlow(

@@ -4,6 +4,16 @@ Estimates carry three separately reported uncertainties: sampling error
 (``stderr``), certified truncation bias from early path stopping
 (``bias_bound``), and counts of paths the stopping rules could not decide.
 
+One kernel, ``_walk``, advances the paths of a block until each exceeds the
+line ``x + step*c`` (hit) or falls more than a slack ``K`` below it (a miss,
+certified by the slack) and returns per-path records: outcome, step, final
+``S`` and, on request, the step of the first climb above a band and whether
+it overshot.  ``estimate_tail_crude``, ``bigjump_conditional_ratio``,
+``exceedance_time_profile`` and ``renewal_diagnostics`` are reductions of
+those records, one block at a time; ``SimConfig.trace`` rows are read
+straight from them.  ``estimate_bigjump_sum`` scores a different event and
+keeps its own loop.
+
 Reproducibility: work is split into fixed-size blocks of paths; block ``i``
 always draws from the ``i``-th spawn of the master seed sequence and results
 merge in block order.  The shard count therefore only controls scheduling --
@@ -15,11 +25,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .increments import IncrementModel, ModelError, PointMass, PolyExp, TwoPoint
+from .increments import IncrementModel, band_h
 
 __all__ = [
     "EstimatorError",
@@ -133,6 +143,7 @@ def _run_blocks(cfg: SimConfig, block_fn: Callable[[np.random.Generator, int], d
 
 
 def _merge_sums(results: list[dict]) -> dict:
+    """Add up per-block results key by key, in block order (lists concatenate)."""
     out: dict = {}
     for r in results:
         for k, v in r.items():
@@ -170,45 +181,102 @@ def _check_undecided(undecided: int, n: int, method: str) -> None:
         )
 
 
+UNDECIDED, HIT, MISS = 0, 1, 2
+
+
+class _Paths(NamedTuple):
+    """Per-path records of one block, in path order."""
+
+    outcome: np.ndarray  # int8: UNDECIDED, HIT or MISS
+    step: np.ndarray  # steps walked
+    S: np.ndarray  # position when the path stopped
+    band_step: np.ndarray | None  # step of the first climb above the band (0 = never)
+    overshot: np.ndarray | None  # that climb landed above x - band
+
+
+def _walk(
+    model: IncrementModel,
+    rng: np.random.Generator,
+    n: int,
+    horizon: int,
+    x: float,
+    slack: float,
+    c: float = 0.0,
+    band: float | None = None,
+) -> _Paths:
+    """Walk ``n`` paths from 0 until each exceeds the line ``x + step*c`` (hit)
+    or falls more than ``slack`` below it (miss), for at most ``horizon``
+    steps.  With ``band`` given, also record each path's first climb above
+    ``band`` and whether it landed above ``x - band``."""
+    S = np.zeros(n)
+    outcome = np.zeros(n, dtype=np.int8)
+    steps = np.zeros(n, dtype=np.int64)
+    band_step = overshot = None
+    if band is not None:
+        band_step = np.zeros(n, dtype=np.int64)
+        overshot = np.zeros(n, dtype=bool)
+    alive = np.arange(n)
+    for step in range(1, horizon + 1):
+        if alive.size == 0:
+            break
+        S[alive] += model.sample(rng, alive.size)
+        steps[alive] = step
+        s = S[alive]
+        line = x + step * c
+        hit = s > line
+        miss = ~hit & (s < line - slack)
+        if band is not None:
+            first = (band_step[alive] == 0) & (s > band)
+            band_step[alive[first]] = step
+            overshot[alive[first]] = s[first] > x - band
+        outcome[alive[hit]] = HIT
+        outcome[alive[miss]] = MISS
+        alive = alive[~(hit | miss)]
+    return _Paths(outcome, steps, S, band_step, overshot)
+
+
+def _simulate(
+    model: IncrementModel,
+    cfg: SimConfig,
+    reduce: Callable[[_Paths, np.ndarray], dict],
+    x: float,
+    slack: float,
+    c: float = 0.0,
+    band: float | None = None,
+) -> dict:
+    """Run the kernel on every block and merge the block sums.
+
+    ``reduce(paths, hit)`` turns one block's records into sums; the hit and
+    undecided counts are always added.
+    """
+
+    def block(rng: np.random.Generator, n: int) -> dict:
+        paths = _walk(model, rng, n, cfg.horizon, x, slack, c, band)
+        hit = paths.outcome == HIT
+        out = reduce(paths, hit)
+        out["hits"] = int(hit.sum())
+        out["undecided"] = int((paths.outcome == UNDECIDED).sum())
+        return out
+
+    return _merge_sums(_run_blocks(cfg, block))
+
+
 def estimate_tail_crude(model: IncrementModel, x: float, cfg: SimConfig) -> EstimatorReport:
     """Crude estimate of P(M > x): follow each path until it exceeds x (hit)
     or drops below x - K (certified miss)."""
     K = _crude_slack(model, x, cfg)
     bias = model.max_tail_bound(K)
-    stop_lo = x - K
 
-    def block(rng: np.random.Generator, n: int) -> dict:
-        S = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        outcome = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 hit, 2 miss
-        steps = np.zeros(n, dtype=np.int64)
-        hits = 0
-        for _ in range(cfg.horizon):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            S[idx] += model.sample(rng, idx.size)
-            steps[idx] += 1
-            s = S[idx]
-            hit = s > x
-            miss = ~hit & (s < stop_lo)
-            hits += int(hit.sum())
-            outcome[idx[hit]] = 1
-            outcome[idx[miss]] = 2
-            alive[idx[hit | miss]] = False
-        out = {"hits": hits, "undecided": int(alive.sum())}
-        if cfg.trace:
-            out["trace"] = [
-                {"outcome": ("undecided", "hit", "miss")[o], "steps": int(k), "final_s": float(v)}
-                for o, k, v in zip(outcome, steps, S)
-            ]
-        return out
+    def reduce(p: _Paths, hit: np.ndarray) -> dict:
+        if not cfg.trace:
+            return {}
+        names = ("undecided", "hit", "miss")
+        return {"trace": [
+            {"outcome": names[o], "steps": int(k), "final_s": float(v)}
+            for o, k, v in zip(p.outcome, p.step, p.S)
+        ]}
 
-    results = _run_blocks(cfg, block)
-    trace = None
-    if cfg.trace:
-        trace = [row for r in results for row in r.pop("trace")]
-    total = _merge_sums(results)
+    total = _simulate(model, cfg, reduce, x, K)
     _check_undecided(total["undecided"], cfg.n_paths, "estimate_tail_crude")
     n = cfg.n_paths
     return EstimatorReport(
@@ -222,7 +290,7 @@ def estimate_tail_crude(model: IncrementModel, x: float, cfg: SimConfig) -> Esti
         seed=cfg.seed,
         params={"x": x, "slack": K},
         flags={"undecided": total["undecided"]},
-        trace=trace,
+        trace=total.get("trace"),
     )
 
 
@@ -230,8 +298,9 @@ def _geometric_remainder(model: IncrementModel, x: float, n_cut: int) -> float:
     """Certified bound on the neglected terms sum_{n > n_cut} P(first-jump
     event at step n): sup_y e^{a y} tail(y) * e^{-a x} * phi(a)^n_cut / (1-phi(a)),
     minimized over usable twists a."""
-    if isinstance(model, PolyExp):
-        alphas = [model.gamma, 0.75 * model.gamma, 0.5 * model.gamma]
+    g = model.decay_rate
+    if g is not None:
+        alphas = [g, 0.75 * g, 0.5 * g]
     else:
         hi = 1.0
         while model.mgf(hi).value < 1.0 and hi < 1e3:
@@ -242,23 +311,9 @@ def _geometric_remainder(model: IncrementModel, x: float, n_cut: int) -> float:
         phi = model.mgf(float(a)).value
         if not (phi < 1.0):
             continue
-        b = _twist_tail_sup(model, float(a)) * math.exp(-a * x) * phi**n_cut / (1.0 - phi)
+        b = model.twist_envelope(float(a)) * math.exp(-a * x) * phi**n_cut / (1.0 - phi)
         best = min(best, b)
     return best
-
-
-def _twist_tail_sup(model: IncrementModel, alpha: float) -> float:
-    """sup_y exp(alpha*y) * P(xi > y)."""
-    if isinstance(model, PolyExp):
-        if alpha > model.gamma:
-            raise ModelError("twist above the decay rate has no finite envelope")
-        return math.exp(-alpha * model.shift)
-    if isinstance(model, TwoPoint):
-        # step tail: the envelope peaks at the left edge of each level piece
-        return max(math.exp(alpha * model.v), model.pu * math.exp(alpha * model.u))
-    if isinstance(model, PointMass):
-        return math.exp(alpha * model.v)
-    raise ModelError(f"no twist envelope rule for {type(model).__name__}")
 
 
 def estimate_bigjump_sum(
@@ -311,14 +366,6 @@ def estimate_bigjump_sum(
     return report
 
 
-def _h_of(h_choice: str, x: float) -> float:
-    if h_choice == "quarter":
-        return x / 4.0
-    if h_choice == "sqrt":
-        return math.sqrt(x)
-    raise EstimatorError(f"h_choice must be 'quarter' or 'sqrt', got {h_choice!r}")
-
-
 def bigjump_conditional_ratio(
     model: IncrementModel, x: float, h_choice: str, cfg: SimConfig
 ) -> EstimatorReport:
@@ -328,54 +375,22 @@ def bigjump_conditional_ratio(
     Numerator and denominator share paths (common random numbers), so the
     ratio is a conditional relative frequency with binomial error.
     """
-    a = _h_of(h_choice, x)
+    a = band_h(h_choice, x)
     K = _crude_slack(model, x, cfg)
-    stop_lo = x - K
     bias = model.max_tail_bound(K)
 
-    def block(rng: np.random.Generator, n: int) -> dict:
-        S = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        crossed = np.zeros(n, dtype=bool)
-        big = np.zeros(n, dtype=bool)
-        # per-path record: step of the first climb above the band, and of the
-        # first exceedance of x (0 = never); at most one band exit fires
-        cross_step = np.zeros(n, dtype=np.int64)
-        exceed_step = np.zeros(n, dtype=np.int64)
-        hits = 0
-        big_hits = 0
-        for step in range(1, cfg.horizon + 1):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            S[idx] += model.sample(rng, idx.size)
-            s = S[idx]
-            first = ~crossed[idx] & (s > a)
-            big[idx[first]] = s[first] > x - a
-            crossed[idx[first]] = True
-            cross_step[idx[first]] = step
-            hit = s > x
-            exceed_step[idx[hit]] = step
-            hits += int(hit.sum())
-            big_hits += int((hit & big[idx]).sum())
-            alive[idx[hit | (s < stop_lo)]] = False
-        out = {"hits": hits, "big_hits": big_hits, "undecided": int(alive.sum())}
+    def reduce(p: _Paths, hit: np.ndarray) -> dict:
+        out = {"big_hits": int((hit & p.overshot).sum())}
         if cfg.trace:
+            # per path: step of the first climb above the band, and of the
+            # first exceedance of x (0 = never); at most one band exit fires
             out["trace"] = [
-                {
-                    "band_exit_step": int(c),
-                    "overshot_band": bool(b),
-                    "exceed_step": int(e),
-                }
-                for c, b, e in zip(cross_step, big, exceed_step)
+                {"band_exit_step": int(c), "overshot_band": bool(b), "exceed_step": int(e)}
+                for c, b, e in zip(p.band_step, p.overshot, np.where(hit, p.step, 0))
             ]
         return out
 
-    results = _run_blocks(cfg, block)
-    trace = None
-    if cfg.trace:
-        trace = [row for r in results for row in r.pop("trace")]
-    total = _merge_sums(results)
+    total = _simulate(model, cfg, reduce, x, K, band=a)
     _check_undecided(total["undecided"], cfg.n_paths, "bigjump_conditional_ratio")
     hits = total["hits"]
     flags = {"undecided": total["undecided"]}
@@ -396,7 +411,7 @@ def bigjump_conditional_ratio(
         seed=cfg.seed,
         params={"x": x, "h_choice": h_choice, "a": a, "slack": K},
         flags=flags,
-        trace=trace,
+        trace=total.get("trace"),
     )
 
 
@@ -433,30 +448,12 @@ def exceedance_time_profile(
     if n_grid and n_grid[0] < 0:
         raise EstimatorError("horizon grid entries must be >= 0")
     K = _crude_slack(model, x, cfg)
-    stop_lo = x - K
 
-    def block(rng: np.random.Generator, n: int) -> dict:
-        S = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        counts = np.zeros(len(n_grid), dtype=np.int64)
-        hits = 0
-        for step in range(1, cfg.horizon + 1):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            S[idx] += model.sample(rng, idx.size)
-            s = S[idx]
-            hit = s > x
-            n_hit = int(hit.sum())
-            if n_hit:
-                hits += n_hit
-                for j, N in enumerate(n_grid):
-                    if step <= N:
-                        counts[j] += n_hit
-            alive[idx[hit | (s < stop_lo)]] = False
-        return {"hits": hits, "counts": counts, "undecided": int(alive.sum())}
+    def reduce(p: _Paths, hit: np.ndarray) -> dict:
+        hit_steps = p.step[hit]
+        return {"counts": np.array([(hit_steps <= N).sum() for N in n_grid], dtype=np.int64)}
 
-    total = _merge_sums(_run_blocks(cfg, block))
+    total = _simulate(model, cfg, reduce, x, K)
     _check_undecided(total["undecided"], cfg.n_paths, "exceedance_time_profile")
     hits = int(total["hits"])
     rows = []
@@ -510,8 +507,9 @@ def _shifted_cross_slack(model: IncrementModel, c: float, gamma: float | None) -
     """Slack K_r, its certified miss bound, and the twist used, for crossings
     of the line R + n*c by the walk (equivalently level crossings of the
     c-shifted walk, whose increments are xi - c)."""
-    if isinstance(model, PolyExp):
-        cands = [0.5 * model.gamma, 0.75 * model.gamma, 0.9 * model.gamma]
+    g = model.decay_rate
+    if g is not None:
+        cands = [0.5 * g, 0.75 * g, 0.9 * g]
     else:
         cands = list(np.linspace(0.1, 20.0, 60))
     usable = []
@@ -546,9 +544,8 @@ def renewal_diagnostics(
     accumulated into the reported bias bounds.
     """
     if gamma is None:
-        if isinstance(model, PolyExp):
-            gamma = model.gamma
-        else:
+        gamma = model.decay_rate
+        if gamma is None:
             raise EstimatorError("gamma must be given for families without a decay rate")
     mean = model.mean()
     if not mean < 0:
@@ -560,43 +557,28 @@ def renewal_diagnostics(
     phg = model.mgf(gamma).value if model.mgf(gamma).finite else math.inf
     phi_ratio = phg / (1.0 - phg) if phg < 1.0 else math.inf
 
+    def by_step(p: _Paths, mask: np.ndarray) -> list[np.ndarray]:
+        """Final positions of the masked paths, one array per step, each in
+        path order (the order the sums below were defined in)."""
+        idx = np.nonzero(mask)[0]
+        idx = idx[np.argsort(p.step[idx], kind="stable")]
+        return np.split(p.S[idx], np.flatnonzero(np.diff(p.step[idx])) + 1)
+
+    def reduce(p: _Paths, hit: np.ndarray) -> dict:
+        phi_sum = phi_sumsq = phi_bias = 0.0
+        for s in by_step(p, hit):
+            w = np.exp(gamma * s)
+            phi_sum += float(w.sum())
+            phi_sumsq += float(w @ w)
+        if math.isfinite(phi_ratio):
+            for s in by_step(p, p.outcome == MISS):
+                phi_bias += float(np.exp(gamma * s).sum()) * phi_ratio
+        return {"phi_sum": phi_sum, "phi_sumsq": phi_sumsq, "phi_bias": phi_bias}
+
     rows = []
     for R in r_grid:
         R = float(R)
-
-        def block(rng: np.random.Generator, n: int, _R=R) -> dict:
-            S = np.zeros(n)
-            alive = np.ones(n, dtype=bool)
-            hits = 0
-            phi_sum = 0.0
-            phi_sumsq = 0.0
-            phi_bias = 0.0
-            for step in range(1, cfg.horizon + 1):
-                idx = np.nonzero(alive)[0]
-                if idx.size == 0:
-                    break
-                S[idx] += model.sample(rng, idx.size)
-                line = _R + step * c
-                s = S[idx]
-                hit = s > line
-                if hit.any():
-                    w = np.exp(gamma * s[hit])
-                    hits += int(hit.sum())
-                    phi_sum += float(w.sum())
-                    phi_sumsq += float(w @ w)
-                miss = ~hit & (s < line - K_r)
-                if miss.any() and math.isfinite(phi_ratio):
-                    phi_bias += float(np.exp(gamma * s[miss]).sum()) * phi_ratio
-                alive[idx[hit | miss]] = False
-            return {
-                "hits": hits,
-                "phi_sum": phi_sum,
-                "phi_sumsq": phi_sumsq,
-                "phi_bias": phi_bias,
-                "undecided": int(alive.sum()),
-            }
-
-        total = _merge_sums(_run_blocks(cfg, block))
+        total = _simulate(model, cfg, reduce, R, K_r, c=c)
         n = cfg.n_paths
         delta = total["hits"] / n
         phi_mean = total["phi_sum"] / n

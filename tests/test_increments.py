@@ -200,30 +200,6 @@ class TestSampling:
         assert stat < 1.6276 / math.sqrt(draws.size)
 
 
-class TestConditionalSampling:
-    def test_pointmass_certain_event(self, pm_model):
-        rng = np.random.default_rng(3)
-        assert np.all(pm_model.conditional_tail_sample(-2.0, rng, 50) == -1.0)
-
-    def test_support(self, d0_model):
-        rng = np.random.default_rng(4)
-        draws = d0_model.conditional_tail_sample(5.0, rng, 2000)
-        assert np.all(draws > 5.0)
-
-    def test_conditional_tail_ratio(self, d0_model):
-        rng = np.random.default_rng(12)
-        draws = d0_model.conditional_tail_sample(5.0, rng, 10**5)
-        p_hat = float(np.mean(draws > 6.0))
-        target = float(d0_model.tail(6.0)) / float(d0_model.tail(5.0))
-        stderr = math.sqrt(target * (1 - target) / draws.size)
-        assert abs(p_hat - target) < 4 * stderr
-
-    def test_zero_probability_event(self, pm_model):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ModelError):
-            pm_model.conditional_tail_sample(0.0, rng, 10)
-
-
 class TestShiftedTailRatio:
     def test_zero_shift_is_exact(self, ref_model):
         diag = lgamma_diagnostic(ref_model, [0.0], [10.0, 100.0])

@@ -1,0 +1,55 @@
+"""CLI payloads pinned field by field.
+
+Each case runs ``walkmax.cli.main`` in-process and compares its stdout
+payload with the one stored under ``tests/data/``: integers, strings,
+booleans and nulls exactly, floats to 1e-12 relative.  The Monte Carlo cases
+use 70,000 paths, which is two 65,536-path blocks, so block merging and the
+two-shard schedule are both covered.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from walkmax.cli import main
+
+DATA = Path(__file__).parent / "data"
+REF = "polyexp:gamma=1,beta=2,shift=1.3862943611198906"
+LATTICE = ["--model", REF, "--step", "0.02"]
+MC = ["--model", REF, "--step", "0.02", "--n-paths", "70000", "--shards", "2", "--seed", "1"]
+
+# (name, argv, exit code)
+CASES = [
+    ("constants", ["constants", *LATTICE], 0),
+    ("finite", ["finite", "--N", "1,2,5,10", "--x", "5,10", *LATTICE], 0),
+    ("stopped", ["stopped", "--x", "4,6,8,10", *LATTICE], 0),
+    ("bigjump", ["bigjump", "--x", "10,20,40", *LATTICE], 0),
+    ("tail_report_mc", ["tail-report", "--measured", "mc", "--x", "1,2,3,4", *MC], 2),
+    ("renewal_diag", ["renewal-diag", "--R", "2,4,8,16", *MC], 0),
+    ("bigjump_mc", ["bigjump", "--measured", "mc", "--x", "2,3,4", *MC], 0),
+]
+
+
+def assert_same(got, want, path="payload"):
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{path}: {got!r} is not a float"
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), f"{path}: keys differ"
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{path}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_payload_matches_record(name, argv, code, capsys):
+    assert main(argv) == code
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((DATA / f"{name}.json").read_text())
+    assert_same(got, want)
