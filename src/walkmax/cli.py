@@ -170,8 +170,18 @@ def constants_pipeline(
     return pmf, law, constants(model, law, gamma=gamma)
 
 
+def tail_ratio(model: IncrementModel, x: float, p: float) -> float:
+    """p / P(xi > x); refuses at a level the increment never exceeds."""
+    base = float(model.tail(x))
+    if base <= 0.0:
+        raise ModelError(
+            f"P(xi > {x:g}) = 0 for {model.spec_string()}: no tail ratio at that level"
+        )
+    return p / base
+
+
 def tail_ratio_rows(model: IncrementModel, law: MaxLaw, xs) -> list[tuple[float, float]]:
-    return [(float(x), law.tail(float(x)) / float(model.tail(float(x)))) for x in xs]
+    return [(float(x), tail_ratio(model, float(x), law.tail(float(x)))) for x in xs]
 
 
 def bigjump_dp_ratio(
@@ -282,7 +292,7 @@ def cmd_tail_report(args) -> int:
     xs = _floats(args.x)
     trace_rows: list[dict] = []
     try:
-        pmf, law, consts = constants_pipeline(model, h=args.step)
+        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
         if args.measured == "oracle":
             rows = tail_ratio_rows(model, law, xs)
         else:
@@ -290,7 +300,7 @@ def cmd_tail_report(args) -> int:
             rows = []
             for x in xs:
                 rep = estimate_tail_crude(model, x, cfg)
-                rows.append((x, rep.estimate / float(model.tail(x))))
+                rows.append((x, tail_ratio(model, x, rep.estimate)))
                 if rep.trace is not None:
                     trace_rows.extend({"x": x, "path": i, **t} for i, t in enumerate(rep.trace))
     except (ModelError, LatticeError, EstimatorError) as exc:
@@ -308,11 +318,9 @@ def cmd_local_report(args) -> int:
     model = parse_model(args.model)
     xs = _floats(args.x)
     try:
-        pmf, law, consts = constants_pipeline(model, h=args.step)
+        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
         pred = local_constant(consts, args.t)
-        rows = [
-            (x, law.window(x, args.t) / float(model.tail(x))) for x in map(float, xs)
-        ]
+        rows = [(x, tail_ratio(model, x, law.window(x, args.t))) for x in map(float, xs)]
     except (ModelError, LatticeError) as exc:
         return _refused(f"local-report: {exc}")
     # windowed deviations legitimately change sign on the way in, so this
@@ -329,8 +337,13 @@ def cmd_finite(args) -> int:
     Ns = _ints(args.N)
     xs = _floats(args.x)
     try:
-        pmf, law, consts = constants_pipeline(model, h=args.step)
-        laws = finite_horizon(pmf, max(Ns), top=oracle_top(model, None))
+        # horizon laws first: they stay on the pmf, and the fixed point
+        # replays them instead of sweeping from M_0 a second time
+        pmf = oracle_pmf(model, args.step)
+        top = oracle_top(model, args.gamma)
+        laws = finite_horizon(pmf, max(Ns), top=top)
+        law = lindley_fixed_point(pmf, top=top)
+        consts = constants(model, law, gamma=args.gamma)
         rows = []
         for N in Ns:
             fc = finite_constant(consts, N, laws) if N >= 1 else None
@@ -341,7 +354,7 @@ def cmd_finite(args) -> int:
                 "predicted_hi": fc.hi if fc else 0.0,
             }
             for x in xs:
-                entry[f"ratio_at_{x:g}"] = laws[N].tail(x) / float(model.tail(x))
+                entry[f"ratio_at_{x:g}"] = tail_ratio(model, x, laws[N].tail(x))
             rows.append(entry)
     except (ModelError, LatticeError) as exc:
         return _refused(f"finite: {exc}")
@@ -358,11 +371,11 @@ def cmd_stopped(args) -> int:
     model = parse_model(args.model)
     xs = _floats(args.x)
     try:
-        pmf, law, consts = constants_pipeline(model, h=args.step)
-        stopped = stopped_max_sigma1(pmf, x_grid=xs, top=oracle_top(model, None))
+        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
+        stopped = stopped_max_sigma1(pmf, x_grid=xs, top=oracle_top(model, args.gamma))
         pred = stopped_constant(consts, stopped)
         rows = [
-            (float(x), float(t) / float(model.tail(float(x))))
+            (float(x), tail_ratio(model, float(x), float(t)))
             for x, t in zip(stopped.max_tail_x, stopped.max_tail)
         ]
     except (ModelError, LatticeError) as exc:
@@ -450,8 +463,7 @@ def cmd_convolution_check(args) -> int:
         for n in ns:
             pred = convolution_prediction([(model, 1.0)] * n, gamma=args.gamma)
             measured = [
-                (x, powers[n - 1].tail(float(x)) / float(model.tail(float(x))))
-                for x in xs
+                (x, tail_ratio(model, float(x), powers[n - 1].tail(float(x)))) for x in xs
             ]
             rep = convergence_report(pred, measured, tol=args.tol, provenance="oracle")
             verdicts.append(rep.verdict == "converging")

@@ -24,7 +24,10 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+
+# scipy is imported inside the few functions that run a quadrature or a root
+# finder: it costs more start-up than the rest of the package, and the lattice
+# oracles never need it
 
 __all__ = [
     "ModelError",
@@ -175,8 +178,12 @@ class PolyExp(IncrementModel):
                     f"twisted moment {self.mgf_at_gamma:.6f} >= 1; the walk "
                     "maximum has no light tail in this regime"
                 )
-            # subcritical twist forces a negative mean (convexity of the mgf)
-            if self.mean() >= 0:
+            # subcritical twist forces a negative mean (convexity of the mgf);
+            # E eta <= min(1/(beta-1), 1/gamma), as the integrand of E eta is
+            # below each factor alone, so quadrature runs only when that bound
+            # leaves the sign open
+            eta_bound = min(1.0 / (self.beta - 1.0), 1.0 / self.gamma)
+            if eta_bound >= self.shift and self.mean() >= 0:
                 raise ModelError(f"mean {self.mean():.6f} must be negative")
 
     # --- closed forms -----------------------------------------------------------
@@ -209,6 +216,8 @@ class PolyExp(IncrementModel):
 
     @cached_property
     def _mean_eta(self) -> float:
+        from scipy import integrate
+
         # E eta = int_0^inf (1+y)^-beta exp(-gamma y) dy
         val, err = integrate.quad(
             lambda y: math.exp(-self.beta * math.log1p(y) - self.gamma * y),
@@ -234,6 +243,8 @@ class PolyExp(IncrementModel):
             return MgfValue(alpha, math.inf)
         if alpha == self.gamma:
             return MgfValue(alpha, self.mgf_at_gamma)
+        from scipy import integrate
+
         # E exp(alpha*eta) = 1 + alpha * int_0^inf exp(alpha y) P(eta>y) dy
         val, err = integrate.quad(
             lambda y: math.exp(-self.beta * math.log1p(y) - (self.gamma - alpha) * y),
@@ -311,6 +322,8 @@ def _atom_chernoff_bound(atoms: Sequence[tuple[float, float]], t: float) -> floa
     """min over alpha of exp(-alpha t)/(1 - phi(alpha)) for an atomic law."""
     if all(v <= 0 for v, _ in atoms):
         return 0.0 if t >= 0 else 1.0
+    from scipy import optimize
+
     phi = lambda a: _atom_mgf(atoms, a)
     if phi(1e-9) >= 1.0 and sum(v * p for v, p in atoms) >= 0:
         raise ModelError("no certified bound: nonnegative mean")
@@ -550,6 +563,8 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
             notes="lattice family: middle band empty on the probe grid",
         )
     assert isinstance(model, PolyExp)
+    from scipy import integrate
+
     rows = []
     values = []
     for x in x_grid:

@@ -22,7 +22,7 @@ nothing is ever silently renormalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -51,6 +51,9 @@ MASS_TOL = 1e-12
 FOLD_REFUSE = 1e-6
 DEFAULT_FIXED_POINT_TOL = 1e-13
 MAX_ITERATIONS = 10**6
+# exp() overflows a float just above 709; exp_moment works in the log domain
+# once gamma * top passes this
+EXP_ARG_LIMIT = 700.0
 
 
 class LatticeError(RuntimeError):
@@ -98,6 +101,14 @@ class LatticePMF:
 
     ``mass_below``/``mass_above`` record how much true mass was folded into
     the end bins at discretization time; the vector itself always sums to 1.
+
+    Work that depends only on the law is memoized on the instance, so each
+    scan runs once however many laws of its walk ask for it: the subcritical
+    twist bound ``chernoff_alpha_sup``, ``chernoff_tail_bound`` per level, the
+    ``exp_moment`` twist remainder per ``(gamma, top)``, and the reflected
+    laws that ``finite_horizon`` computed.  ``probs`` is made read-only here,
+    and nothing assigns ``h`` or ``k0`` after construction, so the memo cannot
+    go stale; it is freed with the pmf.
     """
 
     h: float
@@ -105,6 +116,7 @@ class LatticePMF:
     probs: np.ndarray
     mass_below: float = 0.0
     mass_above: float = 0.0
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -118,6 +130,7 @@ class LatticePMF:
         total = self.probs.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise LatticeError(f"probs must sum to 1 within {MASS_TOL:g}, got {total!r}")
+        self.probs.flags.writeable = False
 
     def centers(self) -> np.ndarray:
         return (self.k0 + np.arange(self.probs.size)) * self.h
@@ -134,8 +147,16 @@ class LatticePMF:
     def tail(self, x: float) -> float:
         return _interp_tail(self.probs, self.k0, self.h, x)
 
+    def _memoized(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def chernoff_alpha_sup(self) -> float:
         """Largest twist alpha with mgf(alpha) < 1 (0 if none exists)."""
+        return self._memoized("alpha_sup", self._alpha_sup_scan)
+
+    def _alpha_sup_scan(self) -> float:
         if self.mean() >= 0:
             return 0.0
         if self.centers()[-1] <= 0:
@@ -156,6 +177,9 @@ class LatticePMF:
     def chernoff_tail_bound(self, t: float) -> float:
         """min over alpha of exp(-alpha t)/(1 - mgf(alpha)): a certified bound
         on P(sup_n S_n > t) for the walk with these lattice increments."""
+        return self._memoized(("tail_bound", t), lambda: self._tail_bound_scan(t))
+
+    def _tail_bound_scan(self, t: float) -> float:
         a_sup = self.chernoff_alpha_sup()
         if a_sup == 0.0:
             return 1.0
@@ -250,7 +274,8 @@ def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False):
     Yields ``(V, below, above)`` per step: the new sub-law on the window, and
     by cell the mass that landed below and above it.  With ``reflect`` the
     mass below moves onto the window's first cell instead (``below`` is then
-    empty).  Each yielded ``V`` is a fresh array, so callers may keep it.
+    empty).  Each yielded ``V`` is a fresh read-only array, so callers may
+    keep it.
     """
     nneg = -pmf.k0  # index of the window's first cell in the convolution
     while True:
@@ -262,6 +287,7 @@ def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False):
         if reflect:
             V[0] = W[: nneg + 1].sum()
             below = below[:0]
+        V.flags.writeable = False
         yield V, below, above
 
 
@@ -329,16 +355,25 @@ class MaxLaw:
 def _reflected(pmf: LatticePMF, top: float):
     """Laws of M_0 = 0, M_1, M_2, ... on cells [0, top/h], each with the
     overflow lost above the top so far (it never returns, so its effect
-    anywhere is bounded by the accumulated amount)."""
+    anywhere is bounded by the accumulated amount).
+
+    Laws that ``finite_horizon`` left in the pmf's memo for this cell count
+    are replayed first, and the sweep goes on from the last of them: the
+    recursion is deterministic in the pmf and the grid, so a replayed law is
+    the one a fresh sweep would give, bit for bit.  Laws swept here are not
+    kept, so a caller that holds two at a time stays that small.
+    """
     K = int(round(top / pmf.h))
     if K < 1:
         raise LatticeError(f"top {top} is below one grid step")
     if pmf.k0 >= 0:
         raise LatticeError("increment law has no mass below 0; walk cannot reflect")
-    V = np.eye(1, K + 1)[0]  # point mass at cell 0
-    overflow = 0.0
-    yield V, overflow
-    for n, (V, _, above) in enumerate(_sweep(V, pmf, reflect=True)):
+    V = np.eye(1, K + 1)[0]  # M_0: point mass at cell 0
+    V.flags.writeable = False
+    kept = pmf._memo.get(("reflected", K), [(V, 0.0)])
+    yield from kept
+    V, overflow = kept[-1]
+    for n, (V, _, above) in enumerate(_sweep(V, pmf, reflect=True), len(kept) - 1):
         overflow += above.sum()
         if overflow > 1e-3:
             # a sound grid loses ~1e-30 per sweep; this is a sizing mistake,
@@ -407,13 +442,21 @@ def finite_horizon(
     N: int,
     top: float | None = None,
 ) -> list[MaxLaw]:
-    """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion."""
+    """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion.
+
+    The laws stay in the pmf's memo, keyed by the grid's cell count, so a
+    later ``lindley_fixed_point`` or ``finite_horizon`` on the same pmf and
+    top replays them instead of sweeping again.  Like the pmf's ``probs``,
+    every swept law is a read-only array, so a kept law cannot go stale.
+    """
     if N < 0:
         raise LatticeError(f"horizon must be >= 0, got {N}")
     if top is None:
         top = _auto_top(pmf)
     history = list(islice(_reflected(pmf, top), N + 1))
     K = len(history[0][0]) - 1
+    if N + 1 > len(pmf._memo.get(("reflected", K), ())):
+        pmf._memo[("reflected", K)] = history
     trunc = min(pmf.chernoff_tail_bound(K * pmf.h), 1.0)
     return [
         MaxLaw(
@@ -561,6 +604,24 @@ def stopped_max_sigma1(
     )
 
 
+def _twist_remainder(inc: LatticePMF, gamma: float, top: float) -> float:
+    """Smallest steeper-twist bound on E[e^{gamma M}; M > top] over 400 twists
+    in (gamma, alpha_sup); inf when none of them has a subcritical mgf."""
+    a_sup = inc.chernoff_alpha_sup()
+    remainder = math.inf
+    upper = min(a_sup * (1 - 1e-9), 8.0 * gamma)
+    for a in np.linspace(gamma + 1e-3 * (upper - gamma), upper, 400):
+        p = inc.mgf(float(a))
+        if p < 1.0:
+            b = (
+                math.exp(-(a - gamma) * top)
+                * (1.0 + gamma / (a - gamma))
+                / (1.0 - p)
+            )
+            remainder = min(remainder, b)
+    return remainder
+
+
 def exp_moment(
     law: MaxLaw | LatticePMF,
     gamma: float,
@@ -578,20 +639,37 @@ def exp_moment(
     The enclosure also charges the recursion's lost overflow mass at the top.
     Raises when the certified remainder exceeds ``max_remainder``.
 
+    The remainder depends only on the increment pmf, ``gamma`` and ``top``, so
+    its 400-twist scan is memoized on the increment pmf (whose ``probs`` are
+    read-only) and runs once for all the horizon laws of one walk.  Both
+    refusals are still decided on every call.  Once ``gamma * top`` passes
+    ``EXP_ARG_LIMIT`` the sum is formed term by term in the log domain, so a
+    high top never overflows a float.
+
     A lattice pmf input (bounded support) or a nonpositive twist needs no
     remainder; the enclosure is then the bare float sum.
     """
     if isinstance(law, LatticePMF):
         val = law.mgf(gamma)
         return Bracket(val, val, val)
-    centers = law.centers()
-    logs = gamma * centers
-    m = float(logs.max()) if gamma > 0 else 0.0
-    val = float(math.exp(m) * (np.exp(logs - m) @ law.probs))
+    logs = gamma * law.centers()
+    top = law.top
+    if gamma * top <= EXP_ARG_LIMIT:
+        m = float(logs.max()) if gamma > 0 else 0.0
+        val = float(math.exp(m) * (np.exp(logs - m) @ law.probs))
+        slop = law.overflow * math.exp(gamma * top)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            val = float(np.exp(logs + np.log(law.probs)).sum())
+            slop = float(np.exp(gamma * top + np.log(law.overflow)))
+        if not math.isfinite(val):
+            raise LatticeError(
+                f"E exp({gamma} M) overflows a float at gamma*top = {gamma * top:.1f} "
+                f"> {EXP_ARG_LIMIT:g}; lower the grid top"
+            )
     if gamma <= 0:
         # truncated mass contributes within [overflow * e^{gamma*top}, overflow]
         return Bracket(val, val, val + law.overflow)
-    top = law.top
     inc = law.increment
     a_sup = inc.chernoff_alpha_sup()
     if a_sup <= gamma:
@@ -599,18 +677,9 @@ def exp_moment(
             f"cannot certify twist {gamma}: increment lattice admits no twist "
             f"beyond {a_sup:.4f} with subcritical mgf"
         )
-    remainder = math.inf
-    upper = min(a_sup * (1 - 1e-9), 8.0 * gamma)
-    for a in np.linspace(gamma + 1e-3 * (upper - gamma), upper, 400):
-        p = inc.mgf(float(a))
-        if p < 1.0:
-            b = (
-                math.exp(-(a - gamma) * top)
-                * (1.0 + gamma / (a - gamma))
-                / (1.0 - p)
-            )
-            remainder = min(remainder, b)
-    slop = law.overflow * math.exp(gamma * top)
+    remainder = inc._memoized(
+        ("twist_remainder", gamma, top), lambda: _twist_remainder(inc, gamma, top)
+    )
     if not math.isfinite(remainder) or remainder + slop > max_remainder:
         raise LatticeError(
             f"twist remainder {remainder + slop:.3e} exceeds {max_remainder:g}; "

@@ -2,9 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import walkmax
+from walkmax import lattice
 from walkmax.cli import main
 
 REF = "polyexp:gamma=1,beta=2,shift=1.3862943611198906"
@@ -172,3 +179,85 @@ class TestOtherCommands:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+TP = "twopoint:u=1,pu=0.25,v=-1"
+
+
+class TestTwistOverride:
+    """Atomic families have no decay rate: --gamma must reach every oracle."""
+
+    @pytest.mark.parametrize(
+        "command,extra,constants_key",
+        [
+            ("finite", ["--N", "1,2", "--x", "0.5"], "constant_limit"),
+            ("stopped", ["--x", "0.25,0.5,0.75"], "constants"),
+            ("tail-report", ["--x", "0.25,0.5,0.75"], "constants"),
+            ("local-report", ["--x", "0.25,0.5,0.75", "--t", "0.5"], "constants"),
+        ],
+    )
+    def test_atomic_model_takes_gamma(self, capsys, command, extra, constants_key):
+        code, out, err = run(capsys, command, "--model", TP, "--gamma", "0.9",
+                             "--step", "1", *extra)
+        assert "pass the twist" not in err
+        assert code in (0, 2)  # 2: a recorded verdict on the atomic walk
+        consts = json.loads(out)[constants_key]
+        assert consts["gamma"] == 0.9
+        # ruin chain: E e^{0.9 M} = (2/3) / (1 - e^{0.9}/3)
+        expected = (2.0 / 3.0) / (1.0 - math.exp(0.9) / 3.0)
+        assert consts["exp_moment_m"]["value"] == pytest.approx(expected, rel=1e-5)
+
+    def test_finite_ratios_use_the_twist_top(self, capsys):
+        code, out, _ = run(capsys, "finite", "--model", TP, "--gamma", "0.9",
+                           "--step", "1", "--N", "1,2", "--x", "0.5")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        # M_1 exceeds 0.5 iff the first step goes up: ratio 1
+        assert rows[0]["ratio_at_0.5"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["finite", "tail-report"])
+    def test_level_beyond_support_is_refused(self, capsys, command):
+        extra = ["--N", "1,2", "--x", "1"] if command == "finite" else ["--x", "0.25,0.5,1"]
+        code, out, err = run(capsys, command, "--model", TP, "--gamma", "0.9",
+                             "--step", "1", *extra)
+        assert code == 2
+        assert out == ""
+        assert "P(xi > 1) = 0" in err
+
+
+class TestOracleWorkOnce:
+    def test_finite_sweeps_once(self, capsys, monkeypatch):
+        # the fixed point (n_iter < 50 here) replays the horizon laws, so the
+        # reflected recursion runs max(N, n_iter) sweeps, not N + n_iter
+        reflected = [0]
+        sweep = lattice._sweep
+
+        def counting(V, pmf, reflect=False):
+            for step in sweep(V, pmf, reflect):
+                reflected[0] += reflect
+                yield step
+
+        monkeypatch.setattr(lattice, "_sweep", counting)
+        code, out, _ = run(capsys, "finite", "--N", "1,2,5,10,50", "--model", REF,
+                           "--step", "0.05")
+        assert code == 0
+        assert reflected[0] == 50
+
+    def test_scipy_loads_only_for_quadrature(self):
+        script = textwrap.dedent(f"""
+            import contextlib, io, math, sys
+            from walkmax.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["finite", "--N", "1,5", "--model", "{REF}",
+                             "--step", "0.05"]) == 0
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not loaded, loaded
+            from walkmax import PolyExp
+            assert 0.4 < PolyExp(1.0, 2.0, 0.0, require_subcritical=False).mean() < 0.41
+            assert "scipy.integrate" in sys.modules
+        """)
+        src = str(Path(walkmax.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

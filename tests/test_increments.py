@@ -131,6 +131,20 @@ class TestConstruction:
     def test_subcritical_mean_is_negative(self, ref_model):
         assert ref_model.mean() < 0
 
+    @given(
+        gamma=st.floats(0.2, 3.0),
+        beta=st.floats(1.1, 4.0),
+        margin=st.floats(0.01, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_mean_bound_is_sound(self, gamma, beta, margin):
+        # construction trusts E eta <= min(1/(beta-1), 1/gamma) to settle the
+        # sign of the mean; quadrature must never land above it
+        shift = math.log1p(gamma / (beta - 1.0)) / gamma + margin  # subcritical
+        m = PolyExp(gamma, beta, shift)
+        assert m.mgf_at_gamma < 1.0
+        assert m.mean() <= min(1.0 / (beta - 1.0), 1.0 / gamma) - shift + 1e-9
+
     def test_twopoint_validation(self):
         with pytest.raises(ModelError):
             TwoPoint(u=1.0, pu=1.5, v=-1.0)

@@ -20,6 +20,8 @@ from walkmax import (
     lindley_fixed_point,
     stopped_max_sigma1,
 )
+from walkmax import finite_constant
+from walkmax import lattice
 from walkmax.lattice import LatticePMF, _sweep
 
 
@@ -314,6 +316,111 @@ class TestExpMoment:
     def test_hopeless_top_refused_quickly(self, ref_pmf):
         with pytest.raises(LatticeError):
             lindley_fixed_point(ref_pmf, top=8.0)
+
+    def test_twist_past_float_range_stays_finite(self, tp_pmf):
+        # gamma*top = 720: e^{gamma*top} alone overflows a float, the moment
+        # E e^{0.9 M} = (2/3) / (1 - e^{0.9}/3) of the ruin chain does not
+        # (the fixed-point stop leaves the lattice value ~2e-6 below it)
+        high = exp_moment(lindley_fixed_point(tp_pmf, top=800.0), 0.9)
+        low = exp_moment(lindley_fixed_point(tp_pmf, top=600.0), 0.9)
+        assert high.value == pytest.approx((2.0 / 3.0) / (1.0 - math.exp(0.9) / 3.0), rel=1e-5)
+        assert high.value == pytest.approx(low.value, rel=1e-12)
+        assert high.lo <= high.value <= high.hi
+
+
+@pytest.fixture
+def mgf_calls(monkeypatch):
+    """Counts LatticePMF.mgf evaluations (the unit of every twist scan)."""
+    calls = [0]
+    mgf = LatticePMF.mgf
+
+    def counting(self, alpha):
+        calls[0] += 1
+        return mgf(self, alpha)
+
+    monkeypatch.setattr(LatticePMF, "mgf", counting)
+    return calls
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts the steps the sweep primitive takes."""
+    steps = [0]
+
+    def counting(V, pmf, reflect=False):
+        for step in _sweep(V, pmf, reflect):
+            steps[0] += 1
+            yield step
+
+    monkeypatch.setattr(lattice, "_sweep", counting)
+    return steps
+
+
+class TestMemo:
+    """Scans that depend only on the increment pmf run once per instance."""
+
+    def test_probs_are_read_only(self, ref_model):
+        pmf = discretize(ref_model, 0.05)
+        with pytest.raises(ValueError):
+            pmf.probs[0] = 0.5
+
+    def test_remainder_scan_once_for_all_horizon_laws(self, ref_model, ref_consts, mgf_calls):
+        laws = finite_horizon(discretize(ref_model, 0.05), 50, top=75.0)
+        mgf_calls[0] = 0
+        first = finite_constant(ref_consts, 50, laws)
+        # one 400-twist remainder scan for the 49 nontrivial laws, not 49
+        assert 0 < mgf_calls[0] <= 700
+        mgf_calls[0] = 0
+        assert finite_constant(ref_consts, 50, laws) == first
+        assert mgf_calls[0] == 0
+
+    def test_scans_memoized_per_argument(self, ref_model, mgf_calls):
+        pmf = discretize(ref_model, 0.05)
+        a_sup, bound = pmf.chernoff_alpha_sup(), pmf.chernoff_tail_bound(30.0)
+        mgf_calls[0] = 0
+        assert pmf.chernoff_alpha_sup() == a_sup
+        assert pmf.chernoff_tail_bound(30.0) == bound
+        assert mgf_calls[0] == 0
+        pmf.chernoff_tail_bound(40.0)
+        assert mgf_calls[0] == 400
+
+    def test_refusal_repeats_after_memoized_scan(self, ref_pmf):
+        law = lindley_fixed_point(ref_pmf, top=25.0)
+        for _ in range(2):
+            with pytest.raises(LatticeError, match="twist remainder"):
+                exp_moment(law, 1.0)
+
+    def test_fixed_point_replays_horizon_laws(self, ref_model, sweeps):
+        pmf = discretize(ref_model, 0.05)
+        finite_horizon(pmf, 50, top=75.0)
+        assert sweeps[0] == 50
+        law = lindley_fixed_point(pmf, top=75.0)
+        assert sweeps[0] == 50  # converged within the replayed laws
+        fresh = lindley_fixed_point(discretize(ref_model, 0.05), top=75.0)
+        assert law.n_iter == fresh.n_iter < 50
+        assert np.array_equal(law.probs, fresh.probs)
+        assert law.final_delta == fresh.final_delta
+        assert law.overflow == fresh.overflow
+
+    def test_sweep_resumes_after_short_history(self, ref_model, sweeps):
+        pmf = discretize(ref_model, 0.05)
+        finite_horizon(pmf, 5, top=75.0)
+        law = lindley_fixed_point(pmf, top=75.0)
+        assert sweeps[0] == law.n_iter  # 5 replayed, the rest swept on
+        longer = finite_horizon(pmf, 12, top=75.0)
+        assert sweeps[0] == law.n_iter + 7  # M_6..M_12 on top of the kept 5
+        fresh = finite_horizon(discretize(ref_model, 0.05), 12, top=75.0)
+        for a, b in zip(longer, fresh):
+            assert np.array_equal(a.probs, b.probs) and a.overflow == b.overflow
+        fresh_law = lindley_fixed_point(discretize(ref_model, 0.05), top=75.0)
+        assert np.array_equal(law.probs, fresh_law.probs)
+
+    def test_memo_is_per_grid(self, ref_model, sweeps):
+        pmf = discretize(ref_model, 0.05)
+        finite_horizon(pmf, 3, top=75.0)
+        laws = finite_horizon(pmf, 3, top=50.0)
+        assert sweeps[0] == 6
+        assert laws[-1].probs.size == 1001
 
 
 class TestConvolutionPowerTail:
