@@ -79,14 +79,13 @@ def constants(
     model: IncrementModel,
     max_law: MaxLaw,
     gamma: float | None = None,
-    max_remainder: float = 1e-3,
 ) -> AsymptoticConstants:
     """Assemble the predicted constants from the oracle maximum law."""
     g = _resolve_gamma(model, gamma)
     phg = model.mgf(g).value
     if not phg < 1.0:
         raise ModelError(f"twisted moment {phg:.6f} >= 1; no subcritical constant")
-    em = exp_moment(max_law, g, max_remainder=max_remainder)
+    em = exp_moment(max_law, g)
     c = em.scale(1.0 / (1.0 - phg))
     c_lo = 1.0 / (1.0 - phg)
     c_hi = c_lo * c_lo
@@ -112,7 +111,6 @@ def finite_constant(
     consts: AsymptoticConstants,
     N: int,
     horizon_laws: Sequence[MaxLaw],
-    max_remainder: float = 1e-3,
 ) -> Bracket:
     """Predicted horizon-N constant: sum_{n=1}^{N} phg^{n-1} * E exp(gamma*M_{N-n}).
 
@@ -130,7 +128,7 @@ def finite_constant(
         if N - n == 0:
             em = Bracket(1.0, 1.0, 1.0)
         else:
-            em = exp_moment(horizon_laws[N - n], consts.gamma, max_remainder=max_remainder)
+            em = exp_moment(horizon_laws[N - n], consts.gamma)
         val += w * em.value
         lo += w * em.lo
         hi += w * em.hi

@@ -123,12 +123,27 @@ def _manifest(command: str, model_spec: str, params: dict) -> dict:
     }
 
 
+def _numbers(text: str, kind) -> list:
+    """Comma-separated finite values of ``kind``; a malformed, non-finite or
+    empty list is a usage error."""
+    try:
+        out = [kind(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        out = None
+    if out is None or not all(map(math.isfinite, out)):
+        raise ModelError(f"malformed list {text!r}: expected comma-separated "
+                         f"finite {kind.__name__} values")
+    if not out:
+        raise ModelError(f"empty list {text!r}: give at least one value")
+    return out
+
+
 def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+    return _numbers(text, float)
 
 
 def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    return _numbers(text, int)
 
 
 # --- shared pipelines -------------------------------------------------------------
@@ -163,10 +178,9 @@ def constants_pipeline(
     model: IncrementModel,
     h: float = 0.01,
     gamma: float | None = None,
-    tol: float = 1e-13,
 ) -> tuple[LatticePMF, MaxLaw, AsymptoticConstants]:
     pmf = oracle_pmf(model, h)
-    law = lindley_fixed_point(pmf, tol=tol, top=oracle_top(model, gamma))
+    law = lindley_fixed_point(pmf, top=oracle_top(model, gamma))
     return pmf, law, constants(model, law, gamma=gamma)
 
 
@@ -190,17 +204,23 @@ def bigjump_dp_ratio(
     law: MaxLaw,
     x: float,
     h_choice: str,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Conditional single-jump ratio measured on the lattice: the flow of
     first exceedances of x - h(x) from below the h(x) band, each landing
-    weighted by the probability the remaining walk carries it past x."""
+    weighted by the probability the remaining walk carries it past x.
+    Refuses a level whose P(M > x) is 0 on the grid."""
+    p_x = law.tail(x)
+    if p_x <= 0.0:
+        raise LatticeError(
+            f"P(M > {x:g}) = 0 on the oracle grid (top {law.top:g}): no "
+            "single-jump ratio at that level; choose levels below the grid top"
+        )
     a = band_h(h_choice, x)
-    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate, rel_tol=rel_tol)
+    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate)
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
     weights = np.array([1.0 if y < 0 else law.tail(y) for y in x - cells * pmf.h])
     numerator = float(flow.landing_mass @ weights)
-    return numerator / law.tail(x)
+    return numerator / p_x
 
 
 # --- commands ----------------------------------------------------------------------
@@ -437,10 +457,9 @@ def cmd_bigjump(args) -> int:
 
 def cmd_renewal_diag(args) -> int:
     model = parse_model(args.model)
+    rs = _floats(args.R)
     try:
-        table = renewal_diagnostics(
-            model, _floats(args.R), _mc_config(args), gamma=args.gamma
-        )
+        table = renewal_diagnostics(model, rs, _mc_config(args), gamma=args.gamma)
     except (ModelError, EstimatorError) as exc:
         return _refused(f"renewal-diag: {exc}")
     payload = {

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
+# largest stopping slack ``slack_for_bias`` searches
+MAX_SLACK = 1e4
 # switch tail/cdf evaluation fully into the log domain once exp() would underflow
 LOG_DOMAIN_THRESHOLD = 600.0
 
@@ -87,6 +89,11 @@ class IncrementModel:
     def cdf(self, x):
         return 1.0 - self.tail(x)
 
+    def cell_masses(self, edges) -> np.ndarray:
+        """P(edges[i] < xi <= edges[i+1]) for consecutive increasing edges."""
+        tails = np.asarray(self.tail(edges), dtype=float)
+        return tails[:-1] - tails[1:]
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -118,14 +125,14 @@ class IncrementModel:
         phi(alpha) < 1."""
         raise NotImplementedError
 
-    def slack_for_bias(self, eps: float, k_max: float = 1e4) -> float:
+    def slack_for_bias(self, eps: float) -> float:
         """Smallest slack K (up to bisection tolerance) with
         max_tail_bound(K) <= eps."""
         if self.max_tail_bound(0.0) <= eps:
             return 0.0
-        if self.max_tail_bound(k_max) > eps:
-            raise ModelError(f"cannot certify bias {eps:.3e} within slack {k_max}")
-        lo, hi = 0.0, k_max
+        if self.max_tail_bound(MAX_SLACK) > eps:
+            raise ModelError(f"cannot certify bias {eps:.3e} within slack {MAX_SLACK:g}")
+        lo, hi = 0.0, MAX_SLACK
         while hi - lo > 1e-9 * (1.0 + hi):
             mid = 0.5 * (lo + hi)
             if self.max_tail_bound(mid) <= eps:
@@ -203,6 +210,12 @@ class PolyExp(IncrementModel):
         x = np.asarray(x, dtype=float)
         out = np.where(x < -self.shift, 1.0, np.exp(self.log_tail(x)))
         return out if out.ndim else float(out)
+
+    def cell_masses(self, edges) -> np.ndarray:
+        # difference of tails, assembled in the log domain: relative accuracy
+        # survives far into the right tail
+        lt = np.asarray(self.log_tail(edges))
+        return -np.exp(lt[:-1]) * np.expm1(lt[1:] - lt[:-1])
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

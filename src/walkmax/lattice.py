@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .increments import IncrementModel, PolyExp
+from .increments import IncrementModel
 
 __all__ = [
     "LatticeError",
@@ -49,8 +49,15 @@ __all__ = [
 
 MASS_TOL = 1e-12
 FOLD_REFUSE = 1e-6
-DEFAULT_FIXED_POINT_TOL = 1e-13
+# the reflected recursion stops once no cell moves by this much in one sweep
+FIXED_POINT_TOL = 1e-13
 MAX_ITERATIONS = 10**6
+# largest certified twist remainder an exponential moment may carry
+MAX_REMAINDER = 1e-3
+# stopped_max_sigma1 stops sweeping once this much mass is still unabsorbed
+STOP_RESIDUAL = 1e-12
+# bigjump_flow stops once future landings are below this share of the total
+BIGJUMP_REL_TOL = 1e-12
 # exp() overflows a float just above 709; exp_moment works in the log domain
 # once gamma * top passes this
 EXP_ARG_LIMIT = 700.0
@@ -104,8 +111,8 @@ class LatticePMF:
 
     Work that depends only on the law is memoized on the instance, so each
     scan runs once however many laws of its walk ask for it: the subcritical
-    twist bound ``chernoff_alpha_sup``, ``chernoff_tail_bound`` per level, the
-    ``exp_moment`` twist remainder per ``(gamma, top)``, and the reflected
+    twist bound ``chernoff_alpha_sup``, ``chernoff_tail_bound`` per level,
+    ``twist_remainder`` per ``(gamma, top)``, and the reflected
     laws that ``finite_horizon`` computed.  ``probs`` is made read-only here,
     and nothing assigns ``h`` or ``k0`` after construction, so the memo cannot
     go stale; it is freed with the pmf.
@@ -174,6 +181,16 @@ class LatticePMF:
                 hi = mid
         return lo
 
+    def _twist_scan(self, lo: float, hi: float, bound) -> float:
+        """Smallest ``bound(alpha, mgf(alpha))`` over 400 twists alpha in
+        [lo, hi] with mgf(alpha) < 1; inf when none of them has one."""
+        best = math.inf
+        for a in np.linspace(lo, hi, 400):
+            p = self.mgf(float(a))
+            if p < 1.0:
+                best = min(best, bound(float(a), p))
+        return best
+
     def chernoff_tail_bound(self, t: float) -> float:
         """min over alpha of exp(-alpha t)/(1 - mgf(alpha)): a certified bound
         on P(sup_n S_n > t) for the walk with these lattice increments."""
@@ -185,25 +202,38 @@ class LatticePMF:
             return 1.0
         if math.isinf(a_sup):
             return 0.0 if t >= 0 else 1.0
-        best = 1.0
-        for a in np.linspace(a_sup * 1e-3, a_sup * (1 - 1e-6), 400):
-            p = self.mgf(float(a))
-            if p < 1.0:
-                best = min(best, math.exp(-a * t) / (1.0 - p))
-        return best
+        bound = self._twist_scan(
+            a_sup * 1e-3, a_sup * (1 - 1e-6), lambda a, p: math.exp(-a * t) / (1.0 - p)
+        )
+        return min(1.0, bound)
+
+    def twist_remainder(self, gamma: float, top: float) -> float:
+        """Smallest steeper-twist bound on E[e^{gamma M}; M > top] for the
+        walk maximum M, over 400 twists in (gamma, alpha_sup); inf when none
+        of them has a subcritical mgf.  See ``exp_moment``."""
+
+        def scan():
+            upper = min(self.chernoff_alpha_sup() * (1 - 1e-9), 8.0 * gamma)
+            return self._twist_scan(
+                gamma + 1e-3 * (upper - gamma),
+                upper,
+                lambda a, p: (
+                    math.exp(-(a - gamma) * top) * (1.0 + gamma / (a - gamma)) / (1.0 - p)
+                ),
+            )
+
+        return self._memoized(("twist_remainder", gamma, top), scan)
 
 
 def discretize(
     model: IncrementModel,
     h: float,
     span: tuple[float, float] | None = None,
-    allow_fold: bool = False,
 ) -> LatticePMF:
     """Bin the increment law: probs[k] = F((k+1/2)h) - F((k-1/2)h).
 
     End bins absorb all mass beyond the span and the folded amounts are
-    recorded.  Refuses when more than ``FOLD_REFUSE`` would be folded, unless
-    ``allow_fold`` is set.
+    recorded.  Refuses when more than ``FOLD_REFUSE`` would be folded.
     """
     if h <= 0:
         raise LatticeError(f"grid step must be positive, got {h}")
@@ -214,25 +244,14 @@ def discretize(
         raise LatticeError(f"empty span {span}")
     k_lo = int(math.floor(lo / h))
     k_hi = int(math.ceil(hi / h))
-    ks = np.arange(k_lo, k_hi + 1)
-    if isinstance(model, PolyExp):
-        # difference of tails, assembled in the log domain: relative accuracy
-        # survives far into the right tail
-        lt_lo = np.asarray(model.log_tail((ks - 0.5) * h))
-        lt_hi = np.asarray(model.log_tail((ks + 0.5) * h))
-        probs = -np.exp(lt_lo) * np.expm1(lt_hi - lt_lo)
-    else:
-        edges = (np.concatenate([ks, [k_hi + 1]]) - 0.5) * h
-        tails = np.asarray(model.tail(edges), dtype=float)
-        probs = tails[:-1] - tails[1:]
-    probs = np.maximum(probs, 0.0)
+    edges = (np.arange(k_lo, k_hi + 2) - 0.5) * h
+    probs = np.maximum(model.cell_masses(edges), 0.0)
     below = float(model.cdf((k_lo - 0.5) * h))
     above = float(model.tail((k_hi + 0.5) * h))
     folded = below + above
-    if folded > FOLD_REFUSE and not allow_fold:
+    if folded > FOLD_REFUSE:
         raise LatticeError(
-            f"span {span} folds mass {folded:.3e} > {FOLD_REFUSE:g}; "
-            "widen the span or pass allow_fold"
+            f"span {span} folds mass {folded:.3e} > {FOLD_REFUSE:g}; widen the span"
         )
     probs[0] += below
     probs[-1] += above
@@ -333,24 +352,6 @@ class MaxLaw:
             raise LatticeError(f"window width must be positive, got {t}")
         return self.tail(x) - self.tail(x + t)
 
-    def total_mass(self) -> float:
-        return float(self.probs.sum()) + self.overflow
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        run = 1.0
-        for k, p in enumerate(self.probs):
-            run -= float(p)
-            rows.append(
-                {
-                    "x": k * self.h,
-                    "pmf": float(p),
-                    "tail": max(run, 0.0),
-                    "trunc_bound": self.trunc_bound,
-                }
-            )
-        return rows
-
 
 def _reflected(pmf: LatticePMF, top: float):
     """Laws of M_0 = 0, M_1, M_2, ... on cells [0, top/h], each with the
@@ -397,16 +398,12 @@ def _auto_top(pmf: LatticePMF) -> float:
     return -math.log(1e-24 * (1.0 - pmf.mgf(anchor))) / anchor
 
 
-def lindley_fixed_point(
-    pmf: LatticePMF,
-    tol: float = DEFAULT_FIXED_POINT_TOL,
-    top: float | None = None,
-    max_iter: int = MAX_ITERATIONS,
-) -> MaxLaw:
+def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
     """Law of the all-time maximum M = sup_n S_n via the reflected recursion.
 
     Iterates from the point mass at 0 until the sup-norm step change drops
-    below ``tol``.  Each iterate is exactly the law of the n-step maximum, so
+    below ``FIXED_POINT_TOL``, and refuses after ``MAX_ITERATIONS`` sweeps.
+    Each iterate is exactly the law of the n-step maximum, so
     ``finite_horizon`` runs the same recursion.
     """
     if pmf.mean() >= 0:
@@ -416,10 +413,10 @@ def lindley_fixed_point(
     laws = _reflected(pmf, top)
     V, overflow = next(laws)
     n, delta = 0, math.inf
-    while delta >= tol:
-        if n >= max_iter:
+    while delta >= FIXED_POINT_TOL:
+        if n >= MAX_ITERATIONS:
             raise LatticeError(
-                f"no convergence within {max_iter} iterations", residual=delta
+                f"no convergence within {MAX_ITERATIONS} iterations", residual=delta
             )
         V_next, overflow = next(laws)
         delta = float(np.abs(V_next - V).max())
@@ -492,39 +489,11 @@ class StoppedLaw:
     max_tail: np.ndarray
     horizon_used: int
 
-    def csv_rows(self) -> list[dict]:
-        """Overshoot law first, then the stopped-maximum tails."""
-        rows = []
-        run = 1.0
-        for k, p in enumerate(self.chi.probs):
-            run -= float(p)
-            rows.append(
-                {
-                    "kind": "overshoot",
-                    "x": (self.chi.k0 + k) * self.h,
-                    "pmf": float(p) * self.absorbed,
-                    "tail": max(run, 0.0) * self.absorbed,
-                    "trunc_bound": self.residual,
-                }
-            )
-        for x, t in zip(self.max_tail_x, self.max_tail):
-            rows.append(
-                {
-                    "kind": "stopped_max",
-                    "x": float(x),
-                    "pmf": "",
-                    "tail": float(t),
-                    "trunc_bound": self.residual,
-                }
-            )
-        return rows
-
 
 def stopped_max_sigma1(
     pmf: LatticePMF,
     horizon: int = 100_000,
     x_grid: Sequence[float] | None = None,
-    residual_tol: float = 1e-12,
     top: float | None = None,
 ) -> StoppedLaw:
     """Overshoot and maximum up to the first strictly negative partial sum.
@@ -555,13 +524,13 @@ def stopped_max_sigma1(
         chi_cells[1:] += below[::-1]
         up_mass += float(above.sum())
         survival.append(float(S.sum()) + up_mass)
-        if survival[-1] < residual_tol:
+        if survival[-1] < STOP_RESIDUAL:
             break
     survival = np.array(survival)
     # mass that escaped above the working grid is below the chernoff bound at top;
     # it is part of the residual bookkeeping rather than the overshoot law
     residual = float(S.sum()) + up_mass
-    if residual > max(100 * residual_tol, 1e-9):
+    if residual > 1e-9:
         raise LatticeError(
             f"stopping-time horizon {horizon} exhausted with residual {residual:.3e}",
             residual=residual,
@@ -589,7 +558,7 @@ def stopped_max_sigma1(
         up = 0.0
         for S, _, above in islice(_sweep(np.eye(1, kx + 1)[0], pmf), horizon):
             up += float(above.sum())
-            if S.sum() < residual_tol * 1e-3:
+            if S.sum() < STOP_RESIDUAL * 1e-3:
                 break
         tails[i] = up
     return StoppedLaw(
@@ -604,40 +573,19 @@ def stopped_max_sigma1(
     )
 
 
-def _twist_remainder(inc: LatticePMF, gamma: float, top: float) -> float:
-    """Smallest steeper-twist bound on E[e^{gamma M}; M > top] over 400 twists
-    in (gamma, alpha_sup); inf when none of them has a subcritical mgf."""
-    a_sup = inc.chernoff_alpha_sup()
-    remainder = math.inf
-    upper = min(a_sup * (1 - 1e-9), 8.0 * gamma)
-    for a in np.linspace(gamma + 1e-3 * (upper - gamma), upper, 400):
-        p = inc.mgf(float(a))
-        if p < 1.0:
-            b = (
-                math.exp(-(a - gamma) * top)
-                * (1.0 + gamma / (a - gamma))
-                / (1.0 - p)
-            )
-            remainder = min(remainder, b)
-    return remainder
+def exp_moment(law: MaxLaw, gamma: float) -> Bracket:
+    """Sum of exp(gamma * k * h) against a walk-maximum law, with a certified
+    enclosure, for a positive twist ``gamma``.
 
-
-def exp_moment(
-    law: MaxLaw | LatticePMF,
-    gamma: float,
-    max_remainder: float = 1e-3,
-) -> Bracket:
-    """Sum of exp(gamma * k * h) against the law, with a certified enclosure.
-
-    For a positive twist on a walk-maximum law the mass beyond the grid top is
-    controlled by a steeper-twist bound built from the increment law's own
-    lattice mgf: for any alpha in (gamma, alpha_sup) with phi(alpha) < 1,
+    The mass beyond the grid top is controlled by a steeper-twist bound built
+    from the increment law's own lattice mgf: for any alpha in
+    (gamma, alpha_sup) with phi(alpha) < 1,
 
         E[e^{gamma M}; M > top] <= e^{-(alpha-gamma) top}
                                    * (1 + gamma/(alpha-gamma)) / (1 - phi(alpha)).
 
     The enclosure also charges the recursion's lost overflow mass at the top.
-    Raises when the certified remainder exceeds ``max_remainder``.
+    Raises when the certified remainder exceeds ``MAX_REMAINDER``.
 
     The remainder depends only on the increment pmf, ``gamma`` and ``top``, so
     its 400-twist scan is memoized on the increment pmf (whose ``probs`` are
@@ -645,17 +593,13 @@ def exp_moment(
     refusals are still decided on every call.  Once ``gamma * top`` passes
     ``EXP_ARG_LIMIT`` the sum is formed term by term in the log domain, so a
     high top never overflows a float.
-
-    A lattice pmf input (bounded support) or a nonpositive twist needs no
-    remainder; the enclosure is then the bare float sum.
     """
-    if isinstance(law, LatticePMF):
-        val = law.mgf(gamma)
-        return Bracket(val, val, val)
+    if not gamma > 0:
+        raise LatticeError(f"exp_moment needs a positive twist, got {gamma}")
     logs = gamma * law.centers()
     top = law.top
     if gamma * top <= EXP_ARG_LIMIT:
-        m = float(logs.max()) if gamma > 0 else 0.0
+        m = float(logs.max())
         val = float(math.exp(m) * (np.exp(logs - m) @ law.probs))
         slop = law.overflow * math.exp(gamma * top)
     else:
@@ -667,9 +611,6 @@ def exp_moment(
                 f"E exp({gamma} M) overflows a float at gamma*top = {gamma * top:.1f} "
                 f"> {EXP_ARG_LIMIT:g}; lower the grid top"
             )
-    if gamma <= 0:
-        # truncated mass contributes within [overflow * e^{gamma*top}, overflow]
-        return Bracket(val, val, val + law.overflow)
     inc = law.increment
     a_sup = inc.chernoff_alpha_sup()
     if a_sup <= gamma:
@@ -677,12 +618,10 @@ def exp_moment(
             f"cannot certify twist {gamma}: increment lattice admits no twist "
             f"beyond {a_sup:.4f} with subcritical mgf"
         )
-    remainder = inc._memoized(
-        ("twist_remainder", gamma, top), lambda: _twist_remainder(inc, gamma, top)
-    )
-    if not math.isfinite(remainder) or remainder + slop > max_remainder:
+    remainder = inc.twist_remainder(gamma, top)
+    if not math.isfinite(remainder) or remainder + slop > MAX_REMAINDER:
         raise LatticeError(
-            f"twist remainder {remainder + slop:.3e} exceeds {max_remainder:g}; "
+            f"twist remainder {remainder + slop:.3e} exceeds {MAX_REMAINDER:g}; "
             "raise the grid top"
         )
     return Bracket(float(val), float(max(val - slop, 0.0)), float(val + remainder + slop))
@@ -694,17 +633,13 @@ class BigJumpFlow:
     stayed at or below ``barrier`` beforehand.
 
     ``landing_k0``/``landing_mass`` give the accumulated landing distribution
-    (sub-probability, by cell); ``per_step[n-1]`` is the step-n contribution;
-    ``tilt_at_stop`` is the remaining exp(gamma .)-weighted occupation used
-    for the stopping certificate (None when run to the full step budget).
+    (sub-probability, by cell); ``n_run`` is the number of steps taken.
     """
 
     h: float
     landing_k0: int
     landing_mass: np.ndarray
-    per_step: list[float]
     n_run: int
-    tilt_at_stop: float | None
 
     def total(self) -> float:
         return float(self.landing_mass.sum())
@@ -716,8 +651,6 @@ def bigjump_flow(
     jump_level: float,
     n_max: int = 10_000,
     gamma: float | None = None,
-    rel_tol: float = 1e-9,
-    floor: float | None = None,
 ) -> BigJumpFlow:
     """Dynamic program over the disjoint events
     {max through step n-1 <= barrier, S_n > jump_level}.
@@ -727,26 +660,23 @@ def bigjump_flow(
     landings in (barrier, jump_level] leave the computation for good, and the
     rest survives.  With ``gamma`` given, iteration stops once the remaining
     exp(gamma .)-weighted occupation certifies that future contributions are
-    below ``rel_tol`` of the accumulated total.
+    below ``BIGJUMP_REL_TOL`` of the accumulated total.
     """
     if not jump_level > barrier:
         raise LatticeError(f"need jump_level > barrier, got {jump_level} <= {barrier}")
     h = pmf.h
-    if floor is None:
-        # survivors below the floor cannot matter: their jump probability is
-        # exponentially small in the gap; 30 decay lengths is plenty
-        floor = -(30.0 / gamma if gamma else 30.0 / abs(min(pmf.mean(), -1e-2)))
+    # survivors below the floor cannot matter: their jump probability is
+    # exponentially small in the gap; 30 decay lengths is plenty
+    floor = -(30.0 / gamma if gamma else 30.0 / abs(min(pmf.mean(), -1e-2)))
     k_bar = int(math.floor(barrier / h + 1e-9))  # cells with center <= barrier
     k_jump = int(math.floor(jump_level / h + 1e-9))  # landing means center > jump_level
     k_floor = int(math.floor(floor / h))
-    if k_floor > 0 or k_floor >= k_bar:
-        raise LatticeError(f"floor {floor} must lie below 0 and below the barrier")
+    if k_floor >= k_bar:
+        raise LatticeError(f"barrier {barrier} must lie above the floor {floor}")
     nu = np.eye(1, k_bar - k_floor + 1, -k_floor)[0]  # point mass at cell 0
     landing_k0 = k_jump + 1
     landing = np.zeros(0)
-    per_step: list[float] = []
     total = 0.0
-    tilt = None
     if gamma is not None:
         weights = np.exp(gamma * np.arange(k_floor, k_bar + 1) * h)
         phi = pmf.mgf(gamma)
@@ -757,20 +687,17 @@ def bigjump_flow(
         if flow.size > landing.size:
             landing = np.concatenate([landing, np.zeros(flow.size - landing.size)])
         landing[: flow.size] += flow
-        per_step.append(float(flow.sum()))
-        total += per_step[-1]
+        total += float(flow.sum())
         if gamma is not None:
             tilt = float((nu * weights).sum())
             # future landings are bounded by sup_y e^{gamma y} T(y) * e^{-gamma level}
             # * tilt / (1 - phi); the constant prefactor is conservative at 1
             remaining = math.exp(-gamma * jump_level) * tilt / max(1.0 - phi, 1e-12)
-            if remaining < rel_tol * max(total, 1e-300):
+            if remaining < BIGJUMP_REL_TOL * max(total, 1e-300):
                 break
     return BigJumpFlow(
         h=h,
         landing_k0=landing_k0,
         landing_mass=landing,
-        per_step=per_step,
         n_run=n,
-        tilt_at_stop=tilt,
     )

@@ -57,9 +57,9 @@ class EstimatorError(RuntimeError):
 class SimConfig:
     """Simulation budget and determinism controls.
 
-    ``slack`` overrides the derived stopping slack K; ``block_size`` fixes the
-    deterministic unit of work (changing it changes the stream layout, so it
-    is part of the reproducibility contract alongside ``seed``).
+    ``block_size`` fixes the deterministic unit of work (changing it changes
+    the stream layout, so it is part of the reproducibility contract
+    alongside ``seed``).
     """
 
     n_paths: int
@@ -67,7 +67,6 @@ class SimConfig:
     n_shards: int = 1
     block_size: int = 65536
     horizon: int = 100_000
-    slack: float | None = None
     trace: bool = False  # debug: per-path outcome records on supported estimators
 
     def __post_init__(self):
@@ -162,8 +161,6 @@ def _binomial_stderr(hits: float, n: int) -> float:
 def _crude_slack(model: IncrementModel, x: float, cfg: SimConfig) -> float:
     """Stopping slack K with certified false-miss probability at most
     ``CRUDE_BIAS_FRACTION`` of the expected estimate scale."""
-    if cfg.slack is not None:
-        return cfg.slack
     scale = float(model.tail(x))
     if scale <= 0.0:
         # step-tail families: anchor the scale on the certified bound instead
@@ -503,10 +500,10 @@ class RenewalTable:
         }
 
 
-def _shifted_cross_slack(model: IncrementModel, c: float, gamma: float | None) -> tuple[float, float, float]:
-    """Slack K_r, its certified miss bound, and the twist used, for crossings
-    of the line R + n*c by the walk (equivalently level crossings of the
-    c-shifted walk, whose increments are xi - c)."""
+def _shifted_cross_slack(model: IncrementModel, c: float) -> float:
+    """Slack K_r whose certified miss probability is ``RENEWAL_MISS_BOUND``,
+    for crossings of the line R + n*c by the walk (equivalently level
+    crossings of the c-shifted walk, whose increments are xi - c)."""
     g = model.decay_rate
     if g is not None:
         cands = [0.5 * g, 0.75 * g, 0.9 * g]
@@ -519,12 +516,7 @@ def _shifted_cross_slack(model: IncrementModel, c: float, gamma: float | None) -
             usable.append((float(a), m.value * math.exp(-a * c)))
     if not usable:
         raise EstimatorError("no usable twist for the shifted walk; lower |c|")
-    best = None
-    for a, phi in usable:
-        k = (math.log(1.0 / (RENEWAL_MISS_BOUND * (1.0 - phi)))) / a
-        if best is None or k < best[0]:
-            best = (k, RENEWAL_MISS_BOUND, a)
-    return best
+    return min(math.log(1.0 / (RENEWAL_MISS_BOUND * (1.0 - phi))) / a for a, phi in usable)
 
 
 def renewal_diagnostics(
@@ -553,8 +545,8 @@ def renewal_diagnostics(
     c = drift_c if drift_c is not None else (mean / 2.0 if math.isfinite(mean) else -1.0)
     if not (mean < c < 0 or (not math.isfinite(mean) and c < 0)):
         raise EstimatorError(f"drift constant must lie in (mean, 0), got {c}")
-    K_r, miss_bound, twist = _shifted_cross_slack(model, c, gamma)
-    phg = model.mgf(gamma).value if model.mgf(gamma).finite else math.inf
+    K_r = _shifted_cross_slack(model, c)
+    phg = model.mgf(gamma).value
     phi_ratio = phg / (1.0 - phg) if phg < 1.0 else math.inf
 
     def by_step(p: _Paths, mask: np.ndarray) -> list[np.ndarray]:
@@ -588,7 +580,7 @@ def renewal_diagnostics(
                 "R": R,
                 "delta": delta,
                 "delta_stderr": _binomial_stderr(total["hits"], n),
-                "delta_bias_bound": miss_bound,
+                "delta_bias_bound": RENEWAL_MISS_BOUND,
                 "phi": phi_mean,
                 "phi_stderr": math.sqrt(phi_var / n),
                 "phi_bias_bound": total["phi_bias"] / n,

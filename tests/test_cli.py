@@ -180,6 +180,28 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["finite", "--N", ","],
+            ["tail-report", "--x", "1,2,x"],
+            ["tail-report", "--x", "nan,1,2"],
+            ["renewal-diag", "--R", "a"],
+        ],
+        ids=["finite-empty", "tail-report-malformed", "tail-report-nan",
+             "renewal-diag-malformed"],
+    )
+    def test_bad_list_is_usage_error(self, argv):
+        src = str(Path(walkmax.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkmax.cli", *argv, "--model", REF],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "list" in proc.stderr
+
 
 TP = "twopoint:u=1,pu=0.25,v=-1"
 
@@ -223,6 +245,14 @@ class TestTwistOverride:
         assert code == 2
         assert out == ""
         assert "P(xi > 1) = 0" in err
+
+    def test_bigjump_level_above_grid_top_is_refused(self, capsys):
+        # grid top 83 (75/0.9 rounded to cells): P(M > 100) is 0 on the grid
+        code, out, err = run(capsys, "bigjump", "--model", TP, "--gamma", "0.9",
+                             "--step", "1", "--x", "10,20,100")
+        assert code == 2
+        assert out == ""
+        assert "P(M > 100) = 0" in err and "(top 83)" in err
 
 
 class TestOracleWorkOnce:

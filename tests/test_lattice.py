@@ -41,14 +41,13 @@ class TestDiscretize:
             assert abs(pmf.mean() - ref_model.mean()) <= h
 
     def test_folded_mass_recorded(self, ref_model):
-        pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 20.0), allow_fold=True)
+        pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 20.0))
         assert pmf.mass_above == pytest.approx(float(ref_model.tail(20.005)), rel=1e-10)
         assert pmf.mass_below == 0.0
 
     def test_refuses_large_fold(self, ref_model):
         with pytest.raises(LatticeError):
             discretize(ref_model, 0.01, span=(-ref_model.shift, 3.0))
-        discretize(ref_model, 0.01, span=(-ref_model.shift, 3.0), allow_fold=True)
 
     def test_tail_interpolation_matches_model(self, ref_model, ref_pmf):
         for x in (0.0, 1.0, 5.0, 10.0):
@@ -127,7 +126,7 @@ class TestFixedPoint:
         assert law.tail(0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_mass_conservation(self, ref_law):
-        assert ref_law.total_mass() == pytest.approx(1.0, abs=1e-10)
+        assert ref_law.probs.sum() + ref_law.overflow == pytest.approx(1.0, abs=1e-10)
 
     def test_one_more_step_is_fixed(self, ref_pmf, ref_law):
         nneg = -ref_pmf.k0
@@ -241,14 +240,6 @@ class TestStopped:
         stopped = stopped_max_sigma1(tp_pmf)
         assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
 
-    def test_csv_export(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf)
-        rows = stopped.csv_rows()
-        kinds = {r["kind"] for r in rows}
-        assert kinds == {"overshoot", "stopped_max"}
-        over = [r for r in rows if r["kind"] == "overshoot"]
-        assert sum(r["pmf"] for r in over) == pytest.approx(stopped.absorbed, abs=1e-12)
-
     def test_horizon_exhaustion_raises(self, ref_pmf):
         with pytest.raises(LatticeError) as err:
             stopped_max_sigma1(ref_pmf, horizon=3, x_grid=[5.0])
@@ -304,8 +295,12 @@ class TestExpMoment:
     def test_overshoot_moment(self, pm_model):
         stopped = stopped_max_sigma1(discretize(pm_model, 1.0))
         # chi is identically 1
-        got = exp_moment(stopped.chi, -1.0)
-        assert got.value == pytest.approx(math.exp(-1.0), abs=1e-14)
+        assert stopped.chi.mgf(-1.0) == pytest.approx(math.exp(-1.0), abs=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    def test_nonpositive_twist_refused(self, tp_law, gamma):
+        with pytest.raises(LatticeError, match="positive twist"):
+            exp_moment(tp_law, gamma)
 
     def test_uncertifiable_twist_refused(self, ref_pmf):
         # top=25 converges fine but leaves a twist remainder far above 1e-3
@@ -430,12 +425,12 @@ class TestConvolutionPowerTail:
             assert law.tail(x) == pytest.approx(ref_pmf.tail(x), abs=1e-15)
 
     def test_pair_ratio_near_prediction(self, ref_model):
-        pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0), allow_fold=True)
+        pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0))
         # twisted moment 1/2: two-fold tails approach 2 * 0.5 = 1.0 times the base
         ratio = convolution_power(pmf, 2)[-1].tail(24.0) / float(ref_model.tail(24.0))
         assert ratio == pytest.approx(1.0, abs=0.012)
 
     def test_triple_ratio_near_prediction(self, ref_model):
-        pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0), allow_fold=True)
+        pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0))
         ratio = convolution_power(pmf, 3)[-1].tail(24.0) / float(ref_model.tail(24.0))
         assert ratio == pytest.approx(0.75, abs=0.75 * 0.025)

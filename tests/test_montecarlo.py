@@ -144,8 +144,7 @@ class TestConditionalRatio:
         a = x / 4.0
         cfg = SimConfig(n_paths=10**6, seed=11)
         rep = bigjump_conditional_ratio(ref_model, x, "quarter", cfg)
-        flow = bigjump_flow(ref_pmf, barrier=a, jump_level=x - a,
-                            gamma=ref_model.gamma, rel_tol=1e-12)
+        flow = bigjump_flow(ref_pmf, barrier=a, jump_level=x - a, gamma=ref_model.gamma)
         cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
         weights = np.array(
             [1.0 if y < 0 else ref_law.tail(y) for y in x - cells * ref_pmf.h]
