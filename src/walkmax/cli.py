@@ -219,7 +219,7 @@ def bigjump_dp_ratio(
     flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate)
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
     weights = np.array([1.0 if y < 0 else law.tail(y) for y in x - cells * pmf.h])
-    numerator = float(flow.landing_mass @ weights)
+    numerator = float((flow.landing_mass * weights).sum())
     return numerator / p_x
 
 
@@ -293,9 +293,15 @@ def _report_command(args, name: str, measured_rows, predicted: float,
     return EXIT_OK if ok else EXIT_REFUSED
 
 
+def _json_value(v):
+    """``v``, or its repr for a non-finite float, which JSON cannot hold
+    (``--t inf`` asks for the whole tail)."""
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _resolved_params(args) -> dict:
     skip = {"func", "out"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: _json_value(v) for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _mc_config(args) -> SimConfig:
@@ -347,7 +353,7 @@ def cmd_local_report(args) -> int:
     # report gates on the loose trend rather than strict monotonicity
     return _report_command(
         args, "local-report", rows, pred.value,
-        {"constants": consts.to_json_dict(), "window": args.t},
+        {"constants": consts.to_json_dict(), "window": _json_value(args.t)},
         gate="loose",
     )
 

@@ -135,6 +135,25 @@ class TestByteStability:
         csv_a = (a / "renewal_diag.csv").read_bytes()
         assert csv_a == (b / "renewal_diag.csv").read_bytes()
 
+    def test_payload_bytes_ignore_blas_threads(self):
+        # the sweeps and every moment reduction must not depend on how a
+        # threaded BLAS splits its work
+        src = str(Path(walkmax.__file__).resolve().parents[1])
+        for argv in (["constants"], ["bigjump", "--x", "10,20,40"]):
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "walkmax.cli", *argv, "--model", REF,
+                     "--step", "0.005"],
+                    env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n,
+                             OMP_NUM_THREADS=n, MKL_NUM_THREADS=n),
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                )
+                for n in ("1", "2")
+            ]
+            outs = [p.communicate(timeout=300)[0] for p in procs]
+            assert [p.returncode for p in procs] == [0, 0], argv
+            assert outs[0] == outs[1], argv
+
 
 class TestOtherCommands:
     def test_finite(self, capsys, tmp_path):
@@ -154,6 +173,22 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["final_dev"] <= 0.1
+
+    def test_stopped_level_above_grid_top_is_refused(self, capsys):
+        code, out, err = run(capsys, "stopped", "--model", REF, "--x", "4,80",
+                             "--step", "0.02")
+        assert code == 2
+        assert out == ""
+        assert "stopped level 80 is above the grid top 75" in err
+
+    def test_local_report_infinite_window(self, capsys):
+        # an infinite window is the whole tail, predicted by C itself
+        code, out, _ = run(capsys, "local-report", "--model", REF, "--x", "5,10,15",
+                           "--t", "inf", "--step", "0.02")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["report"]["predicted"] == payload["constants"]["constant"]["value"]
+        assert payload["window"] == payload["manifest"]["params"]["t"] == "inf"
 
     def test_bigjump_oracle_default_grid(self, capsys):
         code, out, _ = run(capsys, "bigjump", "--model", REF)

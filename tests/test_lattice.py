@@ -22,7 +22,7 @@ from walkmax import (
 )
 from walkmax import finite_constant
 from walkmax import lattice
-from walkmax.lattice import LatticePMF, _sweep
+from walkmax.lattice import CONV_BLOCK, LatticePMF, _direct_conv, _sweep
 
 
 class TestDiscretize:
@@ -72,6 +72,48 @@ class TestConvolve:
     def test_step_mismatch(self, tp_pmf, ref_pmf):
         with pytest.raises(LatticeError):
             convolve(tp_pmf, ref_pmf)
+
+
+def fsum_conv(a, b) -> list[float]:
+    """Reference convolution: each bin's products summed exactly."""
+    return [
+        math.fsum(float(a[k]) * float(b[n - k])
+                  for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1))
+        for n in range(len(a) + len(b) - 1)
+    ]
+
+
+class TestDirectConv:
+    # magnitudes 10**-250 .. 1, with exact zeros; lengths up to three blocks
+    # and a bit, so partial blocks and every diagonal count are drawn
+    vectors = st.lists(
+        st.one_of(st.just(0.0), st.floats(-250.0, 0.0).map(lambda e: 10.0**e)),
+        min_size=1,
+        max_size=3 * CONV_BLOCK + 5,
+    )
+
+    @given(a=vectors, b=vectors)
+    @settings(max_examples=60, deadline=None)
+    def test_every_bin_keeps_relative_accuracy(self, a, b):
+        got = _direct_conv(np.array(a), np.array(b))
+        want = np.array(fsum_conv(a, b))
+        assert got.shape == want.shape
+        # n nonnegative products summed in any order: relative error below
+        # n unit roundoffs each side; products below the normal range carry
+        # an absolute error of up to half the smallest subnormal instead
+        n = min(len(a), len(b))
+        assert np.all(np.abs(got - want) <= n * 2.0**-52 * want + n * 2.0**-1074)
+
+    def test_dyadic_inputs_are_exact(self):
+        # 4-bit values: every product and every sum of up to 200 of them is
+        # exact, so any order gives the same bits
+        rng = np.random.default_rng(5)
+        for la, lb in [(1, 1), (200, 1), (150, 70), (CONV_BLOCK, CONV_BLOCK + 1), (3, 400)]:
+            a = rng.integers(0, 16, la) / 16.0
+            b = rng.integers(0, 16, lb) / 16.0
+            got = _direct_conv(a, b)
+            assert np.array_equal(got, np.convolve(a, b))
+            assert got.tolist() == fsum_conv(a, b)
 
 
 def dyadic(raw, bits: int = 20) -> np.ndarray:
@@ -239,6 +281,14 @@ class TestStopped:
     def test_conservation(self, tp_pmf):
         stopped = stopped_max_sigma1(tp_pmf)
         assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
+
+    def test_level_above_top_refused_before_sweeping(self, tp_pmf, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(lattice, "_sweep", no_sweep)
+        with pytest.raises(LatticeError, match=r"stopped level 1e\+09 .* grid top 10"):
+            stopped_max_sigma1(tp_pmf, x_grid=[2.0, 1e9], top=10.0)
 
     def test_horizon_exhaustion_raises(self, ref_pmf):
         with pytest.raises(LatticeError) as err:
