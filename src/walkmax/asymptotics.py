@@ -263,7 +263,8 @@ class ConvergenceReport:
     def to_json_dict(self) -> dict:
         return {
             "predicted": self.predicted,
-            "tol": self.tol,
+            # JSON cannot hold a non-finite float; write its repr ("inf")
+            "tol": self.tol if math.isfinite(self.tol) else repr(self.tol),
             "provenance": self.provenance,
             "rows": self.rows,
             "verdict": self.verdict,

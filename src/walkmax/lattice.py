@@ -71,6 +71,9 @@ CONV_BLOCK = 64
 # exp() overflows a float just above 709; exp_moment works in the log domain
 # once gamma * top passes this
 EXP_ARG_LIMIT = 700.0
+# most cells ``discretize`` builds an increment law on: 10**7 cells are 80 MB
+# per vector, and a finer step is refused before anything is allocated
+MAX_CELLS = 10**7
 
 
 class LatticeError(RuntimeError):
@@ -137,8 +140,8 @@ class LatticePMF:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
-        if self.h <= 0:
-            raise LatticeError(f"grid step must be positive, got {self.h}")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise LatticeError(f"grid step must be positive and finite, got {self.h}")
         if self.probs.ndim != 1 or self.probs.size < 1:
             raise LatticeError("probs must be a nonempty 1-D vector")
         if np.any(self.probs < -1e-15):
@@ -245,15 +248,22 @@ def discretize(
     End bins absorb all mass beyond the span and the folded amounts are
     recorded.  Refuses when more than ``FOLD_REFUSE`` would be folded.
     """
-    if h <= 0:
-        raise LatticeError(f"grid step must be positive, got {h}")
+    if not (h > 0 and math.isfinite(h)):
+        raise LatticeError(f"grid step must be positive and finite, got {h}")
     if span is None:
         span = model.default_span()
     lo, hi = span
     if lo > hi:
         raise LatticeError(f"empty span {span}")
-    k_lo = int(math.floor(lo / h))
-    k_hi = int(math.ceil(hi / h))
+    cells = math.inf  # a step so fine that an end cell index overflows
+    if math.isfinite(lo / h) and math.isfinite(hi / h):
+        k_lo, k_hi = math.floor(lo / h), math.ceil(hi / h)
+        cells = k_hi - k_lo + 1
+    if cells > MAX_CELLS:
+        raise LatticeError(
+            f"grid step {h:g} needs about {(hi - lo) / h:.3g} cells on the span "
+            f"{span}, above the limit of {MAX_CELLS}; raise the step"
+        )
     edges = (np.arange(k_lo, k_hi + 2) - 0.5) * h
     probs = np.maximum(model.cell_masses(edges), 0.0)
     below = float(model.cdf((k_lo - 0.5) * h))
@@ -581,6 +591,14 @@ def stopped_max_sigma1(
     for n_run, (S, below, above) in enumerate(islice(_sweep(S, pmf), horizon), 1):
         chi_cells[1:] += below[::-1]
         up_mass += float(above.sum())
+        if up_mass > 1e-9:
+            # crossed mass never comes back and the final residual is at
+            # least up_mass, so the refusal below is already certain
+            raise LatticeError(
+                f"mass {up_mass:.3e} crossed the grid top {upper_cells * pmf.h:g} "
+                "before the stopping time: raise the top",
+                residual=up_mass,
+            )
         survival.append(float(S.sum()) + up_mass)
         if survival[-1] < STOP_RESIDUAL:
             break

@@ -8,7 +8,10 @@ One kernel, ``_walk``, advances the paths of a block until each exceeds the
 line ``x + step*c`` (hit) or falls more than a slack ``K`` below it (a miss,
 certified by the slack) and returns per-path records: outcome, step, final
 ``S`` and, on request, the step of the first climb above a band and whether
-it overshot.  ``estimate_tail_crude``, ``bigjump_conditional_ratio``,
+it overshot.  It keeps only the paths still walking, in compact arrays of
+their indices and positions, and writes a path's record once, when it stops;
+each position is still the same left-to-right sum of its draws.
+``estimate_tail_crude``, ``bigjump_conditional_ratio``,
 ``exceedance_time_profile`` and ``renewal_diagnostics`` are reductions of
 those records, one block at a time; ``SimConfig.trace`` rows are read
 straight from them.  ``estimate_bigjump_sum`` scores a different event and
@@ -204,7 +207,11 @@ def _walk(
     """Walk ``n`` paths from 0 until each exceeds the line ``x + step*c`` (hit)
     or falls more than ``slack`` below it (miss), for at most ``horizon``
     steps.  With ``band`` given, also record each path's first climb above
-    ``band`` and whether it landed above ``x - band``."""
+    ``band`` and whether it landed above ``x - band``.
+
+    Only the paths still walking are kept, in compact arrays of their
+    indices, positions and band state; a path's record is written once,
+    when it stops.  Paths still walking at the horizon are undecided."""
     S = np.zeros(n)
     outcome = np.zeros(n, dtype=np.int8)
     steps = np.zeros(n, dtype=np.int64)
@@ -212,23 +219,35 @@ def _walk(
     if band is not None:
         band_step = np.zeros(n, dtype=np.int64)
         overshot = np.zeros(n, dtype=bool)
+        climbed = np.zeros(n, dtype=bool)
     alive = np.arange(n)
+    pos = np.zeros(n)
     for step in range(1, horizon + 1):
         if alive.size == 0:
             break
-        S[alive] += model.sample(rng, alive.size)
-        steps[alive] = step
-        s = S[alive]
+        pos += model.sample(rng, alive.size)
         line = x + step * c
-        hit = s > line
-        miss = ~hit & (s < line - slack)
+        hit = pos > line
+        done = hit | (pos < line - slack)
+        # index arrays, not boolean masks: numpy gathers through them faster
         if band is not None:
-            first = (band_step[alive] == 0) & (s > band)
-            band_step[alive[first]] = step
-            overshot[alive[first]] = s[first] > x - band
-        outcome[alive[hit]] = HIT
-        outcome[alive[miss]] = MISS
-        alive = alive[~(hit | miss)]
+            first = np.flatnonzero(~climbed & (pos > band))
+            if first.size:
+                climbed[first] = True
+                band_step[alive[first]] = step
+                overshot[alive[first]] = pos[first] > x - band
+        stopped = np.flatnonzero(done)
+        if stopped.size:
+            stop = alive[stopped]
+            S[stop] = pos[stopped]
+            steps[stop] = step
+            outcome[stop] = np.where(hit[stopped], HIT, MISS)
+            keep = np.flatnonzero(~done)
+            alive, pos = alive[keep], pos[keep]
+            if band is not None:
+                climbed = climbed[keep]
+    S[alive] = pos
+    steps[alive] = horizon
     return _Paths(outcome, steps, S, band_step, overshot)
 
 

@@ -93,6 +93,15 @@ class TestTailReport:
         header = (out_dir / "tail_report.csv").read_text().splitlines()[0]
         assert header == "x,measured,predicted,ratio,dev"
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_written_as_repr(self, capsys, tol):
+        code, out, _ = run(
+            capsys, "tail-report", "--model", REF, "--x", "5,10,15",
+            "--tol", tol, "--step", "0.02",
+        )
+        assert code in (0, 2)
+        assert json.loads(out)["report"]["tol"] == tol
+
     def test_needs_x(self, capsys):
         code, _, _ = run(capsys, "tail-report", "--model", REF)
         assert code == 1
@@ -236,6 +245,18 @@ class TestOtherCommands:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "list" in proc.stderr
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "1e-300"])
+    def test_bad_step_refused_before_allocating(self, step):
+        src = str(Path(walkmax.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkmax.cli", "constants", "--model", REF, "--step", step],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "grid step" in proc.stderr
 
 
 TP = "twopoint:u=1,pu=0.25,v=-1"

@@ -11,6 +11,7 @@ from scipy import integrate, stats
 from walkmax import (
     ModelError,
     PolyExp,
+    QuadratureError,
     TwoPoint,
     lgamma_diagnostic,
     parse_model,
@@ -212,6 +213,79 @@ class TestSampling:
         stat = stats.kstest(draws, lambda x: np.asarray(ref_model.cdf(x))).statistic
         # 1% critical value of the one-sample statistic
         assert stat < 1.6276 / math.sqrt(draws.size)
+
+
+def newton_from_zero(model: PolyExp, t: np.ndarray) -> np.ndarray:
+    """Oracle for ``PolyExp._eta_from_log_tail``: plain Newton from y=0 over
+    the whole array, with fresh arrays each sweep."""
+    y = np.zeros_like(t)
+    for _ in range(200):
+        resid = (-model.beta * np.log1p(y) - model.gamma * y) - t
+        if np.all(np.abs(resid) <= 1e-13):
+            return y
+        step = resid / (model.beta / (1.0 + y) + model.gamma)
+        y = y + np.maximum(step, 0.0)
+    raise QuadratureError("tail inversion stalled", float(np.abs(resid).max()))
+
+
+def inversion_bits(invert, model: PolyExp, t: np.ndarray):
+    """The bytes of the inverted array, or the stall message: with |t| in the
+    hundreds the float spacing of t nears 1e-13, and both iterations may stall."""
+    try:
+        return invert(model, t).tobytes()
+    except QuadratureError as exc:
+        return str(exc)
+
+
+def subcritical(gamma: float, beta: float, margin: float) -> PolyExp:
+    return PolyExp(gamma, beta, math.log1p(gamma / (beta - 1.0)) / gamma + margin)
+
+
+class TestExactReplay:
+    """The inversion starts at Newton's first iterate and reuses buffers; every
+    draw must still equal plain Newton from y=0, bit for bit."""
+
+    @given(
+        gamma=st.floats(0.2, 3.0),
+        beta=st.floats(1.1, 4.0),
+        margin=st.floats(0.01, 3.0),
+        size=st.sampled_from([0, 1, 2, 17, 65536]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sample_bits_match_newton_from_zero(self, gamma, beta, margin, size, seed):
+        m = subcritical(gamma, beta, margin)
+        t = np.log(np.maximum(np.random.default_rng(seed).random(size), 1e-300))
+        assert m._eta_from_log_tail(t).tobytes() == newton_from_zero(m, t).tobytes()
+        draws = m.sample(np.random.default_rng(seed), size)
+        assert draws.tobytes() == (newton_from_zero(m, t) - m.shift).tobytes()
+
+    @given(
+        gamma=st.floats(0.2, 3.0),
+        beta=st.floats(1.1, 4.0),
+        margin=st.floats(0.01, 3.0),
+        t=st.lists(st.floats(-750.0, 0.0), max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_log_tail_matches_newton_from_zero(self, gamma, beta, margin, t):
+        m = subcritical(gamma, beta, margin)
+        t = np.array(t, dtype=float)
+        got = inversion_bits(PolyExp._eta_from_log_tail, m, t)
+        assert got == inversion_bits(newton_from_zero, m, t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [0.0, -0.0, -1e-13, -5e-14],  # all converged at y=0: zeros
+            [math.log(1e-300)] * 3,  # the clamped u = 0
+            [0.0, -1e-14, math.log(1e-300), -3.0],  # near-zero beside far entries
+        ],
+        ids=["converged-at-zero", "clamped-u", "mixed"],
+    )
+    def test_edge_batches(self, ref_model, t):
+        t = np.array(t)
+        y = ref_model._eta_from_log_tail(t)
+        assert y.tobytes() == newton_from_zero(ref_model, t).tobytes()
 
 
 class TestShiftedTailRatio:

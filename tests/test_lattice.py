@@ -49,6 +49,18 @@ class TestDiscretize:
         with pytest.raises(LatticeError):
             discretize(ref_model, 0.01, span=(-ref_model.shift, 3.0))
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -0.01, 0.0])
+    def test_refuses_bad_step(self, ref_model, h):
+        with pytest.raises(LatticeError, match="grid step must be positive and finite"):
+            discretize(ref_model, h)
+        with pytest.raises(LatticeError, match="grid step must be positive and finite"):
+            LatticePMF(h=h, k0=0, probs=np.ones(1))
+
+    @pytest.mark.parametrize("h", [1e-300, 5e-324, 1e-6])
+    def test_refuses_step_beyond_cell_limit(self, ref_model, h):
+        with pytest.raises(LatticeError, match=r"grid step .* cells .* limit of 10000000"):
+            discretize(ref_model, h)
+
     def test_tail_interpolation_matches_model(self, ref_model, ref_pmf):
         for x in (0.0, 1.0, 5.0, 10.0):
             assert ref_pmf.tail(x) == pytest.approx(float(ref_model.tail(x)), rel=2e-3)
@@ -289,6 +301,22 @@ class TestStopped:
         monkeypatch.setattr(lattice, "_sweep", no_sweep)
         with pytest.raises(LatticeError, match=r"stopped level 1e\+09 .* grid top 10"):
             stopped_max_sigma1(tp_pmf, x_grid=[2.0, 1e9], top=10.0)
+
+    def test_mass_over_the_top_refused_when_it_crosses(self, tp_pmf, monkeypatch):
+        # the ruin walk passes top 10 with probability 3**-10; mass above the
+        # top never comes back, so the refusal names the top once 1e-9 crossed
+        real, sweeps = lattice._sweep, []
+
+        def counting(*args):
+            for out in real(*args):
+                sweeps.append(1)
+                yield out
+
+        monkeypatch.setattr(lattice, "_sweep", counting)
+        with pytest.raises(LatticeError, match=r"crossed the grid top 10 .*raise the top") as err:
+            stopped_max_sigma1(tp_pmf, x_grid=[0.5, 3.0], top=10.0)
+        assert err.value.residual > 1e-9
+        assert len(sweeps) < 100
 
     def test_horizon_exhaustion_raises(self, ref_pmf):
         with pytest.raises(LatticeError) as err:

@@ -9,6 +9,7 @@ import pytest
 
 from walkmax import (
     EstimatorError,
+    PointMass,
     SimConfig,
     TwoPoint,
     bigjump_conditional_ratio,
@@ -18,6 +19,7 @@ from walkmax import (
     renewal_diagnostics,
 )
 from walkmax.lattice import bigjump_flow, discretize
+from walkmax.montecarlo import HIT, MISS, _walk
 
 
 def report_bytes(rep) -> bytes:
@@ -87,6 +89,62 @@ class TestCrudeTail:
         assert hits == round(rep.estimate * cfg.n_paths)
         # the trace never leaks into the serialized report
         assert "trace" not in rep.to_json_dict()
+
+
+def walk_oracle(model, rng, n, horizon, x, slack, c=0.0, band=None):
+    """Oracle for ``_walk``: every step scatters into full per-path arrays
+    through the index of the paths still walking."""
+    S = np.zeros(n)
+    outcome = np.zeros(n, dtype=np.int8)
+    steps = np.zeros(n, dtype=np.int64)
+    band_step = overshot = None
+    if band is not None:
+        band_step = np.zeros(n, dtype=np.int64)
+        overshot = np.zeros(n, dtype=bool)
+    alive = np.arange(n)
+    for step in range(1, horizon + 1):
+        if alive.size == 0:
+            break
+        S[alive] += model.sample(rng, alive.size)
+        steps[alive] = step
+        s = S[alive]
+        line = x + step * c
+        hit = s > line
+        miss = ~hit & (s < line - slack)
+        if band is not None:
+            first = (band_step[alive] == 0) & (s > band)
+            band_step[alive[first]] = step
+            overshot[alive[first]] = s[first] > x - band
+        outcome[alive[hit]] = HIT
+        outcome[alive[miss]] = MISS
+        alive = alive[~(hit | miss)]
+    return outcome, steps, S, band_step, overshot
+
+
+class TestWalkKernel:
+    @pytest.mark.parametrize(
+        "model,n,horizon,x,slack,c,band",
+        [
+            ("ref", 20_000, 100_000, 3.0, 20.0, 0.0, None),
+            ("ref", 20_000, 100_000, 3.0, 20.0, 0.0, 1.5),
+            ("ref", 5_000, 100_000, 4.0, 12.0, -0.3, None),
+            ("ref", 5_000, 100_000, 4.0, 12.0, -0.3, 1.0),
+            ("ref", 3_000, 6, 4.0, 12.0, 0.2, 1.0),  # leaves undecided paths
+            (TwoPoint(1.0, 0.25, -1.0), 3_000, 100_000, 3.0, 8.0, 0.0, 1.0),
+            (TwoPoint(1.0, 0.25, -1.0), 3_000, 4, 3.0, 8.0, -0.1, None),
+            (PointMass(-0.5), 100, 50, 2.0, 3.0, 0.0, 0.5),
+        ],
+        ids=["ref", "ref-band", "ref-drift", "ref-drift-band", "ref-short",
+             "twopoint-band", "twopoint-short", "pointmass-band"],
+    )
+    def test_records_match_oracle_bits(self, ref_model, model, n, horizon, x, slack, c, band):
+        model = ref_model if model == "ref" else model
+        got = _walk(model, np.random.default_rng(5), n, horizon, x, slack, c, band)
+        want = walk_oracle(model, np.random.default_rng(5), n, horizon, x, slack, c, band)
+        for name, a, b in zip(got._fields, got, want):
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestBigJumpSum:
