@@ -290,7 +290,7 @@ class PolyExp(IncrementModel):
         if t.size == 0 or (t.min() >= -1e-13 and t.max() <= 1e-13):
             return np.zeros_like(t)
         y = np.subtract(0.0, t)
-        y /= self.beta / 1.0 + self.gamma  # beta/(1.0 + y) + gamma at y = 0
+        y /= self.beta + self.gamma  # the Newton denominator at y = 0
         np.maximum(y, 0.0, out=y)
         resid = np.empty_like(t)
         step = np.empty_like(t)

@@ -63,6 +63,8 @@ MAX_ITERATIONS = 10**6
 MAX_REMAINDER = 1e-3
 # stopped_max_sigma1 stops sweeping once this much mass is still unabsorbed
 STOP_RESIDUAL = 1e-12
+# ... and refuses once more than this much is left unabsorbed or crossed the top
+STOP_REFUSE = 1e-9
 # bigjump_flow stops once future landings are below this share of the total
 BIGJUMP_REL_TOL = 1e-12
 # block width of ``_direct_conv``; of 32, 48, 64 and 128, 64 ran the sweep
@@ -591,7 +593,7 @@ def stopped_max_sigma1(
     for n_run, (S, below, above) in enumerate(islice(_sweep(S, pmf), horizon), 1):
         chi_cells[1:] += below[::-1]
         up_mass += float(above.sum())
-        if up_mass > 1e-9:
+        if up_mass > STOP_REFUSE:
             # crossed mass never comes back and the final residual is at
             # least up_mass, so the refusal below is already certain
             raise LatticeError(
@@ -606,7 +608,7 @@ def stopped_max_sigma1(
     # mass that escaped above the working grid is below the chernoff bound at top;
     # it is part of the residual bookkeeping rather than the overshoot law
     residual = float(S.sum()) + up_mass
-    if residual > 1e-9:
+    if residual > STOP_REFUSE:
         raise LatticeError(
             f"stopping-time horizon {horizon} exhausted with residual {residual:.3e}",
             residual=residual,

@@ -22,7 +22,7 @@ from walkmax import (
 )
 from walkmax import finite_constant
 from walkmax import lattice
-from walkmax.lattice import CONV_BLOCK, LatticePMF, _direct_conv, _sweep
+from walkmax.lattice import CONV_BLOCK, STOP_REFUSE, LatticePMF, _direct_conv, _sweep
 
 
 class TestDiscretize:
@@ -304,7 +304,7 @@ class TestStopped:
 
     def test_mass_over_the_top_refused_when_it_crosses(self, tp_pmf, monkeypatch):
         # the ruin walk passes top 10 with probability 3**-10; mass above the
-        # top never comes back, so the refusal names the top once 1e-9 crossed
+        # top never comes back, so the refusal names the top once STOP_REFUSE crossed
         real, sweeps = lattice._sweep, []
 
         def counting(*args):
@@ -315,13 +315,13 @@ class TestStopped:
         monkeypatch.setattr(lattice, "_sweep", counting)
         with pytest.raises(LatticeError, match=r"crossed the grid top 10 .*raise the top") as err:
             stopped_max_sigma1(tp_pmf, x_grid=[0.5, 3.0], top=10.0)
-        assert err.value.residual > 1e-9
+        assert err.value.residual > STOP_REFUSE
         assert len(sweeps) < 100
 
     def test_horizon_exhaustion_raises(self, ref_pmf):
         with pytest.raises(LatticeError) as err:
             stopped_max_sigma1(ref_pmf, horizon=3, x_grid=[5.0])
-        assert err.value.residual is not None and err.value.residual > 1e-9
+        assert err.value.residual is not None and err.value.residual > STOP_REFUSE
 
 
 class TestExpMoment:
