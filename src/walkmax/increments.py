@@ -276,18 +276,22 @@ class PolyExp(IncrementModel):
         """Solve -beta*log1p(y) - gamma*y = log_q for y >= 0, vectorized.
 
         The left side is convex and decreasing, so Newton from y=0 increases
-        monotonically to the root.  Converges to |residual| <= 1e-13 in the
-        log-probability, i.e. relative error ~1e-13 in the probability.
+        monotonically to the root.  Converges to |residual| <= tol in the
+        log-probability, i.e. relative error ~tol in the probability; tol is
+        1e-13, or four float spacings of max |t| where that is coarser (from
+        |t| = 128 on, never for a nonzero uniform draw), so it is reachable.
 
         The first sweep from y=0 is replayed in closed form: its residual is
-        -t, so it either stops at once (every |t| <= 1e-13) or lands on
+        -t, so it either stops at once (every |t| <= tol) or lands on
         max(-t/(beta+gamma), 0).  The later sweeps evaluate the same
         elementwise expressions in the same order into reused buffers, and
         the whole array sweeps until its slowest entry converges, so each
         draw is bit-identical to plain Newton from y=0.
         """
         t = np.asarray(log_q, dtype=float)
-        if t.size == 0 or (t.min() >= -1e-13 and t.max() <= 1e-13):
+        lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
+        tol = max(1e-13, 4.0 * float(np.spacing(max(-lo, hi))))
+        if lo >= -tol and hi <= tol:
             return np.zeros_like(t)
         y = np.subtract(0.0, t)
         y /= self.beta + self.gamma  # the Newton denominator at y = 0
@@ -300,7 +304,7 @@ class PolyExp(IncrementModel):
             np.multiply(y, self.gamma, out=step)
             resid -= step
             resid -= t
-            if resid.max() <= 1e-13 and resid.min() >= -1e-13:
+            if resid.max() <= tol and resid.min() >= -tol:
                 return y
             np.add(y, 1.0, out=step)
             np.divide(self.beta, step, out=step)
@@ -308,8 +312,7 @@ class PolyExp(IncrementModel):
             np.divide(resid, step, out=step)
             np.maximum(step, 0.0, out=step)
             y += step
-        # reached on NaN input, or with |t| in the hundreds, where the float
-        # spacing of t (1.1e-13 from 512 on) nears the 1e-13 stop rule
+        # reached on NaN input
         raise QuadratureError("tail inversion stalled", float(np.abs(resid).max()))
 
     def inverse_tail(self, p: float) -> float:

@@ -7,15 +7,14 @@ Estimates carry three separately reported uncertainties: sampling error
 One kernel, ``_walk``, advances the paths of a block until each exceeds the
 line ``x + step*c`` (hit) or falls more than a slack ``K`` below it (a miss,
 certified by the slack) and returns per-path records: outcome, step, final
-``S`` and, on request, the step of the first climb above a band and whether
-it overshot.  It keeps only the paths still walking, in compact arrays of
-their indices and positions, and writes a path's record once, when it stops;
-each position is still the same left-to-right sum of its draws.
-``estimate_tail_crude``, ``bigjump_conditional_ratio``,
-``exceedance_time_profile`` and ``renewal_diagnostics`` are reductions of
-those records, one block at a time; ``SimConfig.trace`` rows are read
-straight from them.  ``estimate_bigjump_sum`` scores a different event and
-keeps its own loop.
+``S`` and, on request, the step of the first climb above a band, whether it
+overshot, and the sum of a score of the position each step starts from.  It
+keeps only the paths still walking, in compact arrays of their indices and
+positions, and writes a path's record once, when it stops; each position is
+still the same left-to-right sum of its draws.  Every estimator is a
+reduction of those records, one block at a time (``estimate_bigjump_sum``
+scores each step a path starts inside the band with the jump probability
+``tail(x - S)``); ``SimConfig.trace`` rows are read straight from them.
 
 Reproducibility: work is split into fixed-size blocks of paths; block ``i``
 always draws from the ``i``-th spawn of the master seed sequence and results
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -115,53 +114,12 @@ class EstimatorReport:
         }
 
 
-def _blocks(cfg: SimConfig) -> list[tuple[int, int]]:
-    spans = []
-    start = 0
-    while start < cfg.n_paths:
-        count = min(cfg.block_size, cfg.n_paths - start)
-        spans.append((len(spans), count))
-        start += count
-    return spans
-
-
-def _run_blocks(cfg: SimConfig, block_fn: Callable[[np.random.Generator, int], dict]) -> list[dict]:
-    """Run ``block_fn(rng, n_paths_in_block)`` over all blocks, in block order.
-
-    Results are returned ordered by block index regardless of scheduling, so
-    any downstream reduction is deterministic.
-    """
-    spans = _blocks(cfg)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(spans))
-
-    def run(span):
-        i, count = span
-        return block_fn(np.random.default_rng(seeds[i]), count)
-
-    if cfg.n_shards > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_shards) as ex:
-            return list(ex.map(run, spans))
-    return [run(s) for s in spans]
-
-
-def _merge_sums(results: list[dict]) -> dict:
-    """Add up per-block results key by key, in block order (lists concatenate)."""
-    out: dict = {}
-    for r in results:
-        for k, v in r.items():
-            if k in out:
-                out[k] = out[k] + v
-            else:
-                out[k] = v.copy() if isinstance(v, np.ndarray) else v
-    return out
-
-
 def _binomial_stderr(hits: float, n: int) -> float:
     p = hits / n
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _crude_slack(model: IncrementModel, x: float, cfg: SimConfig) -> float:
+def _crude_slack(model: IncrementModel, x: float) -> float:
     """Stopping slack K with certified false-miss probability at most
     ``CRUDE_BIAS_FRACTION`` of the expected estimate scale."""
     scale = float(model.tail(x))
@@ -192,6 +150,7 @@ class _Paths(NamedTuple):
     S: np.ndarray  # position when the path stopped
     band_step: np.ndarray | None  # step of the first climb above the band (0 = never)
     overshot: np.ndarray | None  # that climb landed above x - band
+    score: np.ndarray | None  # sum of score(S) over the positions steps start from
 
 
 def _walk(
@@ -203,28 +162,35 @@ def _walk(
     slack: float,
     c: float = 0.0,
     band: float | None = None,
+    score: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> _Paths:
     """Walk ``n`` paths from 0 until each exceeds the line ``x + step*c`` (hit)
     or falls more than ``slack`` below it (miss), for at most ``horizon``
     steps.  With ``band`` given, also record each path's first climb above
-    ``band`` and whether it landed above ``x - band``.
+    ``band`` and whether it landed above ``x - band``.  With ``score`` given,
+    add ``score(S)`` into a per-path total before each draw.
 
     Only the paths still walking are kept, in compact arrays of their
     indices, positions and band state; a path's record is written once,
-    when it stops.  Paths still walking at the horizon are undecided."""
+    when it stops, and its score total as it goes.  Paths still walking at
+    the horizon are undecided."""
     S = np.zeros(n)
     outcome = np.zeros(n, dtype=np.int8)
     steps = np.zeros(n, dtype=np.int64)
-    band_step = overshot = None
+    band_step = overshot = total = None
     if band is not None:
         band_step = np.zeros(n, dtype=np.int64)
         overshot = np.zeros(n, dtype=bool)
         climbed = np.zeros(n, dtype=bool)
+    if score is not None:
+        total = np.zeros(n)
     alive = np.arange(n)
     pos = np.zeros(n)
     for step in range(1, horizon + 1):
         if alive.size == 0:
             break
+        if score is not None:
+            total[alive] += score(pos)
         pos += model.sample(rng, alive.size)
         line = x + step * c
         hit = pos > line
@@ -248,7 +214,7 @@ def _walk(
                 climbed = climbed[keep]
     S[alive] = pos
     steps[alive] = horizon
-    return _Paths(outcome, steps, S, band_step, overshot)
+    return _Paths(outcome, steps, S, band_step, overshot, total)
 
 
 def _simulate(
@@ -259,28 +225,43 @@ def _simulate(
     slack: float,
     c: float = 0.0,
     band: float | None = None,
+    score: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> dict:
-    """Run the kernel on every block and merge the block sums.
+    """Run the kernel on every block, block ``i`` on the ``i``-th spawn of
+    the seed sequence, and add up the block sums in block order.
 
-    ``reduce(paths, hit)`` turns one block's records into sums; the hit and
-    undecided counts are always added.
+    ``reduce(paths, hit)`` turns one block's records into sums (lists
+    concatenate); the hit and undecided counts are always added.
     """
+    sizes = [min(cfg.block_size, cfg.n_paths - start)
+             for start in range(0, cfg.n_paths, cfg.block_size)]
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
 
-    def block(rng: np.random.Generator, n: int) -> dict:
-        paths = _walk(model, rng, n, cfg.horizon, x, slack, c, band)
+    def block(i: int) -> dict:
+        rng = np.random.default_rng(seeds[i])
+        paths = _walk(model, rng, sizes[i], cfg.horizon, x, slack, c, band, score)
         hit = paths.outcome == HIT
         out = reduce(paths, hit)
         out["hits"] = int(hit.sum())
         out["undecided"] = int((paths.outcome == UNDECIDED).sum())
         return out
 
-    return _merge_sums(_run_blocks(cfg, block))
+    if cfg.n_shards > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.n_shards) as ex:
+            results = list(ex.map(block, range(len(sizes))))
+    else:
+        results = [block(i) for i in range(len(sizes))]
+    total = results[0]
+    for r in results[1:]:
+        for k, v in r.items():
+            total[k] = total[k] + v
+    return total
 
 
 def estimate_tail_crude(model: IncrementModel, x: float, cfg: SimConfig) -> EstimatorReport:
     """Crude estimate of P(M > x): follow each path until it exceeds x (hit)
     or drops below x - K (certified miss)."""
-    K = _crude_slack(model, x, cfg)
+    K = _crude_slack(model, x)
     bias = model.max_tail_bound(K)
 
     def reduce(p: _Paths, hit: np.ndarray) -> dict:
@@ -346,22 +327,18 @@ def estimate_bigjump_sum(
     """
     if not (x > a >= 0):
         raise EstimatorError(f"need x > a >= 0, got x={x}, a={a}")
+    if n_cut < 1:
+        raise EstimatorError(f"n_cut must be >= 1, got {n_cut}")
     remainder = _geometric_remainder(model, x, n_cut)
 
-    def block(rng: np.random.Generator, n: int) -> dict:
-        S = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        scores = np.zeros(n)
-        for _ in range(n_cut):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            scores[idx] += np.asarray(model.tail(x - S[idx]), dtype=float)
-            S[idx] += model.sample(rng, idx.size)
-            alive[idx[S[idx] > a]] = False  # running max has left the band
-        return {"sum": float(scores.sum()), "sumsq": float(scores @ scores)}
+    def reduce(p: _Paths, hit: np.ndarray) -> dict:
+        # elementwise square, never a dot: a threaded BLAS dot's bits depend
+        # on its thread count
+        return {"sum": float(p.score.sum()), "sumsq": float((p.score * p.score).sum())}
 
-    total = _merge_sums(_run_blocks(cfg, block))
+    # a path leaves the band once it exceeds a; it is never stopped below
+    total = _simulate(model, replace(cfg, horizon=n_cut), reduce, a, math.inf,
+                      score=lambda s: model.tail(x - s))
     n = cfg.n_paths
     mean = total["sum"] / n
     var = max(total["sumsq"] / n - mean * mean, 0.0)
@@ -392,7 +369,7 @@ def bigjump_conditional_ratio(
     ratio is a conditional relative frequency with binomial error.
     """
     a = band_h(h_choice, x)
-    K = _crude_slack(model, x, cfg)
+    K = _crude_slack(model, x)
     bias = model.max_tail_bound(K)
 
     def reduce(p: _Paths, hit: np.ndarray) -> dict:
@@ -463,7 +440,7 @@ def exceedance_time_profile(
     n_grid = sorted(int(N) for N in n_grid)
     if n_grid and n_grid[0] < 0:
         raise EstimatorError("horizon grid entries must be >= 0")
-    K = _crude_slack(model, x, cfg)
+    K = _crude_slack(model, x)
 
     def reduce(p: _Paths, hit: np.ndarray) -> dict:
         hit_steps = p.step[hit]
@@ -566,25 +543,19 @@ def renewal_diagnostics(
         raise EstimatorError(f"drift constant must lie in (mean, 0), got {c}")
     K_r = _shifted_cross_slack(model, c)
     phg = model.mgf(gamma).value
-    phi_ratio = phg / (1.0 - phg) if phg < 1.0 else math.inf
-
-    def by_step(p: _Paths, mask: np.ndarray) -> list[np.ndarray]:
-        """Final positions of the masked paths, one array per step, each in
-        path order (the order the sums below were defined in)."""
-        idx = np.nonzero(mask)[0]
-        idx = idx[np.argsort(p.step[idx], kind="stable")]
-        return np.split(p.S[idx], np.flatnonzero(np.diff(p.step[idx])) + 1)
+    if not phg < 1.0:
+        raise EstimatorError(
+            "renewal diagnostics need phi(gamma) < 1 to bound the bias of certified "
+            f"misses, got phi({gamma:.6g}) = {phg:.6g}; lower --gamma"
+        )
+    phi_ratio = phg / (1.0 - phg)
 
     def reduce(p: _Paths, hit: np.ndarray) -> dict:
-        phi_sum = phi_sumsq = phi_bias = 0.0
-        for s in by_step(p, hit):
-            w = np.exp(gamma * s)
-            phi_sum += float(w.sum())
-            phi_sumsq += float(w @ w)
-        if math.isfinite(phi_ratio):
-            for s in by_step(p, p.outcome == MISS):
-                phi_bias += float(np.exp(gamma * s).sum()) * phi_ratio
-        return {"phi_sum": phi_sum, "phi_sumsq": phi_sumsq, "phi_bias": phi_bias}
+        # elementwise sums, never a dot (see estimate_bigjump_sum)
+        w = np.exp(gamma * p.S[hit])
+        missed = float(np.exp(gamma * p.S[p.outcome == MISS]).sum())
+        return {"phi_sum": float(w.sum()), "phi_sumsq": float((w * w).sum()),
+                "phi_bias": missed * phi_ratio}
 
     rows = []
     for R in r_grid:

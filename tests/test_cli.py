@@ -148,7 +148,11 @@ class TestByteStability:
         # the sweeps and every moment reduction must not depend on how a
         # threaded BLAS splits its work
         src = str(Path(walkmax.__file__).resolve().parents[1])
-        for argv in (["constants"], ["bigjump", "--x", "10,20,40"]):
+        for argv in (
+            ["constants"],
+            ["bigjump", "--x", "10,20,40"],
+            ["renewal-diag", "--R", "2,4", "--n-paths", "70000", "--shards", "2"],
+        ):
             procs = [
                 subprocess.Popen(
                     [sys.executable, "-m", "walkmax.cli", *argv, "--model", REF,
@@ -219,6 +223,20 @@ class TestOtherCommands:
         assert code == 0
         rows = json.loads(out)["table"]["rows"]
         assert rows[0]["delta"] > rows[1]["delta"]
+
+    @pytest.mark.parametrize(
+        "model,gamma", [(REF, "1.5"), ("twopoint:u=1,pu=0.25,v=-1", "1.2")],
+        ids=["ref-phi-infinite", "twopoint-phi-above-one"],
+    )
+    def test_renewal_refuses_unbounded_miss_bias(self, capsys, model, gamma):
+        # phi(gamma) >= 1 leaves the bias of certified misses unbounded; it
+        # used to be reported as a certified-looking 0
+        code, out, err = run(
+            capsys, "renewal-diag", "--model", model, "--R", "2,4",
+            "--n-paths", "20000", "--gamma", gamma,
+        )
+        assert (code, out) == (2, "")
+        assert "phi(gamma) < 1" in err and f"phi({gamma}) = " in err and "--gamma" in err
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -217,24 +217,17 @@ class TestSampling:
 
 def newton_from_zero(model: PolyExp, t: np.ndarray) -> np.ndarray:
     """Oracle for ``PolyExp._eta_from_log_tail``: plain Newton from y=0 over
-    the whole array, with fresh arrays each sweep."""
+    the whole array, with fresh arrays each sweep, until every residual is
+    within 1e-13, or four float spacings of max |t| where those are coarser."""
+    tol = max(1e-13, 4.0 * float(np.spacing(np.abs(t).max(initial=0.0))))
     y = np.zeros_like(t)
     for _ in range(200):
         resid = (-model.beta * np.log1p(y) - model.gamma * y) - t
-        if np.all(np.abs(resid) <= 1e-13):
+        if np.all(np.abs(resid) <= tol):
             return y
         step = resid / (model.beta / (1.0 + y) + model.gamma)
         y = y + np.maximum(step, 0.0)
     raise QuadratureError("tail inversion stalled", float(np.abs(resid).max()))
-
-
-def inversion_bits(invert, model: PolyExp, t: np.ndarray):
-    """The bytes of the inverted array, or the stall message: with |t| in the
-    hundreds the float spacing of t nears 1e-13, and both iterations may stall."""
-    try:
-        return invert(model, t).tobytes()
-    except QuadratureError as exc:
-        return str(exc)
 
 
 def subcritical(gamma: float, beta: float, margin: float) -> PolyExp:
@@ -270,8 +263,7 @@ class TestExactReplay:
     def test_any_log_tail_matches_newton_from_zero(self, gamma, beta, margin, t):
         m = subcritical(gamma, beta, margin)
         t = np.array(t, dtype=float)
-        got = inversion_bits(PolyExp._eta_from_log_tail, m, t)
-        assert got == inversion_bits(newton_from_zero, m, t)
+        assert m._eta_from_log_tail(t).tobytes() == newton_from_zero(m, t).tobytes()
 
     @pytest.mark.parametrize(
         "t",
@@ -286,6 +278,17 @@ class TestExactReplay:
         t = np.array(t)
         y = ref_model._eta_from_log_tail(t)
         assert y.tobytes() == newton_from_zero(ref_model, t).tobytes()
+
+    # this deep, a 1e-13 stop rule is finer than the float spacing of t and
+    # the inversion used to stall
+    def test_deep_inverse_tail_converges(self):
+        m = PolyExp(1.0, 1.5, math.log(3.0) + 1.0)
+        assert float(m.tail(m.inverse_tail(1e-255))) == pytest.approx(1e-255, rel=1e-12)
+
+    def test_clamped_draw_converges(self):
+        m = PolyExp(1.0, 1.5, math.log(3.0) + 1.0)
+        t = np.array([math.log(1e-300)])
+        assert m._eta_from_log_tail(t).tobytes() == newton_from_zero(m, t).tobytes()
 
 
 class TestShiftedTailRatio:

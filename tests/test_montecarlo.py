@@ -147,7 +147,57 @@ class TestWalkKernel:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def bigjump_sum_oracle(model, x, a, n_cut, cfg):
+    """Oracle for ``estimate_bigjump_sum``: its own per-block path loop, which
+    scatters through a mask of the paths still inside the band; returns the
+    estimate and its stderr."""
+    sizes = [min(cfg.block_size, cfg.n_paths - s) for s in range(0, cfg.n_paths, cfg.block_size)]
+    total = sumsq = 0.0
+    for seed, n in zip(np.random.SeedSequence(cfg.seed).spawn(len(sizes)), sizes):
+        rng = np.random.default_rng(seed)
+        S = np.zeros(n)
+        alive = np.ones(n, dtype=bool)
+        scores = np.zeros(n)
+        for _ in range(n_cut):
+            idx = np.nonzero(alive)[0]
+            if idx.size == 0:
+                break
+            scores[idx] += np.asarray(model.tail(x - S[idx]), dtype=float)
+            S[idx] += model.sample(rng, idx.size)
+            alive[idx[S[idx] > a]] = False  # running max has left the band
+        total += float(scores.sum())
+        sumsq += float(scores @ scores)
+    mean = total / cfg.n_paths
+    var = max(sumsq / cfg.n_paths - mean * mean, 0.0)
+    return mean, math.sqrt(var / cfg.n_paths)
+
+
 class TestBigJumpSum:
+    @pytest.mark.parametrize(
+        "model,x,a,n_cut,cfg",
+        [
+            ("ref", 20.0, 5.0, 60, SimConfig(n_paths=20_000, seed=5)),
+            ("ref", 8.0, 2.0, 40, SimConfig(n_paths=10_000, seed=3, n_shards=3, block_size=4096)),
+            (TwoPoint(5.0, 0.05, -1.0), 6.0, 2.5, 60,
+             SimConfig(n_paths=20_000, seed=4, n_shards=3, block_size=4096)),
+            (PointMass(-0.5), 1.0, 0.5, 40, SimConfig(n_paths=500, seed=0, n_shards=2, block_size=128)),
+        ],
+        ids=["ref", "ref-blocks", "jumpy-twopoint-blocks", "pointmass-blocks"],
+    )
+    def test_matches_loop_oracle_bits(self, ref_model, model, x, a, n_cut, cfg):
+        model = ref_model if model == "ref" else model
+        rep = estimate_bigjump_sum(model, x, a, n_cut, cfg)
+        mean, stderr = bigjump_sum_oracle(model, x, a, n_cut, cfg)
+        assert rep.estimate.hex() == mean.hex()
+        # the estimator sums elementwise squares where the oracle takes a
+        # dot product, so the stderr may differ in its last bits
+        assert math.isclose(rep.stderr, stderr, rel_tol=1e-15, abs_tol=0.0)
+
+    @pytest.mark.parametrize("n_cut", [0, -3])
+    def test_empty_cutoff_refused(self, ref_model, n_cut):
+        with pytest.raises(EstimatorError, match="n_cut"):
+            estimate_bigjump_sum(ref_model, 8.0, 2.0, n_cut, SimConfig(n_paths=100, seed=0))
+
     def test_pointmass_zero(self, pm_model):
         rep = estimate_bigjump_sum(pm_model, 1.0, 0.5, 40, SimConfig(n_paths=500, seed=0))
         assert rep.estimate == 0.0
