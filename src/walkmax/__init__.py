@@ -8,7 +8,6 @@ heavy polynomial prefactor (subcritical twisted moment).
 __version__ = "0.1.0"
 
 from .increments import (
-    MgfValue,
     ModelError,
     PointMass,
     PolyExp,
@@ -58,7 +57,6 @@ __all__ = [
     "__version__",
     "ModelError",
     "QuadratureError",
-    "MgfValue",
     "PolyExp",
     "TwoPoint",
     "PointMass",

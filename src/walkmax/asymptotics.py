@@ -32,6 +32,7 @@ __all__ = [
     "stopped_constant",
     "lambda_partial_sums",
     "convolution_prediction",
+    "check_levels",
     "convergence_report",
 ]
 
@@ -82,7 +83,7 @@ def constants(
 ) -> AsymptoticConstants:
     """Assemble the predicted constants from the oracle maximum law."""
     g = _resolve_gamma(model, gamma)
-    phg = model.mgf(g).value
+    phg = model.mgf(g)
     if not phg < 1.0:
         raise ModelError(f"twisted moment {phg:.6f} >= 1; no subcritical constant")
     em = exp_moment(max_law, g)
@@ -213,26 +214,16 @@ def lambda_partial_sums(
     return rows
 
 
-def convolution_prediction(components: Sequence[tuple[IncrementModel, float]],
-                           gamma: float | None = None) -> float:
-    """Predicted ratio of an independent-sum tail to the reference tail.
-
-    Each component is (model, c) where c is the tail-equivalence constant of
-    the component against the reference law.  The prediction is
-    prod_i phg_i * sum_i c_i / phg_i.
-    """
-    if not components:
-        raise ModelError("need at least one component")
-    g = _resolve_gamma(components[0][0], gamma)
-    prod = 1.0
-    acc = 0.0
-    for model, c in components:
-        phg = model.mgf(g).value
-        if not math.isfinite(phg):
-            raise ModelError(f"component {model.spec_string()} has infinite twisted moment")
-        prod *= phg
-        acc += c / phg
-    return prod * acc
+def convolution_prediction(model: IncrementModel, n: int, gamma: float | None = None) -> float:
+    """Predicted ratio n * phg**(n-1) of the tail of a sum of n independent
+    copies of the increment to the increment tail."""
+    if n < 1:
+        raise ModelError(f"need at least one summand, got n = {n}")
+    g = _resolve_gamma(model, gamma)
+    phg = model.mgf(g)
+    if not math.isfinite(phg):
+        raise ModelError(f"{model.spec_string()} has infinite twisted moment")
+    return n * phg ** (n - 1)
 
 
 VERDICT_CONVERGING = "converging"
@@ -285,6 +276,15 @@ class ConvergenceReport:
         ]
 
 
+def check_levels(xs: Sequence[float]) -> None:
+    """Refuse a level grid ``convergence_report`` cannot judge: fewer than 3
+    levels, or levels not strictly increasing."""
+    if len(xs) < 3:
+        raise ModelError(f"need at least 3 grid points, got {len(xs)}")
+    if any(float(b) <= float(a) for a, b in zip(xs, xs[1:])):
+        raise ModelError("level grid must be strictly increasing")
+
+
 def convergence_report(
     predicted: float,
     measured: Sequence[tuple[float, float]],
@@ -292,11 +292,7 @@ def convergence_report(
     provenance: str = "oracle",
 ) -> ConvergenceReport:
     """Compare measured values against a predicted constant over a level grid."""
-    if len(measured) < 3:
-        raise ModelError(f"need at least 3 grid points, got {len(measured)}")
-    xs = [float(x) for x, _ in measured]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ModelError("level grid must be strictly increasing")
+    check_levels([x for x, _ in measured])
     if any(v <= 0 for _, v in measured):
         raise ModelError("measured values must be positive")
     if predicted <= 0:

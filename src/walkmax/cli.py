@@ -51,6 +51,7 @@ from .montecarlo import (
 )
 from .asymptotics import (
     AsymptoticConstants,
+    check_levels,
     constants,
     convergence_report,
     convolution_prediction,
@@ -316,6 +317,7 @@ def _mc_config(args) -> SimConfig:
 def cmd_tail_report(args) -> int:
     model = parse_model(args.model)
     xs = _floats(args.x)
+    check_levels(xs)
     trace_rows: list[dict] = []
     try:
         pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
@@ -343,6 +345,7 @@ def cmd_tail_report(args) -> int:
 def cmd_local_report(args) -> int:
     model = parse_model(args.model)
     xs = _floats(args.x)
+    check_levels(xs)
     try:
         pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
         pred = local_constant(consts, args.t)
@@ -396,6 +399,7 @@ def cmd_finite(args) -> int:
 def cmd_stopped(args) -> int:
     model = parse_model(args.model)
     xs = _floats(args.x)
+    check_levels(xs)
     try:
         pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
         stopped = stopped_max_sigma1(pmf, x_grid=xs, top=oracle_top(model, args.gamma))
@@ -480,13 +484,14 @@ def cmd_convolution_check(args) -> int:
     model = parse_model(args.model)
     xs = _floats(args.x)
     ns = _ints(args.n)
+    check_levels(xs)
     try:
         pmf = oracle_pmf(model, args.step, span_hi=_span_hi(model, max(xs), 15.0))
         powers = convolution_power(pmf, max(ns))
         rows = []
         verdicts = []
         for n in ns:
-            pred = convolution_prediction([(model, 1.0)] * n, gamma=args.gamma)
+            pred = convolution_prediction(model, n, gamma=args.gamma)
             measured = [
                 (x, tail_ratio(model, float(x), powers[n - 1].tail(float(x)))) for x in xs
             ]

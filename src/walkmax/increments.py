@@ -21,18 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-# scipy is imported inside the few functions that run a quadrature or a root
-# finder: it costs more start-up than the rest of the package, and the lattice
-# oracles never need it
+# scipy is imported inside the few functions that run a quadrature: it costs
+# more start-up than the rest of the package, and the lattice oracles never
+# need it
 
 __all__ = [
     "ModelError",
     "QuadratureError",
-    "MgfValue",
     "IncrementModel",
     "PolyExp",
     "TwoPoint",
@@ -43,6 +41,9 @@ __all__ = [
     "ClassDiagnostic",
     "BAND_RULES",
     "band_h",
+    "twist_sup",
+    "twist_min",
+    "chernoff_tail",
 ]
 
 QUAD_ABS_TOL = 1e-10
@@ -64,16 +65,49 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class MgfValue:
-    """Moment generating function value E exp(alpha*xi), possibly infinite."""
+def twist_sup(mgf, mean: float, top: float) -> float:
+    """Largest twist alpha with mgf(alpha) < 1 for a law with this mean and
+    largest support point ``top``: 0 for a nonnegative mean, inf when no mass
+    lies above 0, else doubling up to 1e4 and then 200 bisections."""
+    if mean >= 0:
+        return 0.0
+    if top <= 0:
+        return math.inf  # mgf < 1 for every alpha > 0
+    lo, hi = 0.0, 1.0
+    while mgf(hi) < 1.0 and hi < 1e4:
+        lo, hi = hi, hi * 2.0
+    if mgf(hi) < 1.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mgf(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
-    alpha: float
-    value: float
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
+def twist_min(mgf, alphas, bound) -> float:
+    """Smallest ``bound(alpha, mgf(alpha))`` over the twists ``alphas`` with
+    mgf(alpha) < 1; inf when none of them has one."""
+    best = math.inf
+    for a in alphas:
+        p = mgf(float(a))
+        if p < 1.0:
+            best = min(best, bound(float(a), p))
+    return best
+
+
+def chernoff_tail(mgf, a_sup: float, t: float) -> float:
+    """Union-Chernoff bound min exp(-alpha t)/(1 - mgf(alpha)) on P(M > t)
+    for the walk maximum M, over 400 twists in (0, a_sup), capped at 1;
+    ``a_sup`` is ``twist_sup`` of the increment law."""
+    if t < 0 or a_sup == 0.0:
+        return 1.0  # M >= 0 > t, or no twist with mgf < 1
+    if math.isinf(a_sup):
+        return 0.0
+    alphas = np.linspace(a_sup * 1e-3, a_sup * (1 - 1e-6), 400)
+    return min(1.0, twist_min(mgf, alphas, lambda a, p: math.exp(-a * t) / (1.0 - p)))
 
 
 class IncrementModel:
@@ -97,7 +131,8 @@ class IncrementModel:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def mgf(self, alpha: float) -> MgfValue:
+    def mgf(self, alpha: float) -> float:
+        """E exp(alpha*xi) for alpha >= 0; inf where it diverges."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int):
@@ -123,7 +158,7 @@ class IncrementModel:
         increments, from the union-Chernoff inequality
         P(M > t) <= exp(-alpha*t) / (1 - phi(alpha)) at any alpha with
         phi(alpha) < 1."""
-        raise NotImplementedError
+        return chernoff_tail(self.mgf, twist_sup(self.mgf, self.mean(), self.default_span()[1]), t)
 
     def slack_for_bias(self, eps: float) -> float:
         """Smallest slack K (up to bisection tolerance) with
@@ -227,40 +262,13 @@ class PolyExp(IncrementModel):
         out = np.where(z < 0, 0.0, val)
         return out if out.ndim else float(out)
 
-    @cached_property
-    def _mean_eta(self) -> float:
+    def _laplace(self, s: float) -> float:
+        """int_0^inf (1+y)^-beta exp(-s y) dy = int_0^inf exp((gamma-s) y)
+        P(eta > y) dy, by quadrature."""
         from scipy import integrate
 
-        # E eta = int_0^inf (1+y)^-beta exp(-gamma y) dy
         val, err = integrate.quad(
-            lambda y: math.exp(-self.beta * math.log1p(y) - self.gamma * y),
-            0.0,
-            np.inf,
-            epsabs=QUAD_ABS_TOL * 1e-2,
-            epsrel=1e-12,
-            limit=200,
-        )
-        if err > QUAD_ABS_TOL:
-            raise QuadratureError("mean quadrature did not converge", err)
-        return val
-
-    def mean(self) -> float:
-        return self._mean_eta - self.shift
-
-    def mgf(self, alpha: float) -> MgfValue:
-        if alpha < 0:
-            raise ModelError(f"alpha must be >= 0, got {alpha}")
-        if alpha == 0.0:
-            return MgfValue(alpha, 1.0)
-        if alpha > self.gamma:
-            return MgfValue(alpha, math.inf)
-        if alpha == self.gamma:
-            return MgfValue(alpha, self.mgf_at_gamma)
-        from scipy import integrate
-
-        # E exp(alpha*eta) = 1 + alpha * int_0^inf exp(alpha y) P(eta>y) dy
-        val, err = integrate.quad(
-            lambda y: math.exp(-self.beta * math.log1p(y) - (self.gamma - alpha) * y),
+            lambda y: math.exp(-self.beta * math.log1p(y) - s * y),
             0.0,
             np.inf,
             epsabs=QUAD_ABS_TOL * 1e-2,
@@ -268,8 +276,27 @@ class PolyExp(IncrementModel):
             limit=400,
         )
         if err > QUAD_ABS_TOL:
-            raise QuadratureError("mgf quadrature did not converge", err)
-        return MgfValue(alpha, math.exp(-alpha * self.shift) * (1.0 + alpha * val))
+            raise QuadratureError(f"tail quadrature at rate {s:g} did not converge", err)
+        return val
+
+    @cached_property
+    def _mean_eta(self) -> float:
+        return self._laplace(self.gamma)  # E eta = int_0^inf P(eta > y) dy
+
+    def mean(self) -> float:
+        return self._mean_eta - self.shift
+
+    def mgf(self, alpha: float) -> float:
+        if alpha < 0:
+            raise ModelError(f"alpha must be >= 0, got {alpha}")
+        if alpha == 0.0:
+            return 1.0
+        if alpha > self.gamma:
+            return math.inf
+        if alpha == self.gamma:
+            return self.mgf_at_gamma
+        # E exp(alpha*eta) = 1 + alpha * int_0^inf exp(alpha y) P(eta>y) dy
+        return math.exp(-alpha * self.shift) * (1.0 + alpha * self._laplace(self.gamma - alpha))
 
     # --- sampling ---------------------------------------------------------------
     def _eta_from_log_tail(self, log_q: np.ndarray) -> np.ndarray:
@@ -353,32 +380,6 @@ class PolyExp(IncrementModel):
         return f"polyexp:gamma={self.gamma:g},beta={self.beta:g},shift={self.shift:g}"
 
 
-def _atom_mgf(atoms: Sequence[tuple[float, float]], alpha: float) -> float:
-    return sum(p * math.exp(alpha * v) for v, p in atoms)
-
-
-def _atom_chernoff_bound(atoms: Sequence[tuple[float, float]], t: float) -> float:
-    """min over alpha of exp(-alpha t)/(1 - phi(alpha)) for an atomic law."""
-    if all(v <= 0 for v, _ in atoms):
-        return 0.0 if t >= 0 else 1.0
-    from scipy import optimize
-
-    phi = lambda a: _atom_mgf(atoms, a)
-    if phi(1e-9) >= 1.0 and sum(v * p for v, p in atoms) >= 0:
-        raise ModelError("no certified bound: nonnegative mean")
-    # phi is convex with phi(0)=1, phi'(0)<0: the supercritical root is unique
-    hi = 1.0
-    while phi(hi) < 1.0 and hi < 1e3:
-        hi *= 2.0
-    alpha_sup = optimize.brentq(lambda a: phi(a) - 1.0, 1e-12, hi) if phi(hi) >= 1.0 else hi
-    res = optimize.minimize_scalar(
-        lambda a: -a * t - math.log1p(-min(phi(a), 1.0 - 1e-15)),
-        bounds=(1e-9, alpha_sup * (1 - 1e-9)),
-        method="bounded",
-    )
-    return min(1.0, math.exp(res.fun))
-
-
 @dataclass(frozen=True)
 class TwoPoint(IncrementModel):
     """Two-atom law: P(xi = u) = pu, P(xi = v) = 1 - pu, with u > v."""
@@ -395,9 +396,6 @@ class TwoPoint(IncrementModel):
         if not self.u > self.v:
             raise ModelError(f"need u > v, got u={self.u}, v={self.v}")
 
-    def _atoms(self):
-        return [(self.u, self.pu), (self.v, 1.0 - self.pu)]
-
     def tail(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x < self.v, 1.0, np.where(x < self.u, self.pu, 0.0))
@@ -406,10 +404,13 @@ class TwoPoint(IncrementModel):
     def mean(self) -> float:
         return self.pu * self.u + (1.0 - self.pu) * self.v
 
-    def mgf(self, alpha: float) -> MgfValue:
+    def mgf(self, alpha: float) -> float:
         if alpha < 0:
             raise ModelError(f"alpha must be >= 0, got {alpha}")
-        return MgfValue(alpha, _atom_mgf(self._atoms(), alpha))
+        try:
+            return self.pu * math.exp(alpha * self.u) + (1.0 - self.pu) * math.exp(alpha * self.v)
+        except OverflowError:  # past the float range
+            return math.inf
 
     def sample(self, rng: np.random.Generator, size: int):
         return np.where(rng.random(size) < self.pu, self.u, self.v)
@@ -420,9 +421,6 @@ class TwoPoint(IncrementModel):
     def twist_envelope(self, alpha: float) -> float:
         # step tail: the envelope peaks at the left edge of each level piece
         return max(math.exp(alpha * self.v), self.pu * math.exp(alpha * self.u))
-
-    def max_tail_bound(self, t: float) -> float:
-        return _atom_chernoff_bound(self._atoms(), t)
 
     def spec_string(self) -> str:
         return f"twopoint:u={self.u:g},pu={self.pu:g},v={self.v:g}"
@@ -444,10 +442,13 @@ class PointMass(IncrementModel):
     def mean(self) -> float:
         return self.v
 
-    def mgf(self, alpha: float) -> MgfValue:
+    def mgf(self, alpha: float) -> float:
         if alpha < 0:
             raise ModelError(f"alpha must be >= 0, got {alpha}")
-        return MgfValue(alpha, math.exp(alpha * self.v))
+        try:
+            return math.exp(alpha * self.v)
+        except OverflowError:  # past the float range
+            return math.inf
 
     def sample(self, rng: np.random.Generator, size: int):
         rng.random(size)  # consume the stream so seeds stay comparable
@@ -458,9 +459,6 @@ class PointMass(IncrementModel):
 
     def twist_envelope(self, alpha: float) -> float:
         return math.exp(alpha * self.v)
-
-    def max_tail_bound(self, t: float) -> float:
-        return _atom_chernoff_bound([(self.v, 1.0)], t)
 
     def spec_string(self) -> str:
         return f"pointmass:v={self.v:g}"

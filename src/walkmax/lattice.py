@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .increments import IncrementModel
+from .increments import IncrementModel, chernoff_tail, twist_min, twist_sup
 
 __all__ = [
     "LatticeError",
@@ -161,10 +161,14 @@ class LatticePMF:
         return float((self.centers() * self.probs).sum())
 
     def mgf(self, alpha: float) -> float:
-        """E exp(alpha * X) for the lattice law; always finite (bounded support)."""
+        """E exp(alpha * X) for the lattice law; inf once exp(alpha * X) on the
+        outermost cell overflows, which only overstates the moment."""
         logs = alpha * self.centers()
         m = logs.max()
-        return float(math.exp(m) * (np.exp(logs - m) * self.probs).sum())
+        try:
+            return float(math.exp(m) * (np.exp(logs - m) * self.probs).sum())
+        except OverflowError:
+            return math.inf
 
     def tail(self, x: float) -> float:
         return _interp_tail(self.probs, self.k0, self.h, x)
@@ -176,51 +180,16 @@ class LatticePMF:
 
     def chernoff_alpha_sup(self) -> float:
         """Largest twist alpha with mgf(alpha) < 1 (0 if none exists)."""
-        return self._memoized("alpha_sup", self._alpha_sup_scan)
-
-    def _alpha_sup_scan(self) -> float:
-        if self.mean() >= 0:
-            return 0.0
-        if self.centers()[-1] <= 0:
-            return math.inf  # no mass above 0: mgf < 1 for every alpha > 0
-        lo, hi = 0.0, 1.0
-        while self.mgf(hi) < 1.0 and hi < 1e4:
-            lo, hi = hi, hi * 2.0
-        if self.mgf(hi) < 1.0:
-            return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.mgf(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def _twist_scan(self, lo: float, hi: float, bound) -> float:
-        """Smallest ``bound(alpha, mgf(alpha))`` over 400 twists alpha in
-        [lo, hi] with mgf(alpha) < 1; inf when none of them has one."""
-        best = math.inf
-        for a in np.linspace(lo, hi, 400):
-            p = self.mgf(float(a))
-            if p < 1.0:
-                best = min(best, bound(float(a), p))
-        return best
+        return self._memoized(
+            "alpha_sup", lambda: twist_sup(self.mgf, self.mean(), self.centers()[-1])
+        )
 
     def chernoff_tail_bound(self, t: float) -> float:
         """min over alpha of exp(-alpha t)/(1 - mgf(alpha)): a certified bound
         on P(sup_n S_n > t) for the walk with these lattice increments."""
-        return self._memoized(("tail_bound", t), lambda: self._tail_bound_scan(t))
-
-    def _tail_bound_scan(self, t: float) -> float:
-        a_sup = self.chernoff_alpha_sup()
-        if a_sup == 0.0:
-            return 1.0
-        if math.isinf(a_sup):
-            return 0.0 if t >= 0 else 1.0
-        bound = self._twist_scan(
-            a_sup * 1e-3, a_sup * (1 - 1e-6), lambda a, p: math.exp(-a * t) / (1.0 - p)
+        return self._memoized(
+            ("tail_bound", t), lambda: chernoff_tail(self.mgf, self.chernoff_alpha_sup(), t)
         )
-        return min(1.0, bound)
 
     def twist_remainder(self, gamma: float, top: float) -> float:
         """Smallest steeper-twist bound on E[e^{gamma M}; M > top] for the
@@ -229,9 +198,9 @@ class LatticePMF:
 
         def scan():
             upper = min(self.chernoff_alpha_sup() * (1 - 1e-9), 8.0 * gamma)
-            return self._twist_scan(
-                gamma + 1e-3 * (upper - gamma),
-                upper,
+            return twist_min(
+                self.mgf,
+                np.linspace(gamma + 1e-3 * (upper - gamma), upper, 400),
                 lambda a, p: (
                     math.exp(-(a - gamma) * top) * (1.0 + gamma / (a - gamma)) / (1.0 - p)
                 ),

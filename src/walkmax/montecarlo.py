@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .increments import IncrementModel, band_h
+from .increments import IncrementModel, band_h, twist_min
 
 __all__ = [
     "EstimatorError",
@@ -300,17 +300,13 @@ def _geometric_remainder(model: IncrementModel, x: float, n_cut: int) -> float:
         alphas = [g, 0.75 * g, 0.5 * g]
     else:
         hi = 1.0
-        while model.mgf(hi).value < 1.0 and hi < 1e3:
+        while model.mgf(hi) < 1.0 and hi < 1e3:
             hi *= 2.0
-        alphas = list(np.linspace(hi / 40.0, hi * 0.999, 40))
-    best = math.inf
-    for a in alphas:
-        phi = model.mgf(float(a)).value
-        if not (phi < 1.0):
-            continue
-        b = model.twist_envelope(float(a)) * math.exp(-a * x) * phi**n_cut / (1.0 - phi)
-        best = min(best, b)
-    return best
+        alphas = np.linspace(hi / 40.0, hi * 0.999, 40)
+    return twist_min(
+        model.mgf, alphas,
+        lambda a, phi: model.twist_envelope(a) * math.exp(-a * x) * phi**n_cut / (1.0 - phi),
+    )
 
 
 def estimate_bigjump_sum(
@@ -501,18 +497,14 @@ def _shifted_cross_slack(model: IncrementModel, c: float) -> float:
     for crossings of the line R + n*c by the walk (equivalently level
     crossings of the c-shifted walk, whose increments are xi - c)."""
     g = model.decay_rate
-    if g is not None:
-        cands = [0.5 * g, 0.75 * g, 0.9 * g]
-    else:
-        cands = list(np.linspace(0.1, 20.0, 60))
-    usable = []
-    for a in cands:
-        m = model.mgf(float(a))
-        if m.finite and m.value * math.exp(-a * c) < 1.0:
-            usable.append((float(a), m.value * math.exp(-a * c)))
-    if not usable:
+    cands = [0.5 * g, 0.75 * g, 0.9 * g] if g is not None else np.linspace(0.1, 20.0, 60)
+    K = twist_min(
+        lambda a: model.mgf(a) * math.exp(-a * c), cands,
+        lambda a, phi: math.log(1.0 / (RENEWAL_MISS_BOUND * (1.0 - phi))) / a,
+    )
+    if math.isinf(K):
         raise EstimatorError("no usable twist for the shifted walk; lower |c|")
-    return min(math.log(1.0 / (RENEWAL_MISS_BOUND * (1.0 - phi))) / a for a, phi in usable)
+    return K
 
 
 def renewal_diagnostics(
@@ -542,7 +534,7 @@ def renewal_diagnostics(
     if not (mean < c < 0 or (not math.isfinite(mean) and c < 0)):
         raise EstimatorError(f"drift constant must lie in (mean, 0), got {c}")
     K_r = _shifted_cross_slack(model, c)
-    phg = model.mgf(gamma).value
+    phg = model.mgf(gamma)
     if not phg < 1.0:
         raise EstimatorError(
             "renewal diagnostics need phi(gamma) < 1 to bound the bias of certified "

@@ -18,6 +18,7 @@ from walkmax import (
     lambda_partial_sums,
     lindley_fixed_point,
     local_constant,
+    parse_model,
     stopped_constant,
     stopped_max_sigma1,
 )
@@ -199,19 +200,34 @@ def ref_pmf_delta():
 
 
 class TestConvolutionPrediction:
+    # n * phg^(n-1) is exact in binary at phg = 1/2
     def test_single(self, ref_model):
-        assert convolution_prediction([(ref_model, 1.0)]) == pytest.approx(1.0)
+        assert convolution_prediction(ref_model, 1) == 1.0
 
     def test_identical_pair(self, ref_model):
-        # phg^2 * (2/phg) = 2*phg = 1.0 at phg = 1/2
-        assert convolution_prediction([(ref_model, 1.0)] * 2) == pytest.approx(1.0)
+        assert convolution_prediction(ref_model, 2) == 1.0
 
     def test_identical_triple(self, ref_model):
-        assert convolution_prediction([(ref_model, 1.0)] * 3) == pytest.approx(0.75)
+        assert convolution_prediction(ref_model, 3) == 0.75
 
     def test_infinite_moment_refused(self, d0_model, ref_model):
-        with pytest.raises(ModelError):
-            convolution_prediction([(ref_model, 1.0)], gamma=2.0)
+        with pytest.raises(ModelError, match="infinite twisted moment"):
+            convolution_prediction(ref_model, 1, gamma=2.0)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_summand_refused(self, ref_model, n):
+        with pytest.raises(ModelError, match="at least one summand"):
+            convolution_prediction(ref_model, n)
+
+    def test_matches_the_component_formula(self):
+        # the general prod_i phg_i * sum_i c_i / phg_i with n unit components
+        for spec in ("twopoint:u=1,pu=0.25,v=-1", "pointmass:v=-0.5"):
+            m = parse_model(spec)
+            phg = m.mgf(0.9)
+            for n in range(1, 8):
+                general = phg**n * (n / phg)
+                assert convolution_prediction(m, n, gamma=0.9) == pytest.approx(
+                    general, rel=1e-15)
 
 
 class TestConvergenceReport:

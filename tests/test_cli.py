@@ -121,6 +121,37 @@ class TestTailReport:
         assert code in (0, 2)
 
 
+class TestLevelGridCheckedFirst:
+    """A level grid the report cannot judge is refused before any work."""
+
+    @pytest.mark.parametrize("levels,message", [
+        ("2,3", "need at least 3 grid points, got 2"),
+        ("6,4,5", "level grid must be strictly increasing"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["tail-report", "--measured", "mc", "--trace"],
+        ["local-report"],
+        ["stopped"],
+        ["convolution-check"],
+    ], ids=lambda argv: argv[0])
+    def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv,
+                                     levels, message):
+        from walkmax import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the level grid was checked")
+
+        for name in ("estimate_tail_crude", "discretize", "constants_pipeline"):
+            monkeypatch.setattr(cli, name, no_work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--model", REF, "--x", levels,
+                             "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert not out_dir.exists()
+
+
 class TestByteStability:
     def test_rerun_is_identical(self, capsys, tmp_path):
         args = ["tail-report", "--model", REF, "--x", "4.1,6.7,10.8"]
@@ -188,11 +219,20 @@ class TestOtherCommands:
         assert payload["report"]["final_dev"] <= 0.1
 
     def test_stopped_level_above_grid_top_is_refused(self, capsys):
-        code, out, err = run(capsys, "stopped", "--model", REF, "--x", "4,80",
+        code, out, err = run(capsys, "stopped", "--model", REF, "--x", "4,6,80",
                              "--step", "0.02")
         assert code == 2
         assert out == ""
         assert "stopped level 80 is above the grid top 75" in err
+
+    def test_renewal_atomic_mgf_past_float_range_is_refused(self, capsys):
+        # the slack search tries twists up to 20, where e^{20 * 40} overflows
+        code, out, err = run(capsys, "renewal-diag", "--model",
+                             "twopoint:u=40,pu=0.001,v=-1", "--gamma", "0.1",
+                             "--n-paths", "2000")
+        assert code == 2
+        assert out == ""
+        assert "no usable twist" in err
 
     def test_local_report_infinite_window(self, capsys):
         # an infinite window is the whole tail, predicted by C itself
@@ -356,7 +396,10 @@ class TestOracleWorkOnce:
                              "--step", "0.05"]) == 0
             loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
             assert not loaded, loaded
-            from walkmax import PolyExp
+            from walkmax import PolyExp, SimConfig, TwoPoint, estimate_tail_crude
+            # the atomic max_tail_bound behind the stopping slack is a twist scan
+            estimate_tail_crude(TwoPoint(1.0, 0.25, -1.0), 3.0, SimConfig(n_paths=2000))
+            assert "scipy.optimize" not in sys.modules
             assert 0.4 < PolyExp(1.0, 2.0, 0.0, require_subcritical=False).mean() < 0.41
             assert "scipy.integrate" in sys.modules
         """)

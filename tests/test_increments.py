@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 from walkmax import (
     ModelError,
+    PointMass,
     PolyExp,
     QuadratureError,
     TwoPoint,
@@ -80,23 +81,28 @@ class TestTail:
 
 class TestMgf:
     def test_closed_form_at_rate_unshifted(self, d0_model):
-        assert d0_model.mgf(1.0).value == pytest.approx(2.0, abs=1e-12)
+        assert d0_model.mgf(1.0) == pytest.approx(2.0, abs=1e-12)
         assert quad_mgf(d0_model, 1.0) == pytest.approx(2.0, abs=1e-8)
 
     def test_closed_form_at_rate_shifted(self, ref_model):
-        assert ref_model.mgf(1.0).value == pytest.approx(0.5, abs=1e-12)
+        assert ref_model.mgf(1.0) == pytest.approx(0.5, abs=1e-12)
         assert ref_model.mgf_at_gamma == pytest.approx(0.5, abs=1e-15)
 
     def test_pointmass(self, pm_model):
-        assert pm_model.mgf(0.7).value == pytest.approx(math.exp(-0.7), abs=1e-15)
+        assert pm_model.mgf(0.7) == pytest.approx(math.exp(-0.7), abs=1e-15)
 
     def test_divergence_flag(self, ref_model):
-        assert not ref_model.mgf(1.5).finite
-        assert ref_model.mgf(0.5).finite
+        assert ref_model.mgf(1.5) == math.inf
+        assert math.isfinite(ref_model.mgf(0.5))
+        assert type(ref_model.mgf(0.5)) is float
+
+    def test_atomic_past_float_range_is_inf(self):
+        assert TwoPoint(40.0, 0.001, -1.0).mgf(20.0) == math.inf
+        assert PointMass(2.0).mgf(400.0) == math.inf
 
     def test_at_zero_is_one_for_every_family(self, ref_model, tp_model, pm_model):
         for m in (ref_model, tp_model, pm_model):
-            assert m.mgf(0.0).value == pytest.approx(1.0, abs=1e-12)
+            assert m.mgf(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_vs_closed_form_grid(self):
         for gamma in (0.5, 1.0, 2.0):
@@ -108,7 +114,7 @@ class TestMgf:
                     ), (gamma, beta, shift)
 
     def test_interior_alpha_quadrature_path(self, ref_model):
-        got = ref_model.mgf(0.6).value
+        got = ref_model.mgf(0.6)
         assert got == pytest.approx(quad_mgf(ref_model, 0.6), abs=1e-9)
 
     def test_negative_alpha_rejected(self, ref_model):
