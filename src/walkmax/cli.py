@@ -185,18 +185,17 @@ def constants_pipeline(
     return pmf, law, constants(model, law, gamma=gamma)
 
 
-def tail_ratio(model: IncrementModel, x: float, p: float) -> float:
-    """p / P(xi > x); refuses at a level the increment never exceeds."""
-    base = float(model.tail(x))
-    if base <= 0.0:
-        raise ModelError(
-            f"P(xi > {x:g}) = 0 for {model.spec_string()}: no tail ratio at that level"
-        )
-    return p / base
-
-
-def tail_ratio_rows(model: IncrementModel, law: MaxLaw, xs) -> list[tuple[float, float]]:
-    return [(float(x), tail_ratio(model, float(x), law.tail(float(x)))) for x in xs]
+def increment_tails(model: IncrementModel, xs) -> list[float]:
+    """P(xi > x) at each level, the denominators of the tail ratios; refuses
+    a level the increment never exceeds, before any oracle or Monte Carlo
+    work runs."""
+    tails = [float(model.tail(x)) for x in xs]
+    for x, base in zip(xs, tails):
+        if base <= 0.0:
+            raise ModelError(
+                f"P(xi > {x:g}) = 0 for {model.spec_string()}: no tail ratio at that level"
+            )
+    return tails
 
 
 def bigjump_dp_ratio(
@@ -320,15 +319,16 @@ def cmd_tail_report(args) -> int:
     check_levels(xs)
     trace_rows: list[dict] = []
     try:
+        bases = increment_tails(model, xs)
         pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
         if args.measured == "oracle":
-            rows = tail_ratio_rows(model, law, xs)
+            rows = [(x, law.tail(x) / b) for x, b in zip(xs, bases)]
         else:
             cfg = _mc_config(args)
             rows = []
-            for x in xs:
+            for x, b in zip(xs, bases):
                 rep = estimate_tail_crude(model, x, cfg)
-                rows.append((x, tail_ratio(model, x, rep.estimate)))
+                rows.append((x, rep.estimate / b))
                 if rep.trace is not None:
                     trace_rows.extend({"x": x, "path": i, **t} for i, t in enumerate(rep.trace))
     except (ModelError, LatticeError, EstimatorError) as exc:
@@ -347,9 +347,10 @@ def cmd_local_report(args) -> int:
     xs = _floats(args.x)
     check_levels(xs)
     try:
+        bases = increment_tails(model, xs)
         pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
         pred = local_constant(consts, args.t)
-        rows = [(x, tail_ratio(model, x, law.window(x, args.t))) for x in map(float, xs)]
+        rows = [(x, law.window(x, args.t) / b) for x, b in zip(xs, bases)]
     except (ModelError, LatticeError) as exc:
         return _refused(f"local-report: {exc}")
     # windowed deviations legitimately change sign on the way in, so this
@@ -366,6 +367,7 @@ def cmd_finite(args) -> int:
     Ns = _ints(args.N)
     xs = _floats(args.x)
     try:
+        bases = increment_tails(model, xs)
         # horizon laws first: they stay on the pmf, and the fixed point
         # replays them instead of sweeping from M_0 a second time
         pmf = oracle_pmf(model, args.step)
@@ -382,8 +384,8 @@ def cmd_finite(args) -> int:
                 "predicted_lo": fc.lo if fc else 0.0,
                 "predicted_hi": fc.hi if fc else 0.0,
             }
-            for x in xs:
-                entry[f"ratio_at_{x:g}"] = tail_ratio(model, x, laws[N].tail(x))
+            for x, b in zip(xs, bases):
+                entry[f"ratio_at_{x:g}"] = laws[N].tail(x) / b
             rows.append(entry)
     except (ModelError, LatticeError) as exc:
         return _refused(f"finite: {exc}")
@@ -401,12 +403,13 @@ def cmd_stopped(args) -> int:
     xs = _floats(args.x)
     check_levels(xs)
     try:
+        bases = increment_tails(model, xs)
         pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
         stopped = stopped_max_sigma1(pmf, x_grid=xs, top=oracle_top(model, args.gamma))
         pred = stopped_constant(consts, stopped)
         rows = [
-            (float(x), tail_ratio(model, float(x), float(t)))
-            for x, t in zip(stopped.max_tail_x, stopped.max_tail)
+            (float(x), float(t) / b)
+            for x, t, b in zip(stopped.max_tail_x, stopped.max_tail, bases)
         ]
     except (ModelError, LatticeError) as exc:
         return _refused(f"stopped: {exc}")
@@ -486,15 +489,14 @@ def cmd_convolution_check(args) -> int:
     ns = _ints(args.n)
     check_levels(xs)
     try:
+        bases = increment_tails(model, xs)
         pmf = oracle_pmf(model, args.step, span_hi=_span_hi(model, max(xs), 15.0))
         powers = convolution_power(pmf, max(ns))
         rows = []
         verdicts = []
         for n in ns:
             pred = convolution_prediction(model, n, gamma=args.gamma)
-            measured = [
-                (x, tail_ratio(model, float(x), powers[n - 1].tail(float(x)))) for x in xs
-            ]
+            measured = [(x, powers[n - 1].tail(x) / b) for x, b in zip(xs, bases)]
             rep = convergence_report(pred, measured, tol=args.tol, provenance="oracle")
             verdicts.append(rep.verdict == "converging")
             for r in rep.csv_rows():

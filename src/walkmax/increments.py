@@ -24,9 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-# scipy is imported inside the few functions that run a quadrature: it costs
-# more start-up than the rest of the package, and the lattice oracles never
-# need it
+# numpy is the only runtime dependency: the few integrals the package needs
+# run through ``_de_quad`` below, so no command pays scipy's start-up
 
 __all__ = [
     "ModelError",
@@ -47,6 +46,13 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
+# double-exponential quadrature: trapezoid steps in t from DE_STEP, halved at
+# most DE_LEVELS times, on |t| <= DE_T_MAX; it stops early once two levels
+# agree to DE_REL_TOL
+DE_STEP = 0.5
+DE_LEVELS = 14
+DE_T_MAX = 6.0
+DE_REL_TOL = 4e-16
 # largest stopping slack ``slack_for_bias`` searches
 MAX_SLACK = 1e4
 # switch tail/cdf evaluation fully into the log domain once exp() would underflow
@@ -63,6 +69,50 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance {achieved:.2e})")
         self.achieved = achieved
+
+
+def _de_quad(what: str, f, a: float, b: float = math.inf) -> tuple[float, float]:
+    """(value, error estimate) of int_a^b f(y) dy for an ``f`` that maps an
+    array of points to an array of values; ``what`` names the integral in the
+    refusal.
+
+    The exp-sinh map y = a + exp(pi/2 sinh t) covers [a, inf) and the
+    tanh-sinh map y = (a+b)/2 + (b-a)/2 tanh(pi/2 sinh t) covers [a, b]; the
+    integral in t is a trapezoid sum whose step halves at each level.  The
+    error estimate is the difference of the last two levels; NaN or one above
+    ``QUAD_ABS_TOL`` raises ``QuadratureError``.
+    """
+
+    def weighted(t):
+        u = (0.5 * math.pi) * np.sinh(t)
+        if math.isinf(b):
+            y = np.exp(u)
+            w = (0.5 * math.pi) * np.cosh(t) * y
+            y += a
+        else:
+            # distance to the nearer end, so no point rounds onto it early
+            e = np.exp(-2.0 * np.abs(u))
+            d = (b - a) * e / (1.0 + e)
+            y = np.where(u < 0, a + d, b - d)
+            w = (b - a) * math.pi * np.cosh(t) * e / ((1.0 + e) * (1.0 + e))
+        # a non-finite value is refused below, so numpy need not warn of it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return float((w * f(y)).sum())
+
+    n = int(round(DE_T_MAX / DE_STEP))
+    h = DE_STEP
+    total = weighted(h * np.arange(-n, n + 1))
+    value = h * total
+    for _ in range(DE_LEVELS):
+        h, n = 0.5 * h, 2 * n
+        total += weighted(h * np.arange(1 - n, n, 2))  # the odd points are new
+        value, prev = h * total, value
+        err = abs(value - prev)
+        if not err > DE_REL_TOL * abs(value):  # a NaN stops too, and refuses
+            break
+    if not err <= QUAD_ABS_TOL:
+        raise QuadratureError(f"{what} did not converge", err)
+    return value, err
 
 
 def twist_sup(mgf, mean: float, top: float) -> float:
@@ -265,19 +315,8 @@ class PolyExp(IncrementModel):
     def _laplace(self, s: float) -> float:
         """int_0^inf (1+y)^-beta exp(-s y) dy = int_0^inf exp((gamma-s) y)
         P(eta > y) dy, by quadrature."""
-        from scipy import integrate
-
-        val, err = integrate.quad(
-            lambda y: math.exp(-self.beta * math.log1p(y) - s * y),
-            0.0,
-            np.inf,
-            epsabs=QUAD_ABS_TOL * 1e-2,
-            epsrel=1e-12,
-            limit=400,
-        )
-        if err > QUAD_ABS_TOL:
-            raise QuadratureError(f"tail quadrature at rate {s:g} did not converge", err)
-        return val
+        return _de_quad(f"tail quadrature at rate {s:g}",
+                        lambda y: np.exp(-self.beta * np.log1p(y) - s * y), 0.0)[0]
 
     @cached_property
     def _mean_eta(self) -> float:
@@ -600,28 +639,25 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
             notes="lattice family: middle band empty on the probe grid",
         )
     assert isinstance(model, PolyExp)
-    from scipy import integrate
-
     rows = []
     values = []
     for x in x_grid:
-        hx = band_h(h_choice, float(x))
+        x = float(x)
+        hx = band_h(h_choice, x)
         if not hx <= x / 2.0:
             raise ModelError(f"h(x)={hx} exceeds x/2 at x={x}")
         log_tx = float(model.log_tail(x))
-
-        def integrand(y, _x=float(x), _ltx=log_tx):
-            # tail(x-y)/tail(x) * f(y), assembled in the log domain first
-            return math.exp(float(model.log_tail(_x - y)) - _ltx) * float(model.pdf(y))
-
         try:
-            val, err = integrate.quad(
-                integrand, hx, float(x) - hx, epsabs=1e-12, epsrel=1e-9, limit=400
+            # tail(x-y)/tail(x) * f(y), the tail ratio formed in the log domain
+            val, err = _de_quad(
+                f"middle-band quadrature at x={x:g}",
+                lambda y: np.exp(model.log_tail(x - y) - log_tx) * model.pdf(y),
+                hx, x - hx,
             )
-        except Exception as exc:  # pragma: no cover - quad rarely raises here
-            rows.append({"x": float(x), "integral": None, "error": str(exc)})
+        except QuadratureError as exc:
+            rows.append({"x": x, "integral": None, "error": str(exc)})
             continue
-        rows.append({"x": float(x), "integral": val, "error": err})
+        rows.append({"x": x, "integral": val, "error": err})
         values.append(val)
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     return ClassDiagnostic(

@@ -1,12 +1,14 @@
 """Distribution surfaces, samplers, and class diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import exp1
 
 from walkmax import (
     ModelError,
@@ -18,6 +20,8 @@ from walkmax import (
     parse_model,
     sgamma_diagnostic,
 )
+from walkmax import increments
+from walkmax.increments import QUAD_ABS_TOL, _de_quad
 
 
 def quad_mgf(model: PolyExp, alpha: float) -> float:
@@ -120,6 +124,64 @@ class TestMgf:
     def test_negative_alpha_rejected(self, ref_model):
         with pytest.raises(ModelError):
             ref_model.mgf(-0.1)
+
+
+def laplace_closed_form(beta: int, s: float) -> float:
+    """int_0^inf (1+y)^-beta exp(-s y) dy for integer beta: I_1(s) =
+    e^s E1(s), then I_b = (1 - s I_{b-1}) / (b-1) by parts."""
+    val = math.exp(s) * float(exp1(s))
+    for b in range(2, beta + 1):
+        val = (1.0 - s * val) / (b - 1)
+    return val
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("beta", [2, 3, 5])
+    @pytest.mark.parametrize("gamma", [0.05, 1.0, 2.0])
+    def test_laplace_matches_closed_form(self, gamma, beta):
+        m = PolyExp(gamma, float(beta), 0.0, require_subcritical=False)
+        for s in gamma * np.geomspace(1e-3, 1.0, 13):
+            assert m._laplace(float(s)) == pytest.approx(
+                laplace_closed_form(beta, float(s)), rel=1e-13
+            ), s
+
+    def test_small_rate_regression(self):
+        # adaptive Gauss-Kronrod (scipy's quad) read 0.2497503738904802 here,
+        # 9e-12 off while reporting 6.9e-14; reference value from mpmath
+        m = PolyExp(1.0, 5.0, 0.0, require_subcritical=False)
+        assert m._laplace(0.003) == pytest.approx(0.249750373892720955, rel=1e-15)
+
+    @pytest.mark.parametrize("model", [
+        PolyExp(1.0, 2.0, math.log(4.0)),
+        PolyExp(0.5, 3.0, 1.0),
+        PolyExp(2.0, 1.5, 2.0),
+    ], ids=str)
+    def test_mgf_tends_to_the_closed_form_at_the_rate(self, model):
+        gaps = [abs(model.mgf(model.gamma * (1.0 - 10.0**-k)) - model.mgf_at_gamma)
+                for k in range(1, 11)]
+        assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+        # the gap shrinks like (gamma - alpha)^min(beta-1, 1), up to a log
+        assert gaps[-1] < 1e-5
+
+    def test_nan_rate_refuses(self, d0_model):
+        with pytest.raises(QuadratureError, match="tail quadrature at rate nan"):
+            d0_model._laplace(math.nan)
+
+    def test_infinite_integrand_refuses(self):
+        # an inverse square root pole at b rounds onto b: inf there is refused
+        with pytest.raises(QuadratureError):
+            _de_quad("pole", lambda y: 1.0 / np.sqrt(1.0 - y), 0.0, 1.0)
+
+    @pytest.mark.parametrize("f,a,b,expected", [
+        (np.log, 0.0, 1.0, -1.0),
+        (lambda y: 1.0 / np.sqrt(y), 0.0, 1.0, 2.0),
+        (lambda y: np.exp(-y), 2.0, math.inf, math.exp(-2.0)),
+        (lambda y: 1.0 / (1.0 + y * y), 0.0, math.inf, math.pi / 2),
+    ], ids=["log", "inv-sqrt", "exp", "cauchy"])
+    def test_both_maps_on_known_integrals(self, f, a, b, expected):
+        val, err = _de_quad("known", f, a, b)
+        assert val == pytest.approx(expected, rel=1e-14)
+        assert err <= QUAD_ABS_TOL
 
 
 class TestConstruction:
@@ -324,11 +386,11 @@ class TestShiftedTailRatio:
 
 
 class TestMiddleBandMass:
-    def lattice_band_oracle(self, model, x, h=0.002):
-        """Independent oracle: high-resolution grid sum of the band integral."""
-        lo = x / 4.0
-        hi = x - x / 4.0
-        ys = np.arange(lo + h / 2, hi, h)
+    def lattice_band_oracle(self, model, x, h_choice="quarter", cells=200_000):
+        """Independent oracle: midpoint sum of the band integral on a fine grid."""
+        lo = increments.band_h(h_choice, x)
+        h = (x - 2.0 * lo) / cells
+        ys = lo + (np.arange(cells) + 0.5) * h
         f = np.asarray(model.pdf(ys))
         t = np.exp(np.asarray(model.log_tail(x - ys)) - float(model.log_tail(x)))
         return float((f * t).sum() * h)
@@ -341,6 +403,27 @@ class TestMiddleBandMass:
         # frozen from the grid oracle; quadrature must agree
         assert vals[1] == pytest.approx(self.lattice_band_oracle(d0_model, 40.0), rel=2e-3)
         assert vals[2] == pytest.approx(0.11773, rel=1e-3)
+
+    @pytest.mark.parametrize("h_choice", ["quarter", "sqrt"])
+    def test_every_level_matches_the_grid_oracle(self, d0_model, h_choice):
+        diag = sgamma_diagnostic(d0_model, h_choice, [20.0, 40.0, 80.0])
+        for row in diag.rows:
+            oracle = self.lattice_band_oracle(d0_model, row["x"], h_choice)
+            # the midpoint sum is off by O(cell^2), about 1e-8 here
+            assert row["integral"] == pytest.approx(oracle, rel=1e-7), row
+            assert row["error"] <= QUAD_ABS_TOL
+
+    def test_overflowing_ratio_refuses_in_its_row(self, ref_model):
+        # tail(x-y)/tail(x) passes the float range inside the band at x=2000:
+        # that level gets an error row, quietly, and the others keep values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = sgamma_diagnostic(ref_model, "quarter", [20.0, 40.0, 2000.0])
+        assert [r["integral"] is None for r in diag.rows] == [False, False, True]
+        assert diag.rows[2]["error"] == (
+            "middle-band quadrature at x=2000 did not converge (achieved tolerance nan)"
+        )
+        assert diag.summary == diag.rows[1]["integral"]
 
     def test_pointmass_band_is_empty(self, pm_model):
         diag = sgamma_diagnostic(pm_model, "quarter", [20.0, 40.0])
