@@ -291,10 +291,13 @@ def convergence_report(
     tol: float = 0.1,
     provenance: str = "oracle",
 ) -> ConvergenceReport:
-    """Compare measured values against a predicted constant over a level grid."""
+    """Compare measured values against a predicted constant over a level grid.
+
+    A measured 0 (a Monte Carlo level no path reached) is a row with
+    deviation 1, and the verdict cannot be "converging"."""
     check_levels([x for x, _ in measured])
-    if any(v <= 0 for _, v in measured):
-        raise ModelError("measured values must be positive")
+    if not all(v >= 0 for _, v in measured):
+        raise ModelError("measured values must be nonnegative")
     if predicted <= 0:
         raise ModelError("predicted constant must be positive")
     rows = []
@@ -309,7 +312,7 @@ def convergence_report(
     # a deviation already at numerical zero may stay there
     strictly_down = all(b < a or b <= 1e-12 for a, b in zip(devs, devs[1:]))
     strictly_up = all(b > a for a, b in zip(devs, devs[1:]))
-    if strictly_down and devs[-1] <= tol:
+    if strictly_down and devs[-1] <= tol and all(v > 0 for _, v in measured):
         verdict = VERDICT_CONVERGING
     elif strictly_up:
         verdict = VERDICT_DIVERGING

@@ -276,8 +276,12 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _report_command(args, name: str, measured_rows, predicted: float,
+def _report_command(args, name: str, measured_rows, predicted: float, top: float,
                     extra_payload: dict, gate: str = "strict") -> int:
+    zero = [x for x, v in measured_rows if v <= 0.0]
+    if zero and args.measured == "oracle":  # every level past the grid top reads 0
+        raise LatticeError(f"oracle value at x = {zero[0]:g} is 0 on the grid "
+                           f"(top {top:g}): choose levels below the grid top")
     report = convergence_report(predicted, measured_rows, tol=args.tol,
                                 provenance=args.measured)
     payload = {
@@ -329,6 +333,9 @@ def cmd_tail_report(args) -> int:
             for x, b in zip(xs, bases):
                 rep = estimate_tail_crude(model, x, cfg)
                 rows.append((x, rep.estimate / b))
+                if rep.estimate == 0.0:  # a row with dev 1, not a refusal
+                    print(f"tail-report: no path of {cfg.n_paths} exceeded x = {x:g}; "
+                          "raise --n-paths for more hits", file=sys.stderr)
                 if rep.trace is not None:
                     trace_rows.extend({"x": x, "path": i, **t} for i, t in enumerate(rep.trace))
     except (ModelError, LatticeError, EstimatorError) as exc:
@@ -337,7 +344,7 @@ def cmd_tail_report(args) -> int:
         (Path(args.out)).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "tail_report_trace.csv").write_bytes(_csv_bytes(trace_rows))
     return _report_command(
-        args, "tail-report", rows, consts.constant.value,
+        args, "tail-report", rows, consts.constant.value, law.top,
         {"constants": consts.to_json_dict()},
     )
 
@@ -356,7 +363,7 @@ def cmd_local_report(args) -> int:
     # windowed deviations legitimately change sign on the way in, so this
     # report gates on the loose trend rather than strict monotonicity
     return _report_command(
-        args, "local-report", rows, pred.value,
+        args, "local-report", rows, pred.value, law.top,
         {"constants": consts.to_json_dict(), "window": _json_value(args.t)},
         gate="loose",
     )
@@ -365,6 +372,8 @@ def cmd_local_report(args) -> int:
 def cmd_finite(args) -> int:
     model = parse_model(args.model)
     Ns = _ints(args.N)
+    if min(Ns) < 0:  # it would index another horizon's law
+        raise ModelError(f"horizons must be >= 0, got {min(Ns)}")
     xs = _floats(args.x)
     try:
         bases = increment_tails(model, xs)
@@ -414,7 +423,7 @@ def cmd_stopped(args) -> int:
     except (ModelError, LatticeError) as exc:
         return _refused(f"stopped: {exc}")
     return _report_command(
-        args, "stopped", rows, pred.value,
+        args, "stopped", rows, pred.value, law.top,
         {
             "constants": consts.to_json_dict(),
             "stopped_constant": {"value": pred.value, "lo": pred.lo, "hi": pred.hi},

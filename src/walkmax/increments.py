@@ -6,7 +6,8 @@ Three families are provided:
   ``eta >= 0`` has tail ``P(eta > y) = (1+y)**-beta * exp(-gamma*y)``.  The
   exponential decay rate ``gamma`` and the twisted moment
   ``E exp(gamma*xi) = exp(-gamma*shift) * (1 + gamma/(beta-1))`` are both in
-  closed form, which is what makes exact cross-checks possible.
+  closed form, which is what makes exact cross-checks possible.  ``eta`` is
+  sampled exactly as min(Lomax(beta), Exp(gamma)), whose tail is that product.
 * ``TwoPoint`` and ``PointMass`` -- lattice laws used to validate the grid
   oracle against closed forms (gambler's ruin, binomial convolutions).  Their
   tails are step functions, so the smooth-tail class diagnostics do not apply;
@@ -237,6 +238,9 @@ class IncrementModel:
 class PolyExp(IncrementModel):
     """xi = eta - shift with P(eta > y) = (1+y)**-beta * exp(-gamma*y).
 
+    ``sample`` draws eta exactly as min(Lomax(beta), Exp(gamma)), from two
+    exponential variates per draw.
+
     Parameters
     ----------
     gamma : float
@@ -338,61 +342,30 @@ class PolyExp(IncrementModel):
         return math.exp(-alpha * self.shift) * (1.0 + alpha * self._laplace(self.gamma - alpha))
 
     # --- sampling ---------------------------------------------------------------
-    def _eta_from_log_tail(self, log_q: np.ndarray) -> np.ndarray:
-        """Solve -beta*log1p(y) - gamma*y = log_q for y >= 0, vectorized.
-
-        The left side is convex and decreasing, so Newton from y=0 increases
-        monotonically to the root.  Converges to |residual| <= tol in the
-        log-probability, i.e. relative error ~tol in the probability; tol is
-        1e-13, or four float spacings of max |t| where that is coarser (from
-        |t| = 128 on, never for a nonzero uniform draw), so it is reachable.
-
-        The first sweep from y=0 is replayed in closed form: its residual is
-        -t, so it either stops at once (every |t| <= tol) or lands on
-        max(-t/(beta+gamma), 0).  The later sweeps evaluate the same
-        elementwise expressions in the same order into reused buffers, and
-        the whole array sweeps until its slowest entry converges, so each
-        draw is bit-identical to plain Newton from y=0.
-        """
-        t = np.asarray(log_q, dtype=float)
-        lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
-        tol = max(1e-13, 4.0 * float(np.spacing(max(-lo, hi))))
-        if lo >= -tol and hi <= tol:
-            return np.zeros_like(t)
-        y = np.subtract(0.0, t)
-        y /= self.beta + self.gamma  # the Newton denominator at y = 0
-        np.maximum(y, 0.0, out=y)
-        resid = np.empty_like(t)
-        step = np.empty_like(t)
-        for _ in range(199):
-            np.log1p(y, out=resid)
-            resid *= -self.beta
-            np.multiply(y, self.gamma, out=step)
-            resid -= step
-            resid -= t
-            if resid.max() <= tol and resid.min() >= -tol:
-                return y
-            np.add(y, 1.0, out=step)
-            np.divide(self.beta, step, out=step)
-            step += self.gamma
-            np.divide(resid, step, out=step)
-            np.maximum(step, 0.0, out=step)
-            y += step
-        # reached on NaN input
-        raise QuadratureError("tail inversion stalled", float(np.abs(resid).max()))
-
     def inverse_tail(self, p: float) -> float:
-        """x with P(xi > x) = p, for p in (0, 1]."""
+        """x with P(xi > x) = p, for p in (0, 1]: Newton from y=0 on the convex,
+        decreasing -beta*log1p(y) - gamma*y = log p, until the residual is within
+        1e-13, or four float spacings of log p where those are coarser."""
         if not 0 < p <= 1:
             raise ModelError(f"probability must be in (0,1], got {p}")
-        return float(self._eta_from_log_tail(np.array([math.log(p)]))[0]) - self.shift
+        t = np.array([math.log(p)])
+        tol = max(1e-13, 4.0 * float(np.spacing(abs(t[0]))))
+        y = np.zeros(1)
+        for _ in range(200):
+            resid = (-self.beta * np.log1p(y) - self.gamma * y) - t
+            if abs(resid[0]) <= tol:
+                return float(y[0]) - self.shift
+            y = y + np.maximum(resid / (self.beta / (1.0 + y) + self.gamma), 0.0)
+        raise QuadratureError("tail inversion stalled", float(abs(resid[0])))
 
     def sample(self, rng: np.random.Generator, size: int):
-        u = rng.random(size)
-        # u = 0 would request the essential supremum; nudge into (0, 1]
-        np.maximum(u, 1e-300, out=u)
-        np.log(u, out=u)
-        eta = self._eta_from_log_tail(u)
+        # one call for 2*size exponentials: expm1(E/beta) has tail
+        # (1+y)**-beta and E'/gamma tail exp(-gamma*y), so their minimum is eta;
+        # in place, as temporaries of a 65,536-path block doubled the cost
+        e = rng.standard_exponential(2 * size)
+        lomax, expo = e[:size], e[size:]
+        np.expm1(np.divide(lomax, self.beta, out=lomax), out=lomax)
+        eta = np.minimum(lomax, np.divide(expo, self.gamma, out=expo))
         eta -= self.shift
         return eta
 

@@ -73,8 +73,8 @@ CONV_BLOCK = 64
 # exp() overflows a float just above 709; exp_moment works in the log domain
 # once gamma * top passes this
 EXP_ARG_LIMIT = 700.0
-# most cells ``discretize`` builds an increment law on: 10**7 cells are 80 MB
-# per vector, and a finer step is refused before anything is allocated
+# most cells of any grid here: 10**7 cells are 80 MB per vector, and a
+# larger grid is refused before anything is allocated
 MAX_CELLS = 10**7
 
 
@@ -101,6 +101,15 @@ class Bracket(NamedTuple):
         if c >= 0:
             return Bracket(self.value * c, self.lo * c, self.hi * c)
         return Bracket(self.value * c, self.hi * c, self.lo * c)
+
+
+def _check_cells(cells: float, where: str, h: float) -> None:
+    """Refuse more than ``MAX_CELLS`` cells (or inf, or nan) ``where``."""
+    if not cells <= MAX_CELLS:
+        raise LatticeError(
+            f"grid step {h:g} needs about {cells:.3g} cells {where}, above the "
+            f"limit of {MAX_CELLS}; raise the step"
+        )
 
 
 def _interp_tail(probs: np.ndarray, k0: int, h: float, x: float) -> float:
@@ -230,11 +239,7 @@ def discretize(
     if math.isfinite(lo / h) and math.isfinite(hi / h):
         k_lo, k_hi = math.floor(lo / h), math.ceil(hi / h)
         cells = k_hi - k_lo + 1
-    if cells > MAX_CELLS:
-        raise LatticeError(
-            f"grid step {h:g} needs about {(hi - lo) / h:.3g} cells on the span "
-            f"{span}, above the limit of {MAX_CELLS}; raise the step"
-        )
+    _check_cells(cells, f"on the span {span}", h)
     edges = (np.arange(k_lo, k_hi + 2) - 0.5) * h
     probs = np.maximum(model.cell_masses(edges), 0.0)
     below = float(model.cdf((k_lo - 0.5) * h))
@@ -385,6 +390,7 @@ def _reflected(pmf: LatticePMF, top: float):
     the one a fresh sweep would give, bit for bit.  Laws swept here are not
     kept, so a caller that holds two at a time stays that small.
     """
+    _check_cells(top / pmf.h + 1, f"up to the grid top {top:g}", pmf.h)
     K = int(round(top / pmf.h))
     if K < 1:
         raise LatticeError(f"top {top} is below one grid step")
@@ -530,6 +536,7 @@ def stopped_max_sigma1(
         raise LatticeError(f"stopping analysis needs a negative mean, got {pmf.mean():.6g}")
     if top is None:
         top = _auto_top(pmf)
+    _check_cells(top / pmf.h + 1, f"up to the grid top {top:g}", pmf.h)
     upper_cells = int(round(top / pmf.h))
     nneg = -pmf.k0
     if nneg <= 0:
@@ -706,6 +713,7 @@ def bigjump_flow(
     # survivors below the floor cannot matter: their jump probability is
     # exponentially small in the gap; 30 decay lengths is plenty
     floor = -(30.0 / gamma if gamma else 30.0 / abs(min(pmf.mean(), -1e-2)))
+    _check_cells((barrier - floor) / h + 1, f"on the window [{floor:g}, {barrier:g}]", h)
     k_bar = int(math.floor(barrier / h + 1e-9))  # cells with center <= barrier
     k_jump = int(math.floor(jump_level / h + 1e-9))  # landing means center > jump_level
     k_floor = int(math.floor(floor / h))

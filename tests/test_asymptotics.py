@@ -260,6 +260,14 @@ class TestConvergenceReport:
         with pytest.raises(ModelError):
             convergence_report(2.0, [(1.0, 2.0), (2.0, -1.0), (3.0, 2.0)])
 
+    def test_zero_measured_is_a_row_that_cannot_converge(self):
+        # deviations 4, 2, 1 fall and an unbounded tolerance admits the last,
+        # but a level with no measurement is no evidence of convergence
+        rep = convergence_report(2.0, [(1.0, 10.0), (2.0, 6.0), (3.0, 0.0)],
+                                 tol=math.inf, provenance="mc")
+        assert rep.rows[-1] == {"x": 3.0, "measured": 0.0, "ratio": 0.0, "dev": 1.0}
+        assert rep.verdict == "inconclusive"
+
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ModelError):
             convergence_report(2.0, [(2.0, 2.0), (1.0, 2.0), (3.0, 2.0)])

@@ -120,6 +120,24 @@ class TestTailReport:
         # the exit contract are what this test pins
         assert code in (0, 2)
 
+    def test_mc_level_without_hits_is_a_report_row(self, capsys, tmp_path):
+        # P(M > 20) is about 1e-9: none of 500 paths gets there
+        out_dir = tmp_path / "mc"
+        code, _, err = run(
+            capsys, "tail-report", "--model", REF, "--x", "1,2,20", "--tol", "inf",
+            "--measured", "mc", "--n-paths", "500", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert "no path of 500 exceeded x = 20; raise --n-paths" in err
+        report = json.loads((out_dir / "tail_report.json").read_text())["report"]
+        assert report["rows"][-1] == {"x": 20.0, "measured": 0.0, "ratio": 0.0, "dev": 1.0}
+
+    def test_oracle_level_above_grid_top_is_refused(self, capsys):
+        code, out, err = run(capsys, "tail-report", "--model", REF, "--x", "20,40,80",
+                             "--step", "0.02")
+        assert (code, out) == (2, "")
+        assert "oracle value at x = 80 is 0 on the grid (top 75)" in err
+
 
 class TestLevelGridCheckedFirst:
     """A level grid the report cannot judge is refused before any work."""
@@ -229,6 +247,17 @@ class TestByteStability:
 
 
 class TestOtherCommands:
+    def test_finite_negative_horizon_is_usage_error(self, capsys, monkeypatch):
+        from walkmax import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("lattice work ran before the horizons were checked")
+
+        monkeypatch.setattr(cli, "discretize", no_work)
+        code, out, err = run(capsys, "finite", "--model", REF, "--N=-1,2", "--x", "5")
+        assert (code, out) == (1, "")
+        assert "horizons must be >= 0, got -1" in err
+
     def test_finite(self, capsys, tmp_path):
         out_dir = tmp_path / "fin"
         code, _, _ = run(

@@ -284,9 +284,9 @@ class TestSampling:
 
 
 def newton_from_zero(model: PolyExp, t: np.ndarray) -> np.ndarray:
-    """Oracle for ``PolyExp._eta_from_log_tail``: plain Newton from y=0 over
-    the whole array, with fresh arrays each sweep, until every residual is
-    within 1e-13, or four float spacings of max |t| where those are coarser."""
+    """Oracle for ``PolyExp.inverse_tail``: plain Newton from y=0 over the
+    whole array, with fresh arrays each sweep, until every residual is within
+    1e-13, or four float spacings of max |t| where those are coarser."""
     tol = max(1e-13, 4.0 * float(np.spacing(np.abs(t).max(initial=0.0))))
     y = np.zeros_like(t)
     for _ in range(200):
@@ -302,50 +302,24 @@ def subcritical(gamma: float, beta: float, margin: float) -> PolyExp:
     return PolyExp(gamma, beta, math.log1p(gamma / (beta - 1.0)) / gamma + margin)
 
 
-class TestExactReplay:
-    """The inversion starts at Newton's first iterate and reuses buffers; every
-    draw must still equal plain Newton from y=0, bit for bit."""
+class TestInverseTail:
+    """``inverse_tail`` sets every span edge, so each value must equal plain
+    Newton from y=0 on its own, bit for bit."""
 
     @given(
         gamma=st.floats(0.2, 3.0),
         beta=st.floats(1.1, 4.0),
         margin=st.floats(0.01, 3.0),
-        size=st.sampled_from([0, 1, 2, 17, 65536]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_sample_bits_match_newton_from_zero(self, gamma, beta, margin, size, seed):
-        m = subcritical(gamma, beta, margin)
-        t = np.log(np.maximum(np.random.default_rng(seed).random(size), 1e-300))
-        assert m._eta_from_log_tail(t).tobytes() == newton_from_zero(m, t).tobytes()
-        draws = m.sample(np.random.default_rng(seed), size)
-        assert draws.tobytes() == (newton_from_zero(m, t) - m.shift).tobytes()
-
-    @given(
-        gamma=st.floats(0.2, 3.0),
-        beta=st.floats(1.1, 4.0),
-        margin=st.floats(0.01, 3.0),
-        t=st.lists(st.floats(-750.0, 0.0), max_size=40),
+        t=st.lists(st.floats(-745.0, 0.0), max_size=40),
     )
     @settings(max_examples=60, deadline=None)
     def test_any_log_tail_matches_newton_from_zero(self, gamma, beta, margin, t):
         m = subcritical(gamma, beta, margin)
-        t = np.array(t, dtype=float)
-        assert m._eta_from_log_tail(t).tobytes() == newton_from_zero(m, t).tobytes()
-
-    @pytest.mark.parametrize(
-        "t",
-        [
-            [0.0, -0.0, -1e-13, -5e-14],  # all converged at y=0: zeros
-            [math.log(1e-300)] * 3,  # the clamped u = 0
-            [0.0, -1e-14, math.log(1e-300), -3.0],  # near-zero beside far entries
-        ],
-        ids=["converged-at-zero", "clamped-u", "mixed"],
-    )
-    def test_edge_batches(self, ref_model, t):
-        t = np.array(t)
-        y = ref_model._eta_from_log_tail(t)
-        assert y.tobytes() == newton_from_zero(ref_model, t).tobytes()
+        for log_p in t:
+            p = math.exp(log_p)
+            if p > 0.0:
+                want = newton_from_zero(m, np.array([math.log(p)]))[0] - m.shift
+                assert m.inverse_tail(p).hex() == want.hex(), p
 
     # this deep, a 1e-13 stop rule is finer than the float spacing of t and
     # the inversion used to stall
@@ -353,10 +327,45 @@ class TestExactReplay:
         m = PolyExp(1.0, 1.5, math.log(3.0) + 1.0)
         assert float(m.tail(m.inverse_tail(1e-255))) == pytest.approx(1e-255, rel=1e-12)
 
-    def test_clamped_draw_converges(self):
-        m = PolyExp(1.0, 1.5, math.log(3.0) + 1.0)
-        t = np.array([math.log(1e-300)])
-        assert m._eta_from_log_tail(t).tobytes() == newton_from_zero(m, t).tobytes()
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, math.nan])
+    def test_probability_outside_unit_interval_refuses(self, ref_model, p):
+        with pytest.raises(ModelError):
+            ref_model.inverse_tail(p)
+
+
+class TestExactSampler:
+    """eta = min(Lomax(beta), Exp(gamma)) from two exponential variates."""
+
+    @pytest.mark.parametrize("size", [0, 1, 17, 65536])
+    def test_one_call_for_two_variates_per_draw(self, ref_model, size):
+        # the stream layout: sample(rng, n) advances the generator exactly as
+        # one call for 2n standard exponentials does
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        draws = ref_model.sample(rng, size)
+        e = twin.standard_exponential(2 * size)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        want = np.minimum(np.expm1(e[:size] / ref_model.beta), e[size:] / ref_model.gamma)
+        assert draws.tobytes() == (want - ref_model.shift).tobytes()
+
+    @given(
+        gamma=st.floats(0.2, 3.0),
+        beta=st.floats(1.1, 4.0),
+        margin=st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draws_finite_and_above_the_support_edge(self, gamma, beta, margin, seed):
+        m = subcritical(gamma, beta, margin)
+        draws = m.sample(np.random.default_rng(seed), 4096)
+        assert draws.shape == (4096,)
+        assert np.all(np.isfinite(draws)) and np.all(draws >= -m.shift)
+
+    @pytest.mark.parametrize("p", [1e-2, 1e-3, 1e-4])
+    def test_exceedance_frequencies(self, ref_model, p):
+        n = 10**6
+        draws = ref_model.sample(np.random.default_rng(17), n)
+        freq = float(np.mean(draws > ref_model.inverse_tail(p)))
+        assert abs(freq - p) < 4.0 * math.sqrt(p * (1.0 - p) / n), freq
 
 
 class TestShiftedTailRatio:

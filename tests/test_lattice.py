@@ -61,6 +61,21 @@ class TestDiscretize:
         with pytest.raises(LatticeError, match=r"grid step .* cells .* limit of 10000000"):
             discretize(ref_model, h)
 
+    @pytest.mark.parametrize("run", [
+        lambda pmf, top: lindley_fixed_point(pmf, top=top),
+        lambda pmf, top: finite_horizon(pmf, 1, top=top),
+        lambda pmf, top: stopped_max_sigma1(pmf, x_grid=[1.0], top=top),
+        lambda pmf, top: lattice.bigjump_flow(pmf, barrier=top, jump_level=top + 1.0,
+                                              gamma=0.9),
+    ], ids=["fixed-point", "finite-horizon", "stopped", "bigjump"])
+    def test_refuses_maximum_grid_beyond_cell_limit(self, tp_pmf, run):
+        # one cell past the limit: 80 MB, were it allocated
+        top = lattice.MAX_CELLS * tp_pmf.h
+        with pytest.raises(LatticeError, match=r"grid step 1 needs about .* cells "
+                                               r"(up to the grid top|on the window .*) "
+                                               r"1e\+07\]?, above the limit of 10000000"):
+            run(tp_pmf, top)
+
     def test_tail_interpolation_matches_model(self, ref_model, ref_pmf):
         for x in (0.0, 1.0, 5.0, 10.0):
             assert ref_pmf.tail(x) == pytest.approx(float(ref_model.tail(x)), rel=2e-3)

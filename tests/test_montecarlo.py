@@ -42,9 +42,11 @@ class TestDeterminism:
             assert report_bytes(estimate_tail_crude(ref_model, 3.0, cfg)) == report_bytes(base)
 
     def test_seed_changes_result(self, ref_model):
-        a = estimate_tail_crude(ref_model, 3.0, SimConfig(n_paths=20_000, seed=1))
-        b = estimate_tail_crude(ref_model, 3.0, SimConfig(n_paths=20_000, seed=2))
-        assert a.estimate != b.estimate
+        # the estimate is a count of about 11 hits in 20,000 paths, which two
+        # seeds can share; the paths' stopping positions they cannot
+        a = estimate_tail_crude(ref_model, 3.0, SimConfig(n_paths=20_000, seed=1, trace=True))
+        b = estimate_tail_crude(ref_model, 3.0, SimConfig(n_paths=20_000, seed=2, trace=True))
+        assert [t["final_s"] for t in a.trace] != [t["final_s"] for t in b.trace]
 
 
 class TestCrudeTail:
