@@ -290,14 +290,21 @@ def convergence_report(
     measured: Sequence[tuple[float, float]],
     tol: float = 0.1,
     provenance: str = "oracle",
+    top: float | None = None,
 ) -> ConvergenceReport:
     """Compare measured values against a predicted constant over a level grid.
 
-    A measured 0 (a Monte Carlo level no path reached) is a row with
-    deviation 1, and the verdict cannot be "converging"."""
+    A measured 0 from Monte Carlo (a level no path reached) is a row with
+    deviation 1, and the verdict cannot be "converging".  From the oracle it
+    means the level is past the grid top ``top``, and is refused."""
     check_levels([x for x, _ in measured])
     if not all(v >= 0 for _, v in measured):
         raise ModelError("measured values must be nonnegative")
+    zero = [x for x, v in measured if v == 0]
+    if zero and provenance == "oracle":
+        where = "" if top is None else f" (top {top:g})"
+        raise LatticeError(f"oracle value at x = {zero[0]:g} is 0 on the grid{where}: "
+                           "choose levels below the grid top")
     if predicted <= 0:
         raise ModelError("predicted constant must be positive")
     rows = []

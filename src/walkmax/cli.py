@@ -278,12 +278,8 @@ def cmd_constants(args) -> int:
 
 def _report_command(args, name: str, measured_rows, predicted: float, top: float,
                     extra_payload: dict, gate: str = "strict") -> int:
-    zero = [x for x, v in measured_rows if v <= 0.0]
-    if zero and args.measured == "oracle":  # every level past the grid top reads 0
-        raise LatticeError(f"oracle value at x = {zero[0]:g} is 0 on the grid "
-                           f"(top {top:g}): choose levels below the grid top")
     report = convergence_report(predicted, measured_rows, tol=args.tol,
-                                provenance=args.measured)
+                                provenance=args.measured, top=top)
     payload = {
         "manifest": _manifest(name, args.model, _resolved_params(args)),
         "report": report.to_json_dict(),
@@ -506,7 +502,8 @@ def cmd_convolution_check(args) -> int:
         for n in ns:
             pred = convolution_prediction(model, n, gamma=args.gamma)
             measured = [(x, powers[n - 1].tail(x) / b) for x, b in zip(xs, bases)]
-            rep = convergence_report(pred, measured, tol=args.tol, provenance="oracle")
+            rep = convergence_report(pred, measured, tol=args.tol, provenance="oracle",
+                                     top=float(powers[n - 1].centers()[-1]))
             verdicts.append(rep.verdict == "converging")
             for r in rep.csv_rows():
                 rows.append({"n": n, **r})

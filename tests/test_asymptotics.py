@@ -23,7 +23,7 @@ from walkmax import (
     stopped_max_sigma1,
 )
 from walkmax.asymptotics import AsymptoticConstants
-from walkmax.lattice import convolution_power
+from walkmax.lattice import LatticeError, convolution_power
 
 
 def degenerate_consts(gamma: float = 1.0, phg: float = 0.5) -> AsymptoticConstants:
@@ -267,6 +267,11 @@ class TestConvergenceReport:
                                  tol=math.inf, provenance="mc")
         assert rep.rows[-1] == {"x": 3.0, "measured": 0.0, "ratio": 0.0, "dev": 1.0}
         assert rep.verdict == "inconclusive"
+
+    def test_zero_oracle_value_is_refused_with_the_grid_top(self):
+        # an oracle reads 0 only past its grid top
+        with pytest.raises(LatticeError, match=r"x = 3 is 0 on the grid \(top 2.5\)"):
+            convergence_report(2.0, [(1.0, 2.0), (2.0, 2.0), (3.0, 0.0)], top=2.5)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ModelError):

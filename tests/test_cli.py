@@ -313,6 +313,15 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "convolution-check", "--model", REF)
         assert code == 0
 
+    def test_convolution_check_refuses_a_level_past_the_grid_top(self, capsys, monkeypatch):
+        from walkmax import cli
+
+        monkeypatch.setattr(cli, "_span_hi", lambda model, level, decay_lengths: 12.0)
+        code, out, err = run(capsys, "convolution-check", "--model", REF, "--x", "2,4,20",
+                             "--n", "1,2", "--step", "0.05")
+        assert (code, out) == (2, "")
+        assert "oracle value at x = 20 is 0 on the grid (top 12)" in err
+
     def test_renewal_runs(self, capsys):
         code, out, _ = run(
             capsys, "renewal-diag", "--model", REF, "--R", "2,4",
