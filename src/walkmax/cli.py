@@ -252,14 +252,12 @@ def cmd_verify_class(args) -> int:
 
 def cmd_constants(args) -> int:
     model = parse_model(args.model, require_subcritical=False)
-    gamma = args.gamma
     try:
-        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=gamma)
+        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
     except (ModelError, LatticeError) as exc:
         return _refused(f"constants: {exc}")
     payload = {
-        "manifest": _manifest("constants", args.model,
-                              {"step": args.step, "gamma": gamma}),
+        "manifest": _manifest("constants", args.model, _resolved_params(args)),
         "constants": consts.to_json_dict(),
         "oracle": {
             "top": law.top,
@@ -277,9 +275,10 @@ def cmd_constants(args) -> int:
 
 
 def _report_command(args, name: str, measured_rows, predicted: float, top: float,
-                    extra_payload: dict, gate: str = "strict") -> int:
+                    extra_payload: dict, provenance: str = "oracle",
+                    gate: str = "strict") -> int:
     report = convergence_report(predicted, measured_rows, tol=args.tol,
-                                provenance=args.measured, top=top)
+                                provenance=provenance, top=top)
     payload = {
         "manifest": _manifest(name, args.model, _resolved_params(args)),
         "report": report.to_json_dict(),
@@ -341,7 +340,7 @@ def cmd_tail_report(args) -> int:
         (Path(args.out) / "tail_report_trace.csv").write_bytes(_csv_bytes(trace_rows))
     return _report_command(
         args, "tail-report", rows, consts.constant.value, law.top,
-        {"constants": consts.to_json_dict()},
+        {"constants": consts.to_json_dict()}, provenance=args.measured,
     )
 
 
@@ -492,6 +491,8 @@ def cmd_convolution_check(args) -> int:
     model = parse_model(args.model)
     xs = _floats(args.x)
     ns = _ints(args.n)
+    if min(ns) < 1:  # powers[n - 1] would index another sum's law
+        raise ModelError(f"summand counts must be >= 1, got {min(ns)}")
     check_levels(xs)
     try:
         bases = increment_tails(model, xs)
@@ -519,16 +520,47 @@ def cmd_convolution_check(args) -> int:
 
 # --- wiring -----------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, model_required: bool = True) -> None:
-    p.add_argument("--model", required=model_required, help="model spec string")
+def _at_least(lo: int):
+    """argparse type: an integer >= ``lo``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+    return integer
+
+
+def _window(text: str) -> float:
+    """argparse type for ``--t``: a window length > 0, ``inf`` for the whole tail."""
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not t > 0.0:
+        raise argparse.ArgumentTypeError(
+            f"window must be > 0 (inf for the whole tail), got {text}")
+    return t
+
+
+def _command(sub, name: str, func, summary: str, *, step: bool = True, gamma: bool = True,
+             tol: bool = False, mc: bool = False) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with ``--model``, ``--out`` and the option groups it reads."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
+    p.add_argument("--model", required=True, help="model spec string")
     p.add_argument("--out", default="-", help="output directory, or - for stdout")
-    p.add_argument("--step", type=float, default=0.01, help="grid step")
-    p.add_argument("--tol", type=float, default=0.1, help="final-deviation tolerance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-paths", type=int, default=100_000, dest="n_paths")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=None,
-                   help="twist rate override (required for lattice families)")
+    if step:
+        p.add_argument("--step", type=float, default=0.01, help="grid step")
+    if gamma:
+        p.add_argument("--gamma", type=float, default=None,
+                       help="twist rate override (required for lattice families)")
+    if tol:
+        p.add_argument("--tol", type=float, default=0.1, help="final-deviation tolerance")
+    if mc:
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--n-paths", type=_at_least(1), default=100_000, dest="n_paths")
+        p.add_argument("--shards", type=_at_least(1), default=1)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,61 +568,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-class", help="tail-shape class diagnostics")
-    _add_common(p)
+    p = _command(sub, "verify-class", cmd_verify_class, "tail-shape class diagnostics",
+                 step=False, gamma=False)
     p.add_argument("--x", default="20,40,80")
     p.add_argument("--k", default="0.5,1,2")
     p.add_argument("--h-choice", choices=BAND_RULES, default="quarter")
-    p.set_defaults(func=cmd_verify_class)
 
-    p = sub.add_parser("constants", help="oracle tail constants")
-    _add_common(p)
-    p.set_defaults(func=cmd_constants)
+    _command(sub, "constants", cmd_constants, "oracle tail constants")
 
-    p = sub.add_parser("tail-report", help="maximum-tail ratio vs predicted constant")
-    _add_common(p)
+    p = _command(sub, "tail-report", cmd_tail_report,
+                 "maximum-tail ratio vs predicted constant", tol=True, mc=True)
     p.add_argument("--x", required=True)
     p.add_argument("--measured", choices=["oracle", "mc"], default="oracle")
     p.add_argument("--trace", action="store_true",
                    help="debug: write per-path outcome rows next to the report")
-    p.set_defaults(func=cmd_tail_report)
 
-    p = sub.add_parser("local-report", help="windowed tail vs predicted window constant")
-    _add_common(p)
+    p = _command(sub, "local-report", cmd_local_report,
+                 "windowed tail vs predicted window constant", tol=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--measured", choices=["oracle"], default="oracle")
-    p.set_defaults(func=cmd_local_report)
+    p.add_argument("--t", type=_window, default=1.0)
 
-    p = sub.add_parser("finite", help="finite-horizon constants and ratios")
-    _add_common(p)
+    p = _command(sub, "finite", cmd_finite, "finite-horizon constants and ratios")
     p.add_argument("--N", required=True)
     p.add_argument("--x", default="10")
-    p.set_defaults(func=cmd_finite)
 
-    p = sub.add_parser("stopped", help="stopped-walk tail vs predicted constant")
-    _add_common(p)
+    p = _command(sub, "stopped", cmd_stopped, "stopped-walk tail vs predicted constant",
+                 tol=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--measured", choices=["oracle"], default="oracle")
-    p.set_defaults(func=cmd_stopped)
 
-    p = sub.add_parser("bigjump", help="single-jump conditional ratio")
-    _add_common(p)
+    p = _command(sub, "bigjump", cmd_bigjump, "single-jump conditional ratio", mc=True)
     p.add_argument("--x", default="10,20,40")
     p.add_argument("--h-choice", choices=BAND_RULES, default="quarter")
     p.add_argument("--measured", choices=["oracle", "mc"], default="oracle")
-    p.set_defaults(func=cmd_bigjump)
 
-    p = sub.add_parser("renewal-diag", help="drifted-barrier crossing diagnostics")
-    _add_common(p)
+    p = _command(sub, "renewal-diag", cmd_renewal_diag,
+                 "drifted-barrier crossing diagnostics", step=False, mc=True)
     p.add_argument("--R", default="2,4,8,16")
-    p.set_defaults(func=cmd_renewal_diag)
 
-    p = sub.add_parser("convolution-check", help="n-fold sum tails vs prediction")
-    _add_common(p)
+    p = _command(sub, "convolution-check", cmd_convolution_check,
+                 "n-fold sum tails vs prediction", tol=True)
     p.add_argument("--x", default="12,16,20,24")
     p.add_argument("--n", default="2,3")
-    p.set_defaults(func=cmd_convolution_check)
 
     return parser
 

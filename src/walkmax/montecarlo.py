@@ -74,6 +74,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise EstimatorError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.seed < 0:
+            raise EstimatorError(f"seed must be >= 0, got {self.seed}")
         if self.block_size < 1 or self.n_shards < 1 or self.horizon < 1:
             raise EstimatorError("block_size, n_shards and horizon must be >= 1")
 

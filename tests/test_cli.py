@@ -1,8 +1,13 @@
 """Command-line contract: exit codes, manifests, byte-stable outputs."""
 
+import argparse
+import ast
+import importlib.util
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -12,7 +17,7 @@ import pytest
 
 import walkmax
 from walkmax import lattice
-from walkmax.cli import main
+from walkmax.cli import build_parser, main
 
 REF = "polyexp:gamma=1,beta=2,shift=1.3862943611198906"
 
@@ -170,6 +175,45 @@ class TestLevelGridCheckedFirst:
         assert not out_dir.exists()
 
 
+BAD_USAGE = [
+    (["local-report", "--x", "2,4,6", "--t", "-1", "--step", "0.05"],
+     "argument --t: window must be > 0"),
+    (["local-report", "--x", "2,4,6", "--t", "nan"], "argument --t: window must be > 0"),
+    (["convolution-check", "--n=-1,2"], "summand counts must be >= 1, got -1"),
+    (["convolution-check", "--n", "0"], "summand counts must be >= 1, got 0"),
+    (["renewal-diag", "--n-paths", "0"], "argument --n-paths: must be an integer >= 1"),
+    (["tail-report", "--measured", "mc", "--x", "1,2,3", "--shards", "0"],
+     "argument --shards: must be an integer >= 1"),
+    (["renewal-diag", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
+    (["tail-report", "--measured", "mc", "--x", "1,2,3", "--seed", "-1"],
+     "argument --seed: must be an integer >= 0"),
+    (["bigjump", "--measured", "mc", "--seed", "-1"],
+     "argument --seed: must be an integer >= 0"),
+]
+
+
+class TestUsageCheckedFirst:
+    """A bad count, seed or window is a usage error raised before any work."""
+
+    @pytest.mark.parametrize("argv,message", BAD_USAGE,
+                             ids=[" ".join(argv) for argv, _ in BAD_USAGE])
+    def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv, message):
+        from walkmax import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the usage was checked")
+
+        for name in ("estimate_tail_crude", "discretize", "constants_pipeline",
+                     "renewal_diagnostics", "bigjump_conditional_ratio"):
+            monkeypatch.setattr(cli, name, no_work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--model", REF, "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert not out_dir.exists()
+
+
 class TestZeroTailCheckedFirst:
     """A level the increment never exceeds is refused before any work."""
 
@@ -227,14 +271,13 @@ class TestByteStability:
         # threaded BLAS splits its work
         src = str(Path(walkmax.__file__).resolve().parents[1])
         for argv in (
-            ["constants"],
-            ["bigjump", "--x", "10,20,40"],
+            ["constants", "--step", "0.005"],
+            ["bigjump", "--x", "10,20,40", "--step", "0.005"],
             ["renewal-diag", "--R", "2,4", "--n-paths", "70000", "--shards", "2"],
         ):
             procs = [
                 subprocess.Popen(
-                    [sys.executable, "-m", "walkmax.cli", *argv, "--model", REF,
-                     "--step", "0.005"],
+                    [sys.executable, "-m", "walkmax.cli", *argv, "--model", REF],
                     env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n,
                              OMP_NUM_THREADS=n, MKL_NUM_THREADS=n),
                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
@@ -464,16 +507,17 @@ class TestOracleWorkOnce:
             from walkmax.cli import main
             assert 0.4 < PolyExp(1.0, 2.0, 0.0, require_subcritical=False).mean() < 0.41
             assert abs(PolyExp(1.0, 2.0, math.log(4.0)).mgf(0.6) - 0.586977979077) < 1e-12
-            common = ["--model", "{REF}", "--step", "0.05", "--n-paths", "2000"]
-            for argv in (["renewal-diag"], ["bigjump", "--measured", "mc"],
-                         ["verify-class"], ["constants"], ["finite", "--N", "1,5"],
-                         ["tail-report", "--x", "2,4,6"],
-                         ["tail-report", "--measured", "mc", "--x", "1,2,3"],
-                         ["local-report", "--x", "2,4,6"], ["stopped", "--x", "2,4,6"],
-                         ["bigjump"], ["convolution-check", "--x", "2,4,6"]):
+            step, paths = ["--step", "0.05"], ["--n-paths", "2000"]
+            for argv in (["renewal-diag", *paths], ["bigjump", "--measured", "mc", *step, *paths],
+                         ["verify-class"], ["constants", *step], ["finite", "--N", "1,5", *step],
+                         ["tail-report", "--x", "2,4,6", *step, *paths],
+                         ["tail-report", "--measured", "mc", "--x", "1,2,3", *step, *paths],
+                         ["local-report", "--x", "2,4,6", *step],
+                         ["stopped", "--x", "2,4,6", *step],
+                         ["bigjump", *step, *paths], ["convolution-check", "--x", "2,4,6", *step]):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
-                    code = main(argv + common)
+                    code = main(argv + ["--model", "{REF}"])
                 # exit 2 here is a failed verdict at this coarse step, never a
                 # refusal: the payload is written either way
                 assert code in (0, 2) and "manifest" in json.loads(out.getvalue()), argv
@@ -483,3 +527,88 @@ class TestOracleWorkOnce:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the options (argparse dests, besides -h) each command reads
+OPTIONS = {
+    "verify-class": {"model", "out", "x", "k", "h_choice"},
+    "constants": {"model", "out", "step", "gamma"},
+    "tail-report": {"model", "out", "step", "gamma", "tol", "seed", "n_paths", "shards",
+                    "x", "measured", "trace"},
+    "local-report": {"model", "out", "step", "gamma", "tol", "x", "t"},
+    "finite": {"model", "out", "step", "gamma", "N", "x"},
+    "stopped": {"model", "out", "step", "gamma", "tol", "x"},
+    "bigjump": {"model", "out", "step", "gamma", "seed", "n_paths", "shards", "x",
+                "h_choice", "measured"},
+    "renewal-diag": {"model", "out", "gamma", "seed", "n_paths", "shards", "R"},
+    "convolution-check": {"model", "out", "step", "gamma", "tol", "x", "n"},
+}
+
+# options a command does not read: each is refused as unrecognized
+REMOVED = {
+    "verify-class": ["--step", "--gamma", "--tol", "--seed", "--n-paths", "--shards"],
+    "constants": ["--tol", "--seed", "--n-paths", "--shards"],
+    "local-report": ["--seed", "--n-paths", "--shards", "--measured"],
+    "finite": ["--tol", "--seed", "--n-paths", "--shards"],
+    "stopped": ["--seed", "--n-paths", "--shards", "--measured"],
+    "bigjump": ["--tol"],
+    "renewal-diag": ["--step", "--tol"],
+    "convolution-check": ["--seed", "--n-paths", "--shards"],
+}
+VALUES = {"--step": "0.05", "--gamma": "1", "--tol": "0.1", "--seed": "1",
+          "--n-paths": "1000", "--shards": "1", "--measured": "oracle"}
+REQUIRED = {"tail-report": ["--x", "2,4,6"], "local-report": ["--x", "2,4,6"],
+            "finite": ["--N", "1,2"], "stopped": ["--x", "2,4,6"]}
+
+
+def parses(argv) -> bool:
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+class TestOptionSets:
+    """Each command takes only the options it reads."""
+
+    def test_each_command_declares_what_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()
+        }
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 63
+
+    @pytest.mark.parametrize("command,option", [
+        (command, option) for command, options in REMOVED.items() for option in options
+    ])
+    def test_unread_option_is_usage_error(self, capsys, command, option):
+        code, out, err = run(capsys, command, *REQUIRED.get(command, []), "--model", REF,
+                             option, VALUES[option])
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {option} {VALUES[option]}" in err
+
+    def test_benchmark_argv_lists_parse(self):
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        argvs = [argv for w in workloads.WORKLOADS for seed in (1, 2, 3)
+                 for argv in workloads.commands(w, seed)]
+        argvs.append(workloads.oracle_reference("mc-ref"))
+        assert [argv for argv in argvs if not parses(argv)] == []
+
+    def test_ci_argv_lists_parse(self):
+        text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+        names = {"ref": re.search(r'ref = "([^"]+)"', text).group(1)}
+        argvs = [shlex.split(line) for line in re.findall(r"^\s*walkmax (\w.*)$", text, re.M)]
+        for literal in re.findall(r"main\((\[[^\]]*\])\)", text):
+            argvs.append([names[e.id] if isinstance(e, ast.Name) else e.value
+                          for e in ast.parse(literal, mode="eval").body.elts])
+        assert len(argvs) >= 3
+        assert [argv for argv in argvs if not parses(argv)] == []

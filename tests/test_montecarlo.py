@@ -54,6 +54,11 @@ class TestDeterminism:
         assert [r.estimate for r in a] != [r.estimate for r in b]
         assert [t["final_s"] for t in a[-1].trace] != [t["final_s"] for t in b[-1].trace]
 
+    def test_negative_seed_refused(self):
+        # numpy's SeedSequence would raise a bare ValueError mid-simulation
+        with pytest.raises(EstimatorError, match="seed must be >= 0, got -1"):
+            SimConfig(n_paths=1000, seed=-1)
+
 
 class TestCrudeTail:
     def test_pointmass_zero_with_certified_bias(self, pm_model):

@@ -17,7 +17,8 @@ from walkmax.cli import main
 DATA = Path(__file__).parent / "data"
 REF = "polyexp:gamma=1,beta=2,shift=1.3862943611198906"
 LATTICE = ["--model", REF, "--step", "0.02"]
-MC = ["--model", REF, "--step", "0.02", "--n-paths", "70000", "--shards", "2", "--seed", "1"]
+SAMPLING = ["--n-paths", "70000", "--shards", "2", "--seed", "1"]
+MC = [*LATTICE, *SAMPLING]
 
 # (name, argv, exit code)
 CASES = [
@@ -26,7 +27,7 @@ CASES = [
     ("stopped", ["stopped", "--x", "4,6,8,10", *LATTICE], 0),
     ("bigjump", ["bigjump", "--x", "10,20,40", *LATTICE], 0),
     ("tail_report_mc", ["tail-report", "--measured", "mc", "--x", "1,2,3,4", *MC], 2),
-    ("renewal_diag", ["renewal-diag", "--R", "2,4,8,16", *MC], 0),
+    ("renewal_diag", ["renewal-diag", "--R", "2,4,8,16", "--model", REF, *SAMPLING], 0),
     ("bigjump_mc", ["bigjump", "--measured", "mc", "--x", "2,3,4", *MC], 0),
 ]
 
