@@ -26,6 +26,7 @@ from .increments import (
     BAND_RULES,
     IncrementModel,
     ModelError,
+    QuadratureError,
     band_h,
     lgamma_diagnostic,
     parse_model,
@@ -35,6 +36,7 @@ from .lattice import (
     LatticeError,
     LatticePMF,
     MaxLaw,
+    _auto_top,
     bigjump_flow,
     convolution_power,
     discretize,
@@ -65,6 +67,16 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUSED = 2
+
+# defaults of the options that a ``--measured`` mode may leave unread
+DEFAULTS = {"step": 0.01, "gamma": None, "seed": 0, "n_paths": 10**5, "shards": 1, "trace": False}
+# options that only one ``--measured`` mode of a command reads: they parse to
+# None, and ``_check_mode`` refuses them in the other mode and drops them there
+MODE_ONLY = {
+    "tail-report": {"seed": "mc", "n_paths": "mc", "shards": "mc", "trace": "mc"},
+    "bigjump": {"seed": "mc", "n_paths": "mc", "shards": "mc", "step": "oracle",
+                "gamma": "oracle"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -303,13 +315,23 @@ def _resolved_params(args) -> dict:
     return {k: _json_value(v) for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _check_mode(args) -> None:
+    """Refuse an option the chosen ``--measured`` mode does not read, drop
+    the unread ones from ``args`` and resolve the defaults of the others."""
+    for dest, mode in MODE_ONLY.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if args.measured == mode:
+            setattr(args, dest, DEFAULTS[dest] if value is None else value)
+        elif value is None:
+            delattr(args, dest)
+        else:
+            raise ModelError(f"{args.command}: --{dest.replace('_', '-')} is read only "
+                             f"by --measured {mode}")
+
+
 def _mc_config(args) -> SimConfig:
-    return SimConfig(
-        n_paths=args.n_paths,
-        seed=args.seed,
-        n_shards=args.shards,
-        trace=getattr(args, "trace", False),
-    )
+    return SimConfig(n_paths=args.n_paths, seed=args.seed, n_shards=args.shards,
+                     trace=getattr(args, "trace", False))
 
 
 def cmd_tail_report(args) -> int:
@@ -372,10 +394,15 @@ def cmd_finite(args) -> int:
     xs = _floats(args.x)
     try:
         bases = increment_tails(model, xs)
+        pmf = oracle_pmf(model, args.step)
+        top = oracle_top(model, args.gamma) or _auto_top(pmf)
+        grid_top = round(top / pmf.h) * pmf.h  # the laws' top cell
+        above = [x for x in xs if not x < grid_top]
+        if above:  # the laws end at the top cell: no tail there is whole
+            raise LatticeError(f"level {above[0]:g} is at or above the grid top "
+                               f"{grid_top:g}: choose levels below the grid top")
         # horizon laws first: they stay on the pmf, and the fixed point
         # replays them instead of sweeping from M_0 a second time
-        pmf = oracle_pmf(model, args.step)
-        top = oracle_top(model, args.gamma)
         laws = finite_horizon(pmf, max(Ns), top=top)
         law = lindley_fixed_point(pmf, top=top)
         consts = constants(model, law, gamma=args.gamma)
@@ -530,16 +557,17 @@ def _at_least(lo: int):
     return integer
 
 
-def _window(text: str) -> float:
-    """argparse type for ``--t``: a window length > 0, ``inf`` for the whole tail."""
-    try:
-        t = float(text)
-    except ValueError:
-        t = math.nan
-    if not t > 0.0:
-        raise argparse.ArgumentTypeError(
-            f"window must be > 0 (inf for the whole tail), got {text}")
-    return t
+def _positive(top: float, what: str):
+    """argparse type: a float in (0, ``top``]; ``what`` states the rule."""
+    def value(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if not 0.0 < v <= top:
+            raise argparse.ArgumentTypeError(f"{what}, got {text}")
+        return v
+    return value
 
 
 def _command(sub, name: str, func, summary: str, *, step: bool = True, gamma: bool = True,
@@ -550,16 +578,17 @@ def _command(sub, name: str, func, summary: str, *, step: bool = True, gamma: bo
     p.add_argument("--model", required=True, help="model spec string")
     p.add_argument("--out", default="-", help="output directory, or - for stdout")
     if step:
-        p.add_argument("--step", type=float, default=0.01, help="grid step")
+        p.add_argument("--step", type=float, default=DEFAULTS["step"], help="grid step")
     if gamma:
-        p.add_argument("--gamma", type=float, default=None,
+        p.add_argument("--gamma", type=_positive(sys.float_info.max, "must be finite and > 0"),
                        help="twist rate override (required for lattice families)")
     if tol:
         p.add_argument("--tol", type=float, default=0.1, help="final-deviation tolerance")
     if mc:
-        p.add_argument("--seed", type=_at_least(0), default=0)
-        p.add_argument("--n-paths", type=_at_least(1), default=100_000, dest="n_paths")
-        p.add_argument("--shards", type=_at_least(1), default=1)
+        p.add_argument("--seed", type=_at_least(0), default=DEFAULTS["seed"])
+        p.add_argument("--n-paths", type=_at_least(1), default=DEFAULTS["n_paths"], dest="n_paths")
+        p.add_argument("--shards", type=_at_least(1), default=DEFAULTS["shards"])
+    p.set_defaults(**dict.fromkeys(MODE_ONLY.get(name, ()), None))
     return p
 
 
@@ -580,13 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
                  "maximum-tail ratio vs predicted constant", tol=True, mc=True)
     p.add_argument("--x", required=True)
     p.add_argument("--measured", choices=["oracle", "mc"], default="oracle")
-    p.add_argument("--trace", action="store_true",
+    p.add_argument("--trace", action="store_true", default=None,
                    help="debug: write per-path outcome rows next to the report")
 
     p = _command(sub, "local-report", cmd_local_report,
                  "windowed tail vs predicted window constant", tol=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--t", type=_window, default=1.0)
+    p.add_argument("--t", default=1.0,
+                   type=_positive(math.inf, "window must be > 0 (inf for the whole tail)"))
 
     p = _command(sub, "finite", cmd_finite, "finite-horizon constants and ratios")
     p.add_argument("--N", required=True)
@@ -621,10 +651,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     t0 = time.monotonic()
     try:
+        _check_mode(args)
         code = args.func(args)
     except ModelError as exc:
         return _usage_error(f"walkmax: {exc}")
-    except (LatticeError, EstimatorError) as exc:
+    except (LatticeError, EstimatorError, QuadratureError) as exc:
         return _refused(f"walkmax: {exc}")
     print(f"walkmax {args.command}: {1000 * (time.monotonic() - t0):.0f} ms",
           file=sys.stderr)

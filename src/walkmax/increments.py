@@ -67,10 +67,6 @@ class ModelError(ValueError):
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved tolerance {achieved:.2e})")
-        self.achieved = achieved
-
 
 def _de_quad(what: str, f, a: float, b: float = math.inf) -> tuple[float, float]:
     """(value, error estimate) of int_a^b f(y) dy for an ``f`` that maps an
@@ -112,7 +108,7 @@ def _de_quad(what: str, f, a: float, b: float = math.inf) -> tuple[float, float]
         if not err > DE_REL_TOL * abs(value):  # a NaN stops too, and refuses
             break
     if not err <= QUAD_ABS_TOL:
-        raise QuadratureError(f"{what} did not converge", err)
+        raise QuadratureError(f"{what} did not converge (achieved tolerance {err:.2e})")
     return value, err
 
 
@@ -229,9 +225,6 @@ class IncrementModel:
 
     def spec_string(self) -> str:
         raise NotImplementedError
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.spec_string()
 
 
 @dataclass(frozen=True)
@@ -356,7 +349,7 @@ class PolyExp(IncrementModel):
             if abs(resid[0]) <= tol:
                 return float(y[0]) - self.shift
             y = y + np.maximum(resid / (self.beta / (1.0 + y) + self.gamma), 0.0)
-        raise QuadratureError("tail inversion stalled", float(abs(resid[0])))
+        raise QuadratureError(f"tail inversion stalled (achieved tolerance {abs(resid[0]):.2e})")
 
     def sample(self, rng: np.random.Generator, size: int):
         # one call for 2*size exponentials: expm1(E/beta) has tail
@@ -527,7 +520,6 @@ class ClassDiagnostic:
     for which the smooth-tail ratios are undefined.
     """
 
-    kind: str
     rows: list[dict]
     summary: float | None
     passed: bool
@@ -543,7 +535,6 @@ def lgamma_diagnostic(model: IncrementModel, k_grid, x_grid) -> ClassDiagnostic:
     """
     if not model.in_class:
         return ClassDiagnostic(
-            kind="shifted_tail_ratio",
             rows=[],
             summary=None,
             passed=True,
@@ -569,12 +560,7 @@ def lgamma_diagnostic(model: IncrementModel, k_grid, x_grid) -> ClassDiagnostic:
             )
             if x == x_top:
                 summary = max(summary, abs(dev))
-    return ClassDiagnostic(
-        kind="shifted_tail_ratio",
-        rows=rows,
-        summary=summary,
-        passed=True,
-    )
+    return ClassDiagnostic(rows=rows, summary=summary, passed=True)
 
 
 BAND_RULES = ("quarter", "sqrt")
@@ -604,7 +590,6 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
         # the middle band carries no mass for an atom at or below 0
         rows = [{"x": float(x), "integral": 0.0, "error": 0.0} for x in x_grid]
         return ClassDiagnostic(
-            kind="middle_band_mass",
             rows=rows,
             summary=0.0,
             passed=True,
@@ -634,7 +619,6 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
         values.append(val)
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     return ClassDiagnostic(
-        kind="middle_band_mass",
         rows=rows,
         summary=values[-1] if values else None,
         passed=decreasing,

@@ -350,7 +350,6 @@ class MaxLaw:
     overflow: float = 0.0
     n_iter: int = 0
     final_delta: float = 0.0
-    horizon: int | None = None  # None: all-time maximum
 
     @property
     def top(self) -> float:
@@ -491,7 +490,6 @@ def finite_horizon(
             overflow=leaked,
             n_iter=n,
             final_delta=0.0,
-            horizon=n,
         )
         for n, (V, leaked) in enumerate(history)
     ]
@@ -507,7 +505,6 @@ class StoppedLaw:
     P(max before stopping > x) at the requested levels.
     """
 
-    h: float
     chi: LatticePMF
     absorbed: float
     residual: float
@@ -519,8 +516,8 @@ class StoppedLaw:
 
 def stopped_max_sigma1(
     pmf: LatticePMF,
+    x_grid: Sequence[float],
     horizon: int = 100_000,
-    x_grid: Sequence[float] | None = None,
     top: float | None = None,
 ) -> StoppedLaw:
     """Overshoot and maximum up to the first strictly negative partial sum.
@@ -529,8 +526,7 @@ def stopped_max_sigma1(
     P(max before stopping > x) is a first-passage probability (reach above x
     before dropping below 0); it is computed by a separate two-barrier sweep
     per requested level, on the cells up to the level, so a level above the
-    grid top is refused.  When ``x_grid`` is omitted the full per-cell tail is
-    produced, which is intended for the small atomic validation grids.
+    grid top is refused.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"stopping analysis needs a negative mean, got {pmf.mean():.6g}")
@@ -541,13 +537,6 @@ def stopped_max_sigma1(
     nneg = -pmf.k0
     if nneg <= 0:
         raise LatticeError("increment law has no mass below 0; stopping time is infinite")
-    if x_grid is None:
-        if upper_cells > 4096:
-            raise LatticeError(
-                "full stopped-max law needs a per-cell sweep; pass x_grid for "
-                f"large grids ({upper_cells} cells)"
-            )
-        x_grid = [(k + 0.5) * pmf.h for k in range(upper_cells)]
     xs = np.asarray(list(x_grid), dtype=float)
     # cells with center <= x survive a level's sweep
     level_cells = np.floor(xs / pmf.h + 1e-9)
@@ -607,7 +596,6 @@ def stopped_max_sigma1(
                 break
         tails[i] = up
     return StoppedLaw(
-        h=pmf.h,
         chi=chi,
         absorbed=absorbed,
         residual=residual,
@@ -681,7 +669,6 @@ class BigJumpFlow:
     (sub-probability, by cell); ``n_run`` is the number of steps taken.
     """
 
-    h: float
     landing_k0: int
     landing_mass: np.ndarray
     n_run: int
@@ -741,9 +728,4 @@ def bigjump_flow(
             remaining = math.exp(-gamma * jump_level) * tilt / max(1.0 - phi, 1e-12)
             if remaining < BIGJUMP_REL_TOL * max(total, 1e-300):
                 break
-    return BigJumpFlow(
-        h=h,
-        landing_k0=landing_k0,
-        landing_mass=landing,
-        n_run=n,
-    )
+    return BigJumpFlow(landing_k0=landing_k0, landing_mass=landing, n_run=n)

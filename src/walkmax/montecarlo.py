@@ -7,11 +7,11 @@ Estimates carry three separately reported uncertainties: sampling error
 One kernel, ``_walk``, advances the paths of a block until each exceeds the
 line ``x + step*c`` (hit) or falls more than a slack ``K`` below it (a miss,
 certified by the slack) and returns per-path records: outcome, step, final
-``S`` and, on request, the step of the first climb above a band, whether it
-overshot, and the sum of a score of the position each step starts from.  It
-keeps only the paths still walking, in compact arrays of their indices and
-positions, and writes a path's record once, when it stops; each position is
-still the same left-to-right sum of its draws.  Every estimator is a
+``S`` and, on request, whether the first climb above a band overshot, and
+the sum of a score of the position each step starts from.  It keeps only
+the paths still walking, in compact arrays of their indices and positions,
+and writes a path's record once, when it stops; each position is still the
+same left-to-right sum of its draws.  Every estimator is a
 reduction of those records, one block at a time (``estimate_bigjump_sum``
 scores each step a path starts inside the band with the jump probability
 ``tail(x - S)``); ``SimConfig.trace`` rows are read straight from them.
@@ -69,7 +69,7 @@ class SimConfig:
     n_shards: int = 1
     block_size: int = 65536
     horizon: int = 100_000
-    trace: bool = False  # debug: per-path outcome records on supported estimators
+    trace: bool = False  # debug: per-path outcome records of ``estimate_tail_crude``
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -94,26 +94,11 @@ class EstimatorReport:
     seed: int
     params: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-    trace: list | None = None  # per-path debug rows; never serialized to JSON
+    trace: list | None = None  # per-path debug rows of ``estimate_tail_crude``
 
     def __post_init__(self):
         if self.stderr < 0 or self.bias_bound < 0:
             raise EstimatorError("stderr and bias_bound must be nonnegative")
-
-    def to_json_dict(self) -> dict:
-        est = self.estimate
-        return {
-            "method": self.method,
-            "model": self.model,
-            "estimate": None if (isinstance(est, float) and math.isnan(est)) else est,
-            "stderr": self.stderr,
-            "bias_bound": self.bias_bound,
-            "n_paths": self.n_paths,
-            "n_effective": self.n_effective,
-            "seed": self.seed,
-            "params": dict(sorted(self.params.items())),
-            "flags": dict(sorted(self.flags.items())),
-        }
 
 
 def _binomial_stderr(hits: float, n: int) -> float:
@@ -150,8 +135,7 @@ class _Paths(NamedTuple):
     outcome: np.ndarray  # int8: UNDECIDED, HIT or MISS
     step: np.ndarray  # steps walked
     S: np.ndarray  # position when the path stopped
-    band_step: np.ndarray | None  # step of the first climb above the band (0 = never)
-    overshot: np.ndarray | None  # that climb landed above x - band
+    overshot: np.ndarray | None  # the first climb above the band landed above x - band
     score: np.ndarray | None  # sum of score(S) over the positions steps start from
 
 
@@ -168,8 +152,8 @@ def _walk(
 ) -> _Paths:
     """Walk ``n`` paths from 0 until each exceeds the line ``x + step*c`` (hit)
     or falls more than ``slack`` below it (miss), for at most ``horizon``
-    steps.  With ``band`` given, also record each path's first climb above
-    ``band`` and whether it landed above ``x - band``.  With ``score`` given,
+    steps.  With ``band`` given, also record whether each path's first climb
+    above ``band`` landed above ``x - band``.  With ``score`` given,
     add ``score(S)`` into a per-path total before each draw.
 
     Only the paths still walking are kept, in compact arrays of their
@@ -179,9 +163,8 @@ def _walk(
     S = np.zeros(n)
     outcome = np.zeros(n, dtype=np.int8)
     steps = np.zeros(n, dtype=np.int64)
-    band_step = overshot = total = None
+    overshot = total = None
     if band is not None:
-        band_step = np.zeros(n, dtype=np.int64)
         overshot = np.zeros(n, dtype=bool)
         climbed = np.zeros(n, dtype=bool)
     if score is not None:
@@ -202,7 +185,6 @@ def _walk(
             first = np.flatnonzero(~climbed & (pos > band))
             if first.size:
                 climbed[first] = True
-                band_step[alive[first]] = step
                 overshot[alive[first]] = pos[first] > x - band
         stopped = np.flatnonzero(done)
         if stopped.size:
@@ -216,7 +198,7 @@ def _walk(
                 climbed = climbed[keep]
     S[alive] = pos
     steps[alive] = horizon
-    return _Paths(outcome, steps, S, band_step, overshot, total)
+    return _Paths(outcome, steps, S, overshot, total)
 
 
 def _simulate(
@@ -371,15 +353,7 @@ def bigjump_conditional_ratio(
     bias = model.max_tail_bound(K)
 
     def reduce(p: _Paths, hit: np.ndarray) -> dict:
-        out = {"big_hits": int((hit & p.overshot).sum())}
-        if cfg.trace:
-            # per path: step of the first climb above the band, and of the
-            # first exceedance of x (0 = never); at most one band exit fires
-            out["trace"] = [
-                {"band_exit_step": int(c), "overshot_band": bool(b), "exceed_step": int(e)}
-                for c, b, e in zip(p.band_step, p.overshot, np.where(hit, p.step, 0))
-            ]
-        return out
+        return {"big_hits": int((hit & p.overshot).sum())}
 
     total = _simulate(model, cfg, reduce, x, K, band=a)
     _check_undecided(total["undecided"], cfg.n_paths, "bigjump_conditional_ratio")
@@ -402,7 +376,6 @@ def bigjump_conditional_ratio(
         seed=cfg.seed,
         params={"x": x, "h_choice": h_choice, "a": a, "slack": K},
         flags=flags,
-        trace=total.get("trace"),
     )
 
 
@@ -417,18 +390,6 @@ class ProfileTable:
     n_paths: int
     seed: int
     flags: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": "exceedance_time_profile",
-            "model": self.model,
-            "x": self.x,
-            "rows": self.rows,
-            "n_hits": self.n_hits,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "flags": dict(sorted(self.flags.items())),
-        }
 
 
 def exceedance_time_profile(
@@ -514,16 +475,15 @@ def renewal_diagnostics(
     r_grid: Sequence[float],
     cfg: SimConfig,
     gamma: float | None = None,
-    drift_c: float | None = None,
 ) -> RenewalTable:
     """Estimate, per barrier offset R, the probability delta that the walk
     ever exceeds the drifted line R + n*c, and the twisted moment
     E[exp(gamma * S) at the first crossing; crossing happens].
 
-    ``c`` defaults to half the (negative) mean, strictly between the drift
-    and 0.  Paths are stopped with a certificate once the shifted walk falls
-    a slack K_r below the line; the per-path neglected contributions are
-    accumulated into the reported bias bounds.
+    ``c`` is half the (negative) mean, strictly between the drift and 0.
+    Paths are stopped with a certificate once the shifted walk falls a slack
+    K_r below the line; the per-path neglected contributions are accumulated
+    into the reported bias bounds.
     """
     if gamma is None:
         gamma = model.decay_rate
@@ -532,9 +492,7 @@ def renewal_diagnostics(
     mean = model.mean()
     if not mean < 0:
         raise EstimatorError(f"renewal diagnostics need a negative mean, got {mean}")
-    c = drift_c if drift_c is not None else (mean / 2.0 if math.isfinite(mean) else -1.0)
-    if not (mean < c < 0 or (not math.isfinite(mean) and c < 0)):
-        raise EstimatorError(f"drift constant must lie in (mean, 0), got {c}")
+    c = mean / 2.0
     K_r = _shifted_cross_slack(model, c)
     phg = model.mgf(gamma)
     if not phg < 1.0:

@@ -6,6 +6,7 @@ Reference model throughout: gamma=1, beta=2, shift=log 4, so the twisted
 increment moment is exactly 1/2.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -280,7 +281,7 @@ def test_criterion_13_reproducibility(ref_model, tmp_path, capsys):
     for shards in (1, 3, 6):
         cfg = SimConfig(n_paths=40_000, seed=33, n_shards=shards, block_size=4096)
         rep = estimate_tail_crude(ref_model, 3.0, cfg)
-        blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+        blob = json.dumps(dataclasses.asdict(rep), sort_keys=True).encode()
         if base is None:
             base = blob
         assert blob == base

@@ -152,7 +152,7 @@ class TestStoppedConstant:
         consts = degenerate_consts(gamma=1.0, phg=0.5)
         # overshoot identically 1: factor (1 - e^{-1})
         law = lindley_fixed_point(discretize(PointMass(-1.0), 1.0), top=40.0)
-        stopped = stopped_max_sigma1(discretize(PointMass(-1.0), 1.0))
+        stopped = stopped_max_sigma1(discretize(PointMass(-1.0), 1.0), x_grid=[0.5])
         got = stopped_constant(consts, stopped)
         assert got.value == pytest.approx((1 - math.exp(-1.0)) * 2.0, abs=1e-10)
 

@@ -189,6 +189,25 @@ BAD_USAGE = [
      "argument --seed: must be an integer >= 0"),
     (["bigjump", "--measured", "mc", "--seed", "-1"],
      "argument --seed: must be an integer >= 0"),
+] + [
+    # an option only the other --measured mode reads
+    ([*argv, option, *value], f"{argv[0]}: {option} is read only by --measured {mode}")
+    for argv, mode, options in [
+        (["tail-report", "--x", "2,4,6"], "mc", ["--seed", "--n-paths", "--shards", "--trace"]),
+        (["tail-report", "--measured", "oracle", "--x", "2,4,6"], "mc", ["--seed", "--trace"]),
+        (["bigjump"], "mc", ["--seed", "--n-paths", "--shards"]),
+        (["bigjump", "--measured", "mc"], "oracle", ["--step", "--gamma"]),
+    ]
+    for option in options
+    for value in [[] if option == "--trace" else ["1"]]
+] + [
+    # a twist rate must be finite and > 0, whatever the command
+    ([*argv, "--gamma", gamma], "argument --gamma: must be finite and > 0")
+    for argv in [["constants"], ["tail-report", "--x", "2,4,6"],
+                 ["local-report", "--x", "2,4,6"], ["finite", "--N", "1,2"],
+                 ["stopped", "--x", "2,4,6"], ["bigjump"], ["renewal-diag"],
+                 ["convolution-check"]]
+    for gamma in ["nan", "inf", "0", "-1"]
 ]
 
 
@@ -212,6 +231,40 @@ class TestUsageCheckedFirst:
         assert out == ""
         assert message in err
         assert not out_dir.exists()
+
+    # the manifest of each --measured mode records exactly the options it reads
+    @pytest.mark.parametrize("argv,params", [
+        (["tail-report", "--x", "2,4,6", "--step", "0.05"],
+         {"step", "gamma", "tol", "x", "measured"}),
+        (["tail-report", "--measured", "mc", "--x", "1,2,3", "--step", "0.05",
+          "--n-paths", "1000"],
+         {"step", "gamma", "tol", "x", "measured", "seed", "n_paths", "shards", "trace"}),
+        (["bigjump", "--x", "2,3,4", "--step", "0.05"],
+         {"step", "gamma", "x", "h_choice", "measured"}),
+        (["bigjump", "--measured", "mc", "--x", "2,3,4", "--n-paths", "1000"],
+         {"seed", "n_paths", "shards", "x", "h_choice", "measured"}),
+    ], ids=["tail-report-oracle", "tail-report-mc", "bigjump-oracle", "bigjump-mc"])
+    def test_manifest_records_the_mode_options(self, capsys, argv, params):
+        code, out, _ = run(capsys, *argv, "--model", REF)
+        assert code in (0, 2)  # 2: a failed verdict at this coarse step
+        got = json.loads(out)["manifest"]["params"]
+        assert set(got) == {"command", "model"} | params
+        # the mode that reads an option records its resolved default
+        assert all(got[k] == v for k, v in {"seed": 0, "shards": 1, "trace": False,
+                                            "gamma": None}.items() if k in got)
+
+    def test_quadrature_failure_is_a_refusal(self, capsys, monkeypatch):
+        from walkmax import QuadratureError, cli
+
+        def fail(*args, **kwargs):
+            raise QuadratureError("tail quadrature at rate 1 did not converge "
+                                  "(achieved tolerance nan)")
+
+        monkeypatch.setattr(cli, "constants_pipeline", fail)
+        code, out, err = run(capsys, "constants", "--model", REF)
+        assert (code, out) == (2, "")
+        assert "walkmax: tail quadrature at rate 1 did not converge" in err
+        assert "Traceback" not in err
 
 
 class TestZeroTailCheckedFirst:
@@ -300,6 +353,21 @@ class TestOtherCommands:
         code, out, err = run(capsys, "finite", "--model", REF, "--N=-1,2", "--x", "5")
         assert (code, out) == (1, "")
         assert "horizons must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("levels,level", [("10,80,200", "80"), ("10,75", "75")])
+    def test_finite_level_at_or_above_grid_top_is_refused(self, capsys, monkeypatch,
+                                                          levels, level):
+        from walkmax import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the levels were checked")
+
+        for name in ("finite_horizon", "lindley_fixed_point"):
+            monkeypatch.setattr(cli, name, no_sweep)
+        code, out, err = run(capsys, "finite", "--model", REF, "--N", "1,5", "--x", levels,
+                             "--step", "0.05")
+        assert (code, out) == (2, "")
+        assert f"finite: level {level} is at or above the grid top 75" in err
 
     def test_finite(self, capsys, tmp_path):
         out_dir = tmp_path / "fin"
@@ -508,13 +576,13 @@ class TestOracleWorkOnce:
             assert 0.4 < PolyExp(1.0, 2.0, 0.0, require_subcritical=False).mean() < 0.41
             assert abs(PolyExp(1.0, 2.0, math.log(4.0)).mgf(0.6) - 0.586977979077) < 1e-12
             step, paths = ["--step", "0.05"], ["--n-paths", "2000"]
-            for argv in (["renewal-diag", *paths], ["bigjump", "--measured", "mc", *step, *paths],
+            for argv in (["renewal-diag", *paths], ["bigjump", "--measured", "mc", *paths],
                          ["verify-class"], ["constants", *step], ["finite", "--N", "1,5", *step],
-                         ["tail-report", "--x", "2,4,6", *step, *paths],
+                         ["tail-report", "--x", "2,4,6", *step],
                          ["tail-report", "--measured", "mc", "--x", "1,2,3", *step, *paths],
                          ["local-report", "--x", "2,4,6", *step],
                          ["stopped", "--x", "2,4,6", *step],
-                         ["bigjump", *step, *paths], ["convolution-check", "--x", "2,4,6", *step]):
+                         ["bigjump", *step], ["convolution-check", "--x", "2,4,6", *step]):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = main(argv + ["--model", "{REF}"])

@@ -277,19 +277,19 @@ def enumerate_first_passage(p_up: float, barrier: int, depth: int):
 
 class TestStopped:
     def test_pointmass(self, pm_model):
-        stopped = stopped_max_sigma1(discretize(pm_model, 1.0))
+        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5])
         assert stopped.survival[1] == pytest.approx(0.0, abs=1e-15)  # stops at step 1
         assert stopped.chi.tail(0.5) == pytest.approx(1.0, abs=1e-15)  # overshoot 1
         assert stopped.max_tail[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_twopoint_first_step(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf)
+        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5])
         assert 1.0 - stopped.survival[1] == pytest.approx(0.75, abs=1e-14)
         # only -1 overshoots are reachable
         assert stopped.chi.tail(1.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_twopoint_max_before_ruin(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf)
+        stopped = stopped_max_sigma1(tp_pmf, x_grid=[k - 0.5 for k in (1, 2, 3, 5)])
 
         def tail_at(k):
             i = int(np.searchsorted(stopped.max_tail_x, k - 0.5))
@@ -306,7 +306,7 @@ class TestStopped:
         assert p_hit <= tail_at(3) <= p_hit + p_open
 
     def test_conservation(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf)
+        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5])
         assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
 
     def test_level_above_top_refused_before_sweeping(self, tp_pmf, monkeypatch):
@@ -386,7 +386,7 @@ class TestExpMoment:
         assert em.value == pytest.approx(identity_value, abs=2e-5)
 
     def test_overshoot_moment(self, pm_model):
-        stopped = stopped_max_sigma1(discretize(pm_model, 1.0))
+        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5])
         # chi is identically 1
         assert stopped.chi.mgf(-1.0) == pytest.approx(math.exp(-1.0), abs=1e-14)
 

@@ -28,7 +28,8 @@ CASES = [
     ("bigjump", ["bigjump", "--x", "10,20,40", *LATTICE], 0),
     ("tail_report_mc", ["tail-report", "--measured", "mc", "--x", "1,2,3,4", *MC], 2),
     ("renewal_diag", ["renewal-diag", "--R", "2,4,8,16", "--model", REF, *SAMPLING], 0),
-    ("bigjump_mc", ["bigjump", "--measured", "mc", "--x", "2,3,4", *MC], 0),
+    ("bigjump_mc", ["bigjump", "--measured", "mc", "--x", "2,3,4", "--model", REF, *SAMPLING],
+     0),
 ]
 
 
