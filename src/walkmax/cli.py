@@ -161,39 +161,35 @@ def _ints(text: str) -> list[int]:
 
 # --- shared pipelines -------------------------------------------------------------
 
-def oracle_pmf(model: IncrementModel, h: float, span_hi: float | None = None) -> LatticePMF:
-    """Increment lattice for the oracle pipelines; ``span_hi`` moves the right
-    end of a smooth tail's span (atomic families keep their exact support)."""
-    if span_hi is None or model.decay_rate is None:
-        return discretize(model, h)
-    return discretize(model, h, span=(model.default_span()[0], span_hi))
-
-
-def _span_hi(model: IncrementModel, level: float, decay_lengths: float) -> float | None:
-    """Right span end that covers jumps past ``level`` with a margin of
-    ``decay_lengths`` (None for the atomic families)."""
+def oracle_grid(model: IncrementModel, h: float, gamma: float | None, levels=(),
+                reach: tuple[float, float] | None = None) -> tuple[LatticePMF, float]:
+    """Increment lattice and grid top of every oracle command, sized before
+    any sweep.  ``reach = (level, decay_lengths)`` widens a smooth tail's span
+    to cover jumps past ``level`` (atomic families keep their exact support).
+    The top is 75 decay lengths of the decay rate, or of ``gamma`` for atomic
+    families, which keeps both the tail range and the twisted-moment remainder
+    certified; with neither, the increment law sizes it.  A level at or above
+    the top cell is refused: the laws end there, so no tail at it is whole."""
     rate = model.decay_rate
-    if rate is None:
-        return None
-    return max(model.default_span()[1], level + decay_lengths / rate)
+    span = None
+    if reach and rate:
+        lo, hi = model.default_span()
+        span = (lo, max(hi, reach[0] + reach[1] / rate))
+    pmf = discretize(model, h, span=span)
+    rate = rate or gamma
+    top = 75.0 / rate if rate else _auto_top(pmf)
+    grid_top = round(top / h) * h  # the laws' top cell
+    above = [x for x in levels if not x < grid_top]
+    if above:
+        raise LatticeError(f"level {above[0]:g} is at or above the grid top "
+                           f"{grid_top:g}: choose levels below the grid top")
+    return pmf, top
 
 
-def oracle_top(model: IncrementModel, gamma: float | None) -> float | None:
-    """Grid top for maximum laws: 75 decay lengths keeps both the tail range
-    and the twisted-moment remainder certified."""
-    rate = model.decay_rate or gamma
-    if rate is None:
-        return None  # lattice sizes itself from the increment law
-    return 75.0 / rate
-
-
-def constants_pipeline(
-    model: IncrementModel,
-    h: float = 0.01,
-    gamma: float | None = None,
-) -> tuple[LatticePMF, MaxLaw, AsymptoticConstants]:
-    pmf = oracle_pmf(model, h)
-    law = lindley_fixed_point(pmf, top=oracle_top(model, gamma))
+def constants_pipeline(model: IncrementModel, h: float = 0.01, gamma: float | None = None,
+                       levels=()) -> tuple[LatticePMF, MaxLaw, AsymptoticConstants]:
+    pmf, top = oracle_grid(model, h, gamma, levels)
+    law = lindley_fixed_point(pmf, top=top)
     return pmf, law, constants(model, law, gamma=gamma)
 
 
@@ -335,14 +331,19 @@ def _mc_config(args) -> SimConfig:
 
 
 def cmd_tail_report(args) -> int:
+    oracle = args.measured == "oracle"
+    if not oracle and args.trace and args.out == "-":  # rows built only to be dropped
+        raise ModelError("tail-report: --trace writes its per-path rows to --out DIR")
     model = parse_model(args.model)
     xs = _floats(args.x)
     check_levels(xs)
     trace_rows: list[dict] = []
     try:
         bases = increment_tails(model, xs)
-        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
-        if args.measured == "oracle":
+        # Monte Carlo levels never read the lattice law
+        _, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma,
+                                            levels=xs if oracle else ())
+        if oracle:
             rows = [(x, law.tail(x) / b) for x, b in zip(xs, bases)]
         else:
             cfg = _mc_config(args)
@@ -357,8 +358,8 @@ def cmd_tail_report(args) -> int:
                     trace_rows.extend({"x": x, "path": i, **t} for i, t in enumerate(rep.trace))
     except (ModelError, LatticeError, EstimatorError) as exc:
         return _refused(f"tail-report: {exc}")
-    if trace_rows and args.out != "-":
-        (Path(args.out)).mkdir(parents=True, exist_ok=True)
+    if trace_rows:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "tail_report_trace.csv").write_bytes(_csv_bytes(trace_rows))
     return _report_command(
         args, "tail-report", rows, consts.constant.value, law.top,
@@ -372,7 +373,10 @@ def cmd_local_report(args) -> int:
     check_levels(xs)
     try:
         bases = increment_tails(model, xs)
-        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
+        # a finite window reads the law up to its end
+        ends = [x + args.t for x in xs] if math.isfinite(args.t) else xs
+        _, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma,
+                                            levels=ends)
         pred = local_constant(consts, args.t)
         rows = [(x, law.window(x, args.t) / b) for x, b in zip(xs, bases)]
     except (ModelError, LatticeError) as exc:
@@ -394,13 +398,7 @@ def cmd_finite(args) -> int:
     xs = _floats(args.x)
     try:
         bases = increment_tails(model, xs)
-        pmf = oracle_pmf(model, args.step)
-        top = oracle_top(model, args.gamma) or _auto_top(pmf)
-        grid_top = round(top / pmf.h) * pmf.h  # the laws' top cell
-        above = [x for x in xs if not x < grid_top]
-        if above:  # the laws end at the top cell: no tail there is whole
-            raise LatticeError(f"level {above[0]:g} is at or above the grid top "
-                               f"{grid_top:g}: choose levels below the grid top")
+        pmf, top = oracle_grid(model, args.step, args.gamma, xs)
         # horizon laws first: they stay on the pmf, and the fixed point
         # replays them instead of sweeping from M_0 a second time
         laws = finite_horizon(pmf, max(Ns), top=top)
@@ -435,8 +433,9 @@ def cmd_stopped(args) -> int:
     check_levels(xs)
     try:
         bases = increment_tails(model, xs)
-        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
-        stopped = stopped_max_sigma1(pmf, x_grid=xs, top=oracle_top(model, args.gamma))
+        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma,
+                                              levels=xs)
+        stopped = stopped_max_sigma1(pmf, x_grid=xs, top=law.top)
         pred = stopped_constant(consts, stopped)
         rows = [
             (float(x), float(t) / b)
@@ -463,9 +462,9 @@ def cmd_bigjump(args) -> int:
         if args.measured == "oracle":
             # span must cover jumps past x - h(x) with decay margin
             x_top = max(xs)
-            span_hi = _span_hi(model, x_top - band_h(args.h_choice, x_top), 22.0)
-            pmf = oracle_pmf(model, args.step, span_hi=span_hi)
-            law = lindley_fixed_point(pmf, top=oracle_top(model, args.gamma))
+            pmf, top = oracle_grid(model, args.step, args.gamma, xs,
+                                   reach=(x_top - band_h(args.h_choice, x_top), 22.0))
+            law = lindley_fixed_point(pmf, top=top)
             rows = [
                 {
                     "x": x,
@@ -523,7 +522,7 @@ def cmd_convolution_check(args) -> int:
     check_levels(xs)
     try:
         bases = increment_tails(model, xs)
-        pmf = oracle_pmf(model, args.step, span_hi=_span_hi(model, max(xs), 15.0))
+        pmf, _ = oracle_grid(model, args.step, args.gamma, reach=(max(xs), 15.0))
         powers = convolution_power(pmf, max(ns))
         rows = []
         verdicts = []

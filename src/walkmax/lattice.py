@@ -58,7 +58,6 @@ MASS_TOL = 1e-12
 FOLD_REFUSE = 1e-6
 # the reflected recursion stops once no cell moves by this much in one sweep
 FIXED_POINT_TOL = 1e-13
-MAX_ITERATIONS = 10**6
 # largest certified twist remainder an exponential moment may carry
 MAX_REMAINDER = 1e-3
 # stopped_max_sigma1 stops sweeping once this much mass is still unabsorbed
@@ -70,8 +69,7 @@ BIGJUMP_REL_TOL = 1e-12
 # block width of ``_direct_conv``; of 32, 48, 64 and 128, 64 ran the sweep
 # shapes (15,001 x 5,566 and 8,001 x 10,679 cells) fastest
 CONV_BLOCK = 64
-# exp() overflows a float just above 709; exp_moment works in the log domain
-# once gamma * top passes this
+# exp() overflows a float just above 709; exp_moment refuses a gamma * top above this
 EXP_ARG_LIMIT = 700.0
 # most cells of any grid here: 10**7 cells are 80 MB per vector, and a
 # larger grid is refused before anything is allocated
@@ -128,10 +126,7 @@ def _interp_tail(probs: np.ndarray, k0: int, h: float, x: float) -> float:
 
 @dataclass
 class LatticePMF:
-    """Probability mass vector on the uniform grid ``{k*h : k0 <= k}``.
-
-    ``mass_below``/``mass_above`` record how much true mass was folded into
-    the end bins at discretization time; the vector itself always sums to 1.
+    """Probability mass vector on the uniform grid ``{k*h : k0 <= k}``, summing to 1.
 
     Work that depends only on the law is memoized on the instance, so each
     scan runs once however many laws of its walk ask for it: the subcritical
@@ -145,8 +140,6 @@ class LatticePMF:
     h: float
     k0: int
     probs: np.ndarray
-    mass_below: float = 0.0
-    mass_above: float = 0.0
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -225,8 +218,7 @@ def discretize(
 ) -> LatticePMF:
     """Bin the increment law: probs[k] = F((k+1/2)h) - F((k-1/2)h).
 
-    End bins absorb all mass beyond the span and the folded amounts are
-    recorded.  Refuses when more than ``FOLD_REFUSE`` would be folded.
+    End bins absorb all mass beyond the span; more than ``FOLD_REFUSE`` is refused.
     """
     if not (h > 0 and math.isfinite(h)):
         raise LatticeError(f"grid step must be positive and finite, got {h}")
@@ -253,7 +245,7 @@ def discretize(
     probs[-1] += above
     # absorb float residue of the binning itself into the largest bin
     probs[int(np.argmax(probs))] += 1.0 - probs.sum()
-    return LatticePMF(h=h, k0=k_lo, probs=probs, mass_below=below, mass_above=above)
+    return LatticePMF(h=h, k0=k_lo, probs=probs)
 
 
 def _direct_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,13 +284,7 @@ def convolve(a: LatticePMF, b: LatticePMF) -> LatticePMF:
         raise LatticeError(f"grid step mismatch: {a.h} vs {b.h}")
     probs = _direct_conv(a.probs, b.probs)
     probs = probs / probs.sum()  # remove float-level drift, never visible above 1e-15
-    return LatticePMF(
-        h=a.h,
-        k0=a.k0 + b.k0,
-        probs=probs,
-        mass_below=a.mass_below + b.mass_below,
-        mass_above=a.mass_above + b.mass_above,
-    )
+    return LatticePMF(h=a.h, k0=a.k0 + b.k0, probs=probs)
 
 
 def convolution_power(pmf: LatticePMF, n: int) -> list[LatticePMF]:
@@ -428,21 +414,30 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
     """Law of the all-time maximum M = sup_n S_n via the reflected recursion.
 
     Iterates from the point mass at 0 until the sup-norm step change drops
-    below ``FIXED_POINT_TOL``, and refuses after ``MAX_ITERATIONS`` sweeps.
-    Each iterate is exactly the law of the n-step maximum, so
-    ``finite_horizon`` runs the same recursion.
+    below ``FIXED_POINT_TOL``.  Each iterate is exactly the law of the n-step
+    maximum, so ``finite_horizon`` runs the same recursion.  Sweep n moves a
+    cell by at most P(M_n != M_{n-1}) <= P(S_n > 0) <= phi(alpha)^n for any
+    twist alpha with phi(alpha) < 1, so a grid that keeps the walk's mass stops
+    within a count known up front; a step still above the tolerance after that
+    count is mass leaking through the grid top, and is refused.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
     if top is None:
         top = _auto_top(pmf)
+    a_sup = pmf.chernoff_alpha_sup()  # inf when no mass lies above 0
+    phi = pmf.mgf(0.75 * a_sup if math.isfinite(a_sup) else 1.0)
+    # a phi below the tolerance settles in one sweep
+    sweeps = math.ceil(math.log(FIXED_POINT_TOL) / math.log(max(phi, FIXED_POINT_TOL)))
     laws = _reflected(pmf, top)
     V, overflow = next(laws)
     n, delta = 0, math.inf
     while delta >= FIXED_POINT_TOL:
-        if n >= MAX_ITERATIONS:
+        if n >= sweeps:
             raise LatticeError(
-                f"no convergence within {MAX_ITERATIONS} iterations", residual=delta
+                f"fixed-point step {delta:.3e} after {n} sweeps, past which a grid that keeps "
+                f"the walk's mass steps below {FIXED_POINT_TOL:g}: the grid top {top:g} leaks "
+                "mass; raise the top", residual=delta,
             )
         V_next, overflow = next(laws)
         delta = float(np.abs(V_next - V).max())
@@ -622,28 +617,22 @@ def exp_moment(law: MaxLaw, gamma: float) -> Bracket:
 
     The remainder depends only on the increment pmf, ``gamma`` and ``top``, so
     its 400-twist scan is memoized on the increment pmf (whose ``probs`` are
-    read-only) and runs once for all the horizon laws of one walk.  Both
-    refusals are still decided on every call.  Once ``gamma * top`` passes
-    ``EXP_ARG_LIMIT`` the sum is formed term by term in the log domain, so a
-    high top never overflows a float.
+    read-only) and runs once for all the horizon laws of one walk.  Every
+    refusal is still decided on every call.  A ``gamma * top`` above
+    ``EXP_ARG_LIMIT`` is refused: e^{gamma * top} would overflow a float.
     """
     if not gamma > 0:
         raise LatticeError(f"exp_moment needs a positive twist, got {gamma}")
-    logs = gamma * law.centers()
     top = law.top
-    if gamma * top <= EXP_ARG_LIMIT:
-        m = float(logs.max())
-        val = float(math.exp(m) * (np.exp(logs - m) * law.probs).sum())
-        slop = law.overflow * math.exp(gamma * top)
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            val = float(np.exp(logs + np.log(law.probs)).sum())
-            slop = float(np.exp(gamma * top + np.log(law.overflow)))
-        if not math.isfinite(val):
-            raise LatticeError(
-                f"E exp({gamma} M) overflows a float at gamma*top = {gamma * top:.1f} "
-                f"> {EXP_ARG_LIMIT:g}; lower the grid top"
-            )
+    if gamma * top > EXP_ARG_LIMIT:
+        raise LatticeError(
+            f"E exp({gamma} M) overflows a float at gamma*top = {gamma * top:.1f} "
+            f"> {EXP_ARG_LIMIT:g}; lower the grid top"
+        )
+    logs = gamma * law.centers()
+    m = float(logs.max())
+    val = float(math.exp(m) * (np.exp(logs - m) * law.probs).sum())
+    slop = law.overflow * math.exp(gamma * top)
     inc = law.increment
     a_sup = inc.chernoff_alpha_sup()
     if a_sup <= gamma:

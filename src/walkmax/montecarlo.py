@@ -84,14 +84,11 @@ class SimConfig:
 class EstimatorReport:
     """Point estimate with separated stochastic and systematic error."""
 
-    method: str
-    model: str
     estimate: float
     stderr: float
     n_paths: int
     n_effective: int
     bias_bound: float
-    seed: int
     params: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     trace: list | None = None  # per-path debug rows of ``estimate_tail_crude``
@@ -261,14 +258,11 @@ def estimate_tail_crude(model: IncrementModel, x: float, cfg: SimConfig) -> Esti
     _check_undecided(total["undecided"], cfg.n_paths, "estimate_tail_crude")
     n = cfg.n_paths
     return EstimatorReport(
-        method="crude_tail",
-        model=model.spec_string(),
         estimate=total["hits"] / n,
         stderr=_binomial_stderr(total["hits"], n),
         n_paths=n,
         n_effective=n - total["undecided"],
         bias_bound=bias,
-        seed=cfg.seed,
         params={"x": x, "slack": K},
         flags={"undecided": total["undecided"]},
         trace=total.get("trace"),
@@ -323,14 +317,11 @@ def estimate_bigjump_sum(
     mean = total["sum"] / n
     var = max(total["sumsq"] / n - mean * mean, 0.0)
     report = EstimatorReport(
-        method="bigjump_sum",
-        model=model.spec_string(),
         estimate=mean,
         stderr=math.sqrt(var / n),
         n_paths=n,
         n_effective=n,
         bias_bound=remainder,
-        seed=cfg.seed,
         params={"x": x, "a": a, "n_cut": n_cut},
         flags={},
     )
@@ -366,14 +357,11 @@ def bigjump_conditional_ratio(
         estimate = total["big_hits"] / hits
         stderr = _binomial_stderr(total["big_hits"], hits)
     return EstimatorReport(
-        method="bigjump_conditional_ratio",
-        model=model.spec_string(),
         estimate=estimate,
         stderr=stderr,
         n_paths=cfg.n_paths,
         n_effective=hits,
         bias_bound=bias,
-        seed=cfg.seed,
         params={"x": x, "h_choice": h_choice, "a": a, "slack": K},
         flags=flags,
     )

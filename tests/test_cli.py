@@ -141,7 +141,20 @@ class TestTailReport:
         code, out, err = run(capsys, "tail-report", "--model", REF, "--x", "20,40,80",
                              "--step", "0.02")
         assert (code, out) == (2, "")
-        assert "oracle value at x = 80 is 0 on the grid (top 75)" in err
+        assert "tail-report: level 80 is at or above the grid top 75" in err
+
+    def test_trace_needs_an_output_directory(self, capsys, monkeypatch):
+        from walkmax import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the usage was checked")
+
+        for name in ("estimate_tail_crude", "discretize", "constants_pipeline"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run(capsys, "tail-report", "--model", REF, "--x", "1,2,3",
+                             "--measured", "mc", "--trace")
+        assert (code, out) == (1, "")
+        assert "tail-report: --trace writes its per-path rows to --out DIR" in err
 
 
 class TestLevelGridCheckedFirst:
@@ -296,6 +309,32 @@ class TestZeroTailCheckedFirst:
         assert not out_dir.exists()
 
 
+class TestLevelsBelowTheGridTop:
+    """Every oracle command refuses a level, or a finite window end, at or
+    above the top cell of its grid (75 here) before any sweep."""
+
+    @pytest.mark.parametrize("argv,level", [
+        (["tail-report", "--x", "10,20,80"], "80"),
+        (["local-report", "--x", "60,66,72", "--t", "5"], "77"),
+        (["finite", "--N", "1,5", "--x", "10,75"], "75"),
+        (["stopped", "--x", "4,6,75"], "75"),
+        (["bigjump", "--x", "10,20,100"], "100"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_refused_before_any_sweep(self, capsys, monkeypatch, argv, level):
+        from walkmax import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the levels were checked")
+
+        for name in ("lindley_fixed_point", "finite_horizon", "stopped_max_sigma1",
+                     "bigjump_flow"):
+            monkeypatch.setattr(cli, name, no_sweep)
+        code, out, err = run(capsys, *argv, "--model", REF, "--step", "0.05")
+        assert (code, out) == (2, "")
+        assert (f"{argv[0]}: level {level} is at or above the grid top 75: "
+                "choose levels below the grid top") in err
+
+
 class TestByteStability:
     def test_rerun_is_identical(self, capsys, tmp_path):
         args = ["tail-report", "--model", REF, "--x", "4.1,6.7,10.8"]
@@ -392,7 +431,7 @@ class TestOtherCommands:
                              "--step", "0.02")
         assert code == 2
         assert out == ""
-        assert "stopped level 80 is above the grid top 75" in err
+        assert "stopped: level 80 is at or above the grid top 75" in err
 
     def test_renewal_atomic_mgf_past_float_range_is_refused(self, capsys):
         # the slack search tries twists up to 20, where e^{20 * 40} overflows
@@ -427,7 +466,9 @@ class TestOtherCommands:
     def test_convolution_check_refuses_a_level_past_the_grid_top(self, capsys, monkeypatch):
         from walkmax import cli
 
-        monkeypatch.setattr(cli, "_span_hi", lambda model, level, decay_lengths: 12.0)
+        # cut the increment span at 12, so the one-summand law ends there
+        monkeypatch.setattr(cli, "discretize", lambda model, h, span:
+                            lattice.discretize(model, h, span=(span[0], 12.0)))
         code, out, err = run(capsys, "convolution-check", "--model", REF, "--x", "2,4,20",
                              "--n", "1,2", "--step", "0.05")
         assert (code, out) == (2, "")
@@ -539,12 +580,12 @@ class TestTwistOverride:
         assert "P(xi > 1) = 0" in err
 
     def test_bigjump_level_above_grid_top_is_refused(self, capsys):
-        # grid top 83 (75/0.9 rounded to cells): P(M > 100) is 0 on the grid
+        # grid top 83 (75/0.9 rounded to cells)
         code, out, err = run(capsys, "bigjump", "--model", TP, "--gamma", "0.9",
                              "--step", "1", "--x", "10,20,100")
         assert code == 2
         assert out == ""
-        assert "P(M > 100) = 0" in err and "(top 83)" in err
+        assert "bigjump: level 100 is at or above the grid top 83" in err
 
 
 class TestOracleWorkOnce:

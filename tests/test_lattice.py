@@ -40,11 +40,6 @@ class TestDiscretize:
             pmf = discretize(ref_model, h)
             assert abs(pmf.mean() - ref_model.mean()) <= h
 
-    def test_folded_mass_recorded(self, ref_model):
-        pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 20.0))
-        assert pmf.mass_above == pytest.approx(float(ref_model.tail(20.005)), rel=1e-10)
-        assert pmf.mass_below == 0.0
-
     def test_refuses_large_fold(self, ref_model):
         with pytest.raises(LatticeError):
             discretize(ref_model, 0.01, span=(-ref_model.shift, 3.0))
@@ -405,15 +400,22 @@ class TestExpMoment:
         with pytest.raises(LatticeError):
             lindley_fixed_point(ref_pmf, top=8.0)
 
-    def test_twist_past_float_range_stays_finite(self, tp_pmf):
-        # gamma*top = 720: e^{gamma*top} alone overflows a float, the moment
-        # E e^{0.9 M} = (2/3) / (1 - e^{0.9}/3) of the ruin chain does not
-        # (the fixed-point stop leaves the lattice value ~2e-6 below it)
-        high = exp_moment(lindley_fixed_point(tp_pmf, top=800.0), 0.9)
+    def test_leaking_top_refused_at_the_sweep_count(self, ref_model):
+        # at top 20 the step stalls near 1.4e-12, above the 1e-13 tolerance:
+        # mass leaks through the top on every sweep
+        with pytest.raises(LatticeError, match=r"fixed-point step 1\.377e-12 after 43 "
+                           r"sweeps.*grid top 20 leaks mass; raise the top"):
+            lindley_fixed_point(discretize(ref_model, 0.05), top=20.0)
+
+    def test_twist_past_float_range_is_refused(self, tp_pmf):
+        # gamma*top = 720: e^{gamma*top} alone overflows a float
+        with pytest.raises(LatticeError, match=r"gamma\*top = 720\.0 > 700; lower the grid top"):
+            exp_moment(lindley_fixed_point(tp_pmf, top=800.0), 0.9)
+        # below the limit: E e^{0.9 M} = (2/3) / (1 - e^{0.9}/3) of the ruin
+        # chain (the fixed-point stop leaves the lattice value ~2e-6 below it)
         low = exp_moment(lindley_fixed_point(tp_pmf, top=600.0), 0.9)
-        assert high.value == pytest.approx((2.0 / 3.0) / (1.0 - math.exp(0.9) / 3.0), rel=1e-5)
-        assert high.value == pytest.approx(low.value, rel=1e-12)
-        assert high.lo <= high.value <= high.hi
+        assert low.value == pytest.approx((2.0 / 3.0) / (1.0 - math.exp(0.9) / 3.0), rel=1e-5)
+        assert low.lo <= low.value <= low.hi
 
 
 @pytest.fixture
