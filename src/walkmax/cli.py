@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
-Every command resolves all of its defaults up front into a run manifest that
-is embedded in each output file, so outputs are reproducible byte-for-byte
-from their own metadata.  Timing is written to stderr only; the payload never
-contains volatile fields.
+Every command returns its payload, its CSV rows and whether its verdict
+passed; ``main`` alone adds the run manifest, which resolves every default so
+that outputs are reproducible byte-for-byte from their own metadata, writes
+the files and turns the verdict or an error into the exit code.  Timing is
+written to stderr only; the payload never contains volatile fields.
 
-Exit codes: 0 pass, 1 usage error, 2 computational refusal or failed verdict.
+Exit codes: 0 pass; 1 usage error, reported as one ``walkmax: <reason>`` line;
+2 failed verdict (payload written) or computational refusal, reported as one
+``<command>: <reason>`` line with no payload.
 """
 
 from __future__ import annotations
@@ -79,23 +82,23 @@ MODE_ONLY = {
 }
 
 
+class UsageError(ModelError):
+    """Bad input on the command line, found by the CLI's own checks (exit 1);
+    every other walkmax error is a computational refusal (exit 2)."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for
     computational refusals, so remap usage problems to 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(_usage_error(f"{self.prog}: error: {message}"))
+        raise SystemExit(_fail(f"{self.prog}: error: {message}", EXIT_USAGE))
 
 
-def _usage_error(message: str) -> int:
+def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _refused(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_REFUSED
+    return code
 
 
 # --- deterministic emission -----------------------------------------------------
@@ -125,13 +128,21 @@ def _emit(out: str, name: str, payload: dict, csv_rows: list[dict] | None = None
         (outdir / f"{name}.csv").write_bytes(_csv_bytes(csv_rows))
 
 
-def _manifest(command: str, model_spec: str, params: dict) -> dict:
+def _json_value(v):
+    """``v``, or its repr for a non-finite float, which JSON cannot hold
+    (``--t inf`` asks for the whole tail)."""
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _manifest(args) -> dict:
+    """The command, its model spec and every option it read, defaults resolved."""
+    params = {k: _json_value(v) for k, v in vars(args).items() if k not in ("func", "out")}
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "walkmax",
         "tool_version": __version__,
-        "command": command,
-        "model": model_spec,
+        "command": args.command,
+        "model": args.model,
         "params": dict(sorted(params.items())),
     }
 
@@ -144,10 +155,10 @@ def _numbers(text: str, kind) -> list:
     except ValueError:
         out = None
     if out is None or not all(map(math.isfinite, out)):
-        raise ModelError(f"malformed list {text!r}: expected comma-separated "
+        raise UsageError(f"malformed list {text!r}: expected comma-separated "
                          f"finite {kind.__name__} values")
     if not out:
-        raise ModelError(f"empty list {text!r}: give at least one value")
+        raise UsageError(f"empty list {text!r}: give at least one value")
     return out
 
 
@@ -157,6 +168,15 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return _numbers(text, int)
+
+
+def _as_usage(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, whose ``ModelError`` is about command-line
+    input and so re-raised as a ``UsageError``."""
+    try:
+        return check(*args, **kwargs)
+    except ModelError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # --- shared pipelines -------------------------------------------------------------
@@ -233,14 +253,16 @@ def bigjump_dp_ratio(
 
 # --- commands ----------------------------------------------------------------------
 
-def cmd_verify_class(args) -> int:
-    model = parse_model(args.model)
+def cmd_verify_class(args):
+    model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
     ks = _floats(args.k)
+    wide = [x for x in xs if not band_h(args.h_choice, x) <= x / 2.0]
+    if wide and model.in_class:  # a lattice family has no middle band to split
+        raise UsageError(f"h(x)={band_h(args.h_choice, wide[0])} exceeds x/2 at x={wide[0]}")
     lg = lgamma_diagnostic(model, ks, xs)
     sg = sgamma_diagnostic(model, args.h_choice, xs)
     payload = {
-        "manifest": _manifest("verify-class", args.model, _resolved_params(args)),
         "shifted_tail_ratio": {
             "rows": lg.rows, "summary": lg.summary, "passed": lg.passed,
             "not_in_class": lg.flagged_out_of_class, "notes": lg.notes,
@@ -250,22 +272,16 @@ def cmd_verify_class(args) -> int:
             "not_in_class": sg.flagged_out_of_class, "notes": sg.notes,
         },
     }
-    _emit(args.out, "verify_class", payload)
     if lg.flagged_out_of_class:
         print("not_in_class: lattice family, smooth-tail diagnostics skipped",
               file=sys.stderr)
-        return EXIT_OK
-    return EXIT_OK if (lg.passed and sg.passed) else EXIT_REFUSED
+    return payload, None, lg.flagged_out_of_class or (lg.passed and sg.passed)
 
 
-def cmd_constants(args) -> int:
-    model = parse_model(args.model, require_subcritical=False)
-    try:
-        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
-    except (ModelError, LatticeError) as exc:
-        return _refused(f"constants: {exc}")
+def cmd_constants(args):
+    model = _as_usage(parse_model, args.model, require_subcritical=False)
+    pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
     payload = {
-        "manifest": _manifest("constants", args.model, _resolved_params(args)),
         "constants": consts.to_json_dict(),
         "oracle": {
             "top": law.top,
@@ -278,37 +294,18 @@ def cmd_constants(args) -> int:
     }
     if float(law.probs[0]) > 1.0 - 1e-12:
         payload["oracle"]["notice"] = "maximum is identically 0"
-    _emit(args.out, "constants", payload)
-    return EXIT_OK
+    return payload, None, True
 
 
-def _report_command(args, name: str, measured_rows, predicted: float, top: float,
-                    extra_payload: dict, provenance: str = "oracle",
-                    gate: str = "strict") -> int:
+def _report(args, measured_rows, predicted: float, top: float, extra_payload: dict,
+            provenance: str = "oracle", gate: str = "strict"):
     report = convergence_report(predicted, measured_rows, tol=args.tol,
                                 provenance=provenance, top=top)
-    payload = {
-        "manifest": _manifest(name, args.model, _resolved_params(args)),
-        "report": report.to_json_dict(),
-    }
-    payload.update(extra_payload)
-    _emit(args.out, name.replace("-", "_"), payload, report.csv_rows())
     if gate == "strict":
-        ok = report.verdict == "converging"
+        passed = report.verdict == "converging"
     else:
-        ok = report.loose_trend and report.final_dev <= args.tol
-    return EXIT_OK if ok else EXIT_REFUSED
-
-
-def _json_value(v):
-    """``v``, or its repr for a non-finite float, which JSON cannot hold
-    (``--t inf`` asks for the whole tail)."""
-    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-
-
-def _resolved_params(args) -> dict:
-    skip = {"func", "out"}
-    return {k: _json_value(v) for k, v in sorted(vars(args).items()) if k not in skip}
+        passed = report.loose_trend and report.final_dev <= args.tol
+    return {"report": report.to_json_dict(), **extra_payload}, report.csv_rows(), passed
 
 
 def _check_mode(args) -> None:
@@ -321,7 +318,7 @@ def _check_mode(args) -> None:
         elif value is None:
             delattr(args, dest)
         else:
-            raise ModelError(f"{args.command}: --{dest.replace('_', '-')} is read only "
+            raise UsageError(f"{args.command}: --{dest.replace('_', '-')} is read only "
                              f"by --measured {mode}")
 
 
@@ -330,121 +327,98 @@ def _mc_config(args) -> SimConfig:
                      trace=getattr(args, "trace", False))
 
 
-def cmd_tail_report(args) -> int:
+def cmd_tail_report(args):
     oracle = args.measured == "oracle"
     if not oracle and args.trace and args.out == "-":  # rows built only to be dropped
-        raise ModelError("tail-report: --trace writes its per-path rows to --out DIR")
-    model = parse_model(args.model)
+        raise UsageError("tail-report: --trace writes its per-path rows to --out DIR")
+    model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
-    check_levels(xs)
+    _as_usage(check_levels, xs)
     trace_rows: list[dict] = []
-    try:
-        bases = increment_tails(model, xs)
-        # Monte Carlo levels never read the lattice law
-        _, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma,
-                                            levels=xs if oracle else ())
-        if oracle:
-            rows = [(x, law.tail(x) / b) for x, b in zip(xs, bases)]
-        else:
-            cfg = _mc_config(args)
-            rows = []
-            for x, b in zip(xs, bases):
-                rep = estimate_tail_crude(model, x, cfg)
-                rows.append((x, rep.estimate / b))
-                if rep.estimate == 0.0:  # a row with dev 1, not a refusal
-                    print(f"tail-report: no path of {cfg.n_paths} exceeded x = {x:g}; "
-                          "raise --n-paths for more hits", file=sys.stderr)
-                if rep.trace is not None:
-                    trace_rows.extend({"x": x, "path": i, **t} for i, t in enumerate(rep.trace))
-    except (ModelError, LatticeError, EstimatorError) as exc:
-        return _refused(f"tail-report: {exc}")
+    bases = increment_tails(model, xs)
+    # Monte Carlo levels never read the lattice law
+    _, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma,
+                                        levels=xs if oracle else ())
+    if oracle:
+        rows = [(x, law.tail(x) / b) for x, b in zip(xs, bases)]
+    else:
+        cfg = _mc_config(args)
+        rows = []
+        for x, b in zip(xs, bases):
+            rep = estimate_tail_crude(model, x, cfg)
+            rows.append((x, rep.estimate / b))
+            if rep.estimate == 0.0:  # a row with dev 1, not a refusal
+                print(f"tail-report: no path of {cfg.n_paths} exceeded x = {x:g}; "
+                      "raise --n-paths for more hits", file=sys.stderr)
+            if rep.trace is not None:
+                trace_rows.extend({"x": x, "path": i, **t} for i, t in enumerate(rep.trace))
+    result = _report(args, rows, consts.constant.value, law.top,
+                     {"constants": consts.to_json_dict()}, provenance=args.measured)
     if trace_rows:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "tail_report_trace.csv").write_bytes(_csv_bytes(trace_rows))
-    return _report_command(
-        args, "tail-report", rows, consts.constant.value, law.top,
-        {"constants": consts.to_json_dict()}, provenance=args.measured,
-    )
+    return result
 
 
-def cmd_local_report(args) -> int:
-    model = parse_model(args.model)
+def cmd_local_report(args):
+    model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
-    check_levels(xs)
-    try:
-        bases = increment_tails(model, xs)
-        # a finite window reads the law up to its end
-        ends = [x + args.t for x in xs] if math.isfinite(args.t) else xs
-        _, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma,
-                                            levels=ends)
-        pred = local_constant(consts, args.t)
-        rows = [(x, law.window(x, args.t) / b) for x, b in zip(xs, bases)]
-    except (ModelError, LatticeError) as exc:
-        return _refused(f"local-report: {exc}")
+    _as_usage(check_levels, xs)
+    bases = increment_tails(model, xs)
+    # a finite window reads the law up to its end
+    ends = [x + args.t for x in xs] if math.isfinite(args.t) else xs
+    _, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma, levels=ends)
+    pred = local_constant(consts, args.t)
+    rows = [(x, law.window(x, args.t) / b) for x, b in zip(xs, bases)]
     # windowed deviations legitimately change sign on the way in, so this
     # report gates on the loose trend rather than strict monotonicity
-    return _report_command(
-        args, "local-report", rows, pred.value, law.top,
-        {"constants": consts.to_json_dict(), "window": _json_value(args.t)},
-        gate="loose",
-    )
+    return _report(args, rows, pred.value, law.top,
+                   {"constants": consts.to_json_dict(), "window": _json_value(args.t)},
+                   gate="loose")
 
 
-def cmd_finite(args) -> int:
-    model = parse_model(args.model)
+def cmd_finite(args):
+    model = _as_usage(parse_model, args.model)
     Ns = _ints(args.N)
     if min(Ns) < 0:  # it would index another horizon's law
-        raise ModelError(f"horizons must be >= 0, got {min(Ns)}")
+        raise UsageError(f"horizons must be >= 0, got {min(Ns)}")
     xs = _floats(args.x)
-    try:
-        bases = increment_tails(model, xs)
-        pmf, top = oracle_grid(model, args.step, args.gamma, xs)
-        # horizon laws first: they stay on the pmf, and the fixed point
-        # replays them instead of sweeping from M_0 a second time
-        laws = finite_horizon(pmf, max(Ns), top=top)
-        law = lindley_fixed_point(pmf, top=top)
-        consts = constants(model, law, gamma=args.gamma)
-        rows = []
-        for N in Ns:
-            fc = finite_constant(consts, N, laws) if N >= 1 else None
-            entry = {
-                "N": N,
-                "predicted": fc.value if fc else 0.0,
-                "predicted_lo": fc.lo if fc else 0.0,
-                "predicted_hi": fc.hi if fc else 0.0,
-            }
-            for x, b in zip(xs, bases):
-                entry[f"ratio_at_{x:g}"] = laws[N].tail(x) / b
-            rows.append(entry)
-    except (ModelError, LatticeError) as exc:
-        return _refused(f"finite: {exc}")
-    payload = {
-        "manifest": _manifest("finite", args.model, _resolved_params(args)),
-        "constant_limit": consts.to_json_dict(),
-        "rows": rows,
-    }
-    _emit(args.out, "finite", payload, rows)
-    return EXIT_OK
+    bases = increment_tails(model, xs)
+    pmf, top = oracle_grid(model, args.step, args.gamma, xs)
+    # horizon laws first: they stay on the pmf, and the fixed point
+    # replays them instead of sweeping from M_0 a second time
+    laws = finite_horizon(pmf, max(Ns), top=top)
+    law = lindley_fixed_point(pmf, top=top)
+    consts = constants(model, law, gamma=args.gamma)
+    rows = []
+    for N in Ns:
+        fc = finite_constant(consts, N, laws) if N >= 1 else None
+        entry = {
+            "N": N,
+            "predicted": fc.value if fc else 0.0,
+            "predicted_lo": fc.lo if fc else 0.0,
+            "predicted_hi": fc.hi if fc else 0.0,
+        }
+        for x, b in zip(xs, bases):
+            entry[f"ratio_at_{x:g}"] = laws[N].tail(x) / b
+        rows.append(entry)
+    return {"constant_limit": consts.to_json_dict(), "rows": rows}, rows, True
 
 
-def cmd_stopped(args) -> int:
-    model = parse_model(args.model)
+def cmd_stopped(args):
+    model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
-    check_levels(xs)
-    try:
-        bases = increment_tails(model, xs)
-        pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma,
-                                              levels=xs)
-        stopped = stopped_max_sigma1(pmf, x_grid=xs, top=law.top)
-        pred = stopped_constant(consts, stopped)
-        rows = [
-            (float(x), float(t) / b)
-            for x, t, b in zip(stopped.max_tail_x, stopped.max_tail, bases)
-        ]
-    except (ModelError, LatticeError) as exc:
-        return _refused(f"stopped: {exc}")
-    return _report_command(
-        args, "stopped", rows, pred.value, law.top,
+    _as_usage(check_levels, xs)
+    bases = increment_tails(model, xs)
+    pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma, levels=xs)
+    stopped = stopped_max_sigma1(pmf, x_grid=xs, top=law.top)
+    pred = stopped_constant(consts, stopped)
+    rows = [
+        (float(x), float(t) / b)
+        for x, t, b in zip(stopped.max_tail_x, stopped.max_tail, bases)
+    ]
+    return _report(
+        args, rows, pred.value, law.top,
         {
             "constants": consts.to_json_dict(),
             "stopped_constant": {"value": pred.value, "lo": pred.lo, "hi": pred.hi},
@@ -455,93 +429,68 @@ def cmd_stopped(args) -> int:
     )
 
 
-def cmd_bigjump(args) -> int:
-    model = parse_model(args.model)
+def cmd_bigjump(args):
+    model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
-    try:
-        if args.measured == "oracle":
-            # span must cover jumps past x - h(x) with decay margin
-            x_top = max(xs)
-            pmf, top = oracle_grid(model, args.step, args.gamma, xs,
-                                   reach=(x_top - band_h(args.h_choice, x_top), 22.0))
-            law = lindley_fixed_point(pmf, top=top)
-            rows = [
+    if args.measured == "oracle":
+        # span must cover jumps past x - h(x) with decay margin
+        x_top = max(xs)
+        pmf, top = oracle_grid(model, args.step, args.gamma, xs,
+                               reach=(x_top - band_h(args.h_choice, x_top), 22.0))
+        law = lindley_fixed_point(pmf, top=top)
+        rows = [
+            {
+                "x": x,
+                "ratio": bigjump_dp_ratio(model, pmf, law, x, args.h_choice),
+                "stderr": 0.0,
+            }
+            for x in map(float, xs)
+        ]
+    else:
+        cfg = _mc_config(args)
+        rows = []
+        for x in xs:
+            rep = bigjump_conditional_ratio(model, float(x), args.h_choice, cfg)
+            rows.append(
                 {
-                    "x": x,
-                    "ratio": bigjump_dp_ratio(model, pmf, law, x, args.h_choice),
-                    "stderr": 0.0,
+                    "x": float(x),
+                    "ratio": None if math.isnan(rep.estimate) else rep.estimate,
+                    "stderr": rep.stderr,
                 }
-                for x in map(float, xs)
-            ]
-        else:
-            cfg = _mc_config(args)
-            rows = []
-            for x in xs:
-                rep = bigjump_conditional_ratio(model, float(x), args.h_choice, cfg)
-                rows.append(
-                    {
-                        "x": float(x),
-                        "ratio": None if math.isnan(rep.estimate) else rep.estimate,
-                        "stderr": rep.stderr,
-                    }
-                )
-    except (ModelError, LatticeError, EstimatorError) as exc:
-        return _refused(f"bigjump: {exc}")
-    payload = {
-        "manifest": _manifest("bigjump", args.model, _resolved_params(args)),
-        "rows": rows,
-    }
-    _emit(args.out, "bigjump", payload, rows)
+            )
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    ok = bool(ratios) and ratios[-1] >= 0.9 and (increasing or args.measured == "mc")
-    return EXIT_OK if ok else EXIT_REFUSED
+    passed = bool(ratios) and ratios[-1] >= 0.9 and (increasing or args.measured == "mc")
+    return {"rows": rows}, rows, passed
 
 
-def cmd_renewal_diag(args) -> int:
-    model = parse_model(args.model)
-    rs = _floats(args.R)
-    try:
-        table = renewal_diagnostics(model, rs, _mc_config(args), gamma=args.gamma)
-    except (ModelError, EstimatorError) as exc:
-        return _refused(f"renewal-diag: {exc}")
-    payload = {
-        "manifest": _manifest("renewal-diag", args.model, _resolved_params(args)),
-        "table": table.to_json_dict(),
-    }
-    _emit(args.out, "renewal_diag", payload, table.rows)
-    return EXIT_OK
+def cmd_renewal_diag(args):
+    model = _as_usage(parse_model, args.model)
+    table = renewal_diagnostics(model, _floats(args.R), _mc_config(args), gamma=args.gamma)
+    return {"table": table.to_json_dict()}, table.rows, True
 
 
-def cmd_convolution_check(args) -> int:
-    model = parse_model(args.model)
+def cmd_convolution_check(args):
+    model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
     ns = _ints(args.n)
     if min(ns) < 1:  # powers[n - 1] would index another sum's law
-        raise ModelError(f"summand counts must be >= 1, got {min(ns)}")
-    check_levels(xs)
-    try:
-        bases = increment_tails(model, xs)
-        pmf, _ = oracle_grid(model, args.step, args.gamma, reach=(max(xs), 15.0))
-        powers = convolution_power(pmf, max(ns))
-        rows = []
-        verdicts = []
-        for n in ns:
-            pred = convolution_prediction(model, n, gamma=args.gamma)
-            measured = [(x, powers[n - 1].tail(x) / b) for x, b in zip(xs, bases)]
-            rep = convergence_report(pred, measured, tol=args.tol, provenance="oracle",
-                                     top=float(powers[n - 1].centers()[-1]))
-            verdicts.append(rep.verdict == "converging")
-            for r in rep.csv_rows():
-                rows.append({"n": n, **r})
-    except (ModelError, LatticeError) as exc:
-        return _refused(f"convolution-check: {exc}")
-    payload = {
-        "manifest": _manifest("convolution-check", args.model, _resolved_params(args)),
-        "rows": rows,
-    }
-    _emit(args.out, "convolution_check", payload, rows)
-    return EXIT_OK if all(verdicts) else EXIT_REFUSED
+        raise UsageError(f"summand counts must be >= 1, got {min(ns)}")
+    _as_usage(check_levels, xs)
+    bases = increment_tails(model, xs)
+    pmf, _ = oracle_grid(model, args.step, args.gamma, reach=(max(xs), 15.0))
+    powers = convolution_power(pmf, max(ns))
+    rows = []
+    verdicts = []
+    for n in ns:
+        pred = convolution_prediction(model, n, gamma=args.gamma)
+        measured = [(x, powers[n - 1].tail(x) / b) for x, b in zip(xs, bases)]
+        rep = convergence_report(pred, measured, tol=args.tol, provenance="oracle",
+                                 top=float(powers[n - 1].centers()[-1]))
+        verdicts.append(rep.verdict == "converging")
+        for r in rep.csv_rows():
+            rows.append({"n": n, **r})
+    return {"rows": rows}, rows, all(verdicts)
 
 
 # --- wiring -----------------------------------------------------------------------
@@ -651,11 +600,15 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         _check_mode(args)
-        code = args.func(args)
-    except ModelError as exc:
-        return _usage_error(f"walkmax: {exc}")
-    except (LatticeError, EstimatorError, QuadratureError) as exc:
-        return _refused(f"walkmax: {exc}")
+        payload, csv_rows, passed = args.func(args)
+    except UsageError as exc:
+        return _fail(f"walkmax: {exc}", EXIT_USAGE)
+    except (ModelError, LatticeError, EstimatorError, QuadratureError) as exc:
+        code = _fail(f"{args.command}: {exc}", EXIT_REFUSED)
+    else:
+        _emit(args.out, args.command.replace("-", "_"), {"manifest": _manifest(args), **payload},
+              csv_rows)
+        code = EXIT_OK if passed else EXIT_REFUSED
     print(f"walkmax {args.command}: {1000 * (time.monotonic() - t0):.0f} ms",
           file=sys.stderr)
     return code

@@ -58,6 +58,8 @@ MASS_TOL = 1e-12
 FOLD_REFUSE = 1e-6
 # the reflected recursion stops once no cell moves by this much in one sweep
 FIXED_POINT_TOL = 1e-13
+# ... and refuses a walk whose sweep count, known up front, is larger than this
+MAX_SWEEPS = 10**6
 # largest certified twist remainder an exponential moment may carry
 MAX_REMAINDER = 1e-3
 # stopped_max_sigma1 stops sweeping once this much mass is still unabsorbed
@@ -418,8 +420,9 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
     maximum, so ``finite_horizon`` runs the same recursion.  Sweep n moves a
     cell by at most P(M_n != M_{n-1}) <= P(S_n > 0) <= phi(alpha)^n for any
     twist alpha with phi(alpha) < 1, so a grid that keeps the walk's mass stops
-    within a count known up front; a step still above the tolerance after that
-    count is mass leaking through the grid top, and is refused.
+    within a count known up front.  A count above ``MAX_SWEEPS`` is refused
+    before the first sweep; a step still above the tolerance after that count
+    is mass leaking through the grid top, and is refused.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
@@ -429,6 +432,11 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
     phi = pmf.mgf(0.75 * a_sup if math.isfinite(a_sup) else 1.0)
     # a phi below the tolerance settles in one sweep
     sweeps = math.ceil(math.log(FIXED_POINT_TOL) / math.log(max(phi, FIXED_POINT_TOL)))
+    if sweeps > MAX_SWEEPS:
+        raise LatticeError(
+            f"phi = {phi!r} at the certifying twist bounds the fixed point only after "
+            f"{sweeps:.3g} sweeps, more than {MAX_SWEEPS:.0e}: the walk is too near criticality"
+        )
     laws = _reflected(pmf, top)
     V, overflow = next(laws)
     n, delta = 0, math.inf

@@ -202,6 +202,9 @@ BAD_USAGE = [
      "argument --seed: must be an integer >= 0"),
     (["bigjump", "--measured", "mc", "--seed", "-1"],
      "argument --seed: must be an integer >= 0"),
+    # the middle band [h(x), x - h(x)] is empty where h(x) = sqrt(x) > x/2
+    (["verify-class", "--h-choice", "sqrt", "--x", "1,2,3"],
+     "walkmax: h(x)=1.0 exceeds x/2 at x=1.0"),
 ] + [
     # an option only the other --measured mode reads
     ([*argv, option, *value], f"{argv[0]}: {option} is read only by --measured {mode}")
@@ -236,7 +239,8 @@ class TestUsageCheckedFirst:
             raise AssertionError("work ran before the usage was checked")
 
         for name in ("estimate_tail_crude", "discretize", "constants_pipeline",
-                     "renewal_diagnostics", "bigjump_conditional_ratio"):
+                     "renewal_diagnostics", "bigjump_conditional_ratio",
+                     "lgamma_diagnostic", "sgamma_diagnostic"):
             monkeypatch.setattr(cli, name, no_work)
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, *argv, "--model", REF, "--out", str(out_dir))
@@ -276,8 +280,33 @@ class TestUsageCheckedFirst:
         monkeypatch.setattr(cli, "constants_pipeline", fail)
         code, out, err = run(capsys, "constants", "--model", REF)
         assert (code, out) == (2, "")
-        assert "walkmax: tail quadrature at rate 1 did not converge" in err
+        assert "constants: tail quadrature at rate 1 did not converge" in err
         assert "Traceback" not in err
+
+
+class TestOneRefusalPath:
+    """Every computing command reports a refusal the same way: exit 2, one
+    ``<command>: <reason>`` line, no payload and no output directory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--model", "polyexp:gamma=1,beta=2,shift=0"],
+        ["tail-report", "--model", REF, "--x", "10,20,80", "--step", "0.05"],
+        ["local-report", "--model", REF, "--x", "60,66,72", "--t", "5", "--step", "0.05"],
+        ["finite", "--model", REF, "--N", "1,5", "--x", "10,75", "--step", "0.05"],
+        ["stopped", "--model", REF, "--x", "4,6,75", "--step", "0.05"],
+        ["bigjump", "--model", REF, "--x", "10,20,100", "--step", "0.05"],
+        ["renewal-diag", "--model", REF, "--R", "2,4", "--n-paths", "20000",
+         "--gamma", "1.5"],
+        ["convolution-check", "--model", "twopoint:u=1,pu=0.25,v=-1", "--gamma", "0.9",
+         "--step", "1", "--x", "0.25,0.5,1"],
+    ], ids=lambda argv: argv[0])
+    def test_refusal_is_one_line_without_payload(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert not out_dir.exists()
+        assert len([line for line in err.splitlines() if line.startswith(f"{argv[0]}: ")]) == 1
+        assert "walkmax: " not in err and "Traceback" not in err
 
 
 class TestZeroTailCheckedFirst:

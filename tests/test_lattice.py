@@ -214,6 +214,16 @@ class TestFixedPoint:
         with pytest.raises(LatticeError):
             lindley_fixed_point(discretize(up, 1.0))
 
+    @pytest.mark.parametrize("pmf,count", [
+        (lambda: LatticePMF(h=1.0, k0=-1, probs=[0.5, 0.0, 0.5 - 2**-53]), r"2\.7e\+17"),
+        (lambda: discretize(TwoPoint(u=1.0, pu=0.4999, v=-1.0), 1.0), r"2e\+09"),
+    ], ids=["mean-1e-16", "twopoint-pu-0.4999"])
+    def test_near_critical_walk_refused_before_sweeping(self, sweeps, pmf, count):
+        # phi(0.75 alpha_sup) is within 2e-8 of 1: the sweep cap bounds nothing
+        with pytest.raises(LatticeError, match=rf"phi = 0\.99999.* after {count} sweeps"):
+            lindley_fixed_point(pmf(), top=200.0)
+        assert sweeps[0] == 0
+
     def test_trunc_bound_dominates_true_tail(self, tp_law):
         # chernoff certificate must bound the known closed-form tail at top
         k_top = len(tp_law.probs) - 1
