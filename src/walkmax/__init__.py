@@ -38,7 +38,6 @@ from .montecarlo import (
     bigjump_conditional_ratio,
     estimate_bigjump_sum,
     estimate_tail_crude,
-    exceedance_time_profile,
     renewal_diagnostics,
 )
 from .asymptotics import (
@@ -81,7 +80,6 @@ __all__ = [
     "estimate_tail_crude",
     "estimate_bigjump_sum",
     "bigjump_conditional_ratio",
-    "exceedance_time_profile",
     "renewal_diagnostics",
     "AsymptoticConstants",
     "ConvergenceReport",

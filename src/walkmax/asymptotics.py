@@ -5,11 +5,12 @@ tail is asymptotically proportional to the increment tail; the constant is
 
     C = E exp(gamma*M) / (1 - phg),
 
-with E exp(gamma*M) taken from the grid oracle (it has no closed form in the
-increment law) and carried as a certified enclosure.  The derived constants
-for windowed, finite-horizon, and stopped variants are assembled here, along
-with the report type that compares a prediction against measured ratios over
-an increasing level grid.
+with E exp(gamma*M) taken from the grid oracle's law of M near 0 through the
+boundary identity E exp(gamma*M) (1 - phg) = E[1 - exp(gamma*(M+xi)); M+xi <= 0]
+(it has no closed form in the increment law) and carried as a certified
+enclosure.  The derived constants for windowed, finite-horizon, and stopped
+variants are assembled here, along with the report type that compares a
+prediction against measured ratios over an increasing level grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .increments import IncrementModel, ModelError
-from .lattice import Bracket, LatticePMF, LatticeError, MaxLaw, StoppedLaw, exp_moment
+from .lattice import (Bracket, LatticePMF, LatticeError, MaxLaw, StoppedLaw, boundary_term,
+                      exp_moment)
 
 __all__ = [
     "AsymptoticConstants",
@@ -86,7 +88,7 @@ def constants(
     phg = model.mgf(g)
     if not phg < 1.0:
         raise ModelError(f"twisted moment {phg:.6f} >= 1; no subcritical constant")
-    em = exp_moment(max_law, g)
+    em = exp_moment(max_law, g, phg)
     c = em.scale(1.0 / (1.0 - phg))
     c_lo = 1.0 / (1.0 - phg)
     c_hi = c_lo * c_lo
@@ -115,21 +117,23 @@ def finite_constant(
 ) -> Bracket:
     """Predicted horizon-N constant: sum_{n=1}^{N} phg^{n-1} * E exp(gamma*M_{N-n}).
 
-    ``horizon_laws`` must contain the maxima laws for horizons 0..N-1 (index
-    by horizon).  The horizon-0 law is the point mass at zero, so its moment
-    is exactly 1.
+    The horizon moments m_j = E exp(gamma*M_j) come from the one-step form
+    m_0 = 1, m_{j+1} = phg * m_j + B(M_j) of M_{j+1} =d (M_j + xi)^+, with B
+    the ``boundary_term``; ``horizon_laws`` must contain the maxima laws for
+    horizons 0..N-2 (index by horizon).
     """
     if N < 1:
         raise ModelError(f"need N >= 1, got {N}")
-    if len(horizon_laws) < N:
-        raise ModelError(f"need laws for horizons 0..{N-1}, got {len(horizon_laws)}")
+    if len(horizon_laws) < N - 1:
+        raise ModelError(f"need laws for horizons 0..{N-2}, got {len(horizon_laws)}")
+    moments = [Bracket(1.0, 1.0, 1.0)]
+    for law in horizon_laws[: N - 1]:
+        m, b = moments[-1].scale(consts.phg), boundary_term(law, consts.gamma)
+        moments.append(Bracket(m.value + b.value, m.lo + b.lo, m.hi + b.hi))
     val = lo = hi = 0.0
     for n in range(1, N + 1):
         w = consts.phg ** (n - 1)
-        if N - n == 0:
-            em = Bracket(1.0, 1.0, 1.0)
-        else:
-            em = exp_moment(horizon_laws[N - n], consts.gamma)
+        em = moments[N - n]
         val += w * em.value
         lo += w * em.lo
         hi += w * em.hi

@@ -65,7 +65,7 @@ from .asymptotics import (
     stopped_constant,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,9 +187,9 @@ def oracle_grid(model: IncrementModel, h: float, gamma: float | None, levels=(),
     any sweep.  ``reach = (level, decay_lengths)`` widens a smooth tail's span
     to cover jumps past ``level`` (atomic families keep their exact support).
     The top is 75 decay lengths of the decay rate, or of ``gamma`` for atomic
-    families, which keeps both the tail range and the twisted-moment remainder
-    certified; with neither, the increment law sizes it.  A level at or above
-    the top cell is refused: the laws end there, so no tail at it is whole."""
+    families, which keeps the tail range certified; with neither, the
+    increment law sizes it.  A level at or above the top cell is refused: the
+    laws end there, so no tail at it is whole."""
     rate = model.decay_rate
     span = None
     if reach and rate:
@@ -286,7 +286,7 @@ def cmd_constants(args):
         "oracle": {
             "top": law.top,
             "iterations": law.n_iter,
-            "final_delta": law.final_delta,
+            "stop_bound": law.stop_bound,
             "trunc_bound": law.trunc_bound,
             "overflow": law.overflow,
             "mass_at_zero": float(law.probs[0]),

@@ -13,12 +13,14 @@ window.  Each oracle is a loop over that primitive with its own stop rule:
   above the level (the first-passage probability);
 * ``bigjump_flow`` collects the landings above a jump level.
 
+``exp_moment`` reads the law of M only on the cells ``0 ... -k0`` through
+the boundary identity of ``M =d (M + xi)^+``, so no far-tail sum enters it.
+
 All convolutions are direct summations: per-bin results then carry relative
-(not absolute) accuracy, which is what lets the exponential moments of the
-far tail be certified.  ``_direct_conv`` runs them as block-Toeplitz matrix
-products; each bin is still a sum of exactly the same nonnegative products,
-only in another order, so its relative error stays below its term count
-times the unit roundoff.  Moments are sums of elementwise products, not BLAS
+(not absolute) accuracy, which deep-tail bins need.  ``_direct_conv`` runs
+them as block-Toeplitz matrix products; each bin is still a sum of exactly
+the same nonnegative products, only in another order, so its relative error
+stays below its term count times the unit roundoff.  Moments are sums of elementwise products, not BLAS
 dot products, whose threaded reduction made results depend on the BLAS
 thread count; the block products give the same bits under one and two
 threads.  Every law keeps explicit truncation bookkeeping; nothing is ever
@@ -35,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .increments import IncrementModel, chernoff_tail, twist_min, twist_sup
+from .increments import IncrementModel, chernoff_tail, twist_sup
 
 __all__ = [
     "LatticeError",
@@ -50,18 +52,17 @@ __all__ = [
     "lindley_fixed_point",
     "finite_horizon",
     "stopped_max_sigma1",
+    "boundary_term",
     "exp_moment",
     "bigjump_flow",
 ]
 
 MASS_TOL = 1e-12
 FOLD_REFUSE = 1e-6
-# the reflected recursion stops once no cell moves by this much in one sweep
+# the reflected recursion runs the sweep count that bounds P(M != M_n) near this
 FIXED_POINT_TOL = 1e-13
-# ... and refuses a walk whose sweep count, known up front, is larger than this
+# ... and refuses a walk whose sweep count is larger than this
 MAX_SWEEPS = 10**6
-# largest certified twist remainder an exponential moment may carry
-MAX_REMAINDER = 1e-3
 # stopped_max_sigma1 stops sweeping once this much mass is still unabsorbed
 STOP_RESIDUAL = 1e-12
 # ... and refuses once more than this much is left unabsorbed or crossed the top
@@ -71,8 +72,6 @@ BIGJUMP_REL_TOL = 1e-12
 # block width of ``_direct_conv``; of 32, 48, 64 and 128, 64 ran the sweep
 # shapes (15,001 x 5,566 and 8,001 x 10,679 cells) fastest
 CONV_BLOCK = 64
-# exp() overflows a float just above 709; exp_moment refuses a gamma * top above this
-EXP_ARG_LIMIT = 700.0
 # most cells of any grid here: 10**7 cells are 80 MB per vector, and a
 # larger grid is refused before anything is allocated
 MAX_CELLS = 10**7
@@ -133,10 +132,9 @@ class LatticePMF:
     Work that depends only on the law is memoized on the instance, so each
     scan runs once however many laws of its walk ask for it: the subcritical
     twist bound ``chernoff_alpha_sup``, ``chernoff_tail_bound`` per level,
-    ``twist_remainder`` per ``(gamma, top)``, and the reflected
-    laws that ``finite_horizon`` computed.  ``probs`` is made read-only here,
-    and nothing assigns ``h`` or ``k0`` after construction, so the memo cannot
-    go stale; it is freed with the pmf.
+    and the reflected laws that ``finite_horizon`` computed.  ``probs`` is
+    made read-only here, and nothing assigns ``h`` or ``k0`` after
+    construction, so the memo cannot go stale; it is freed with the pmf.
     """
 
     h: float
@@ -194,23 +192,6 @@ class LatticePMF:
         return self._memoized(
             ("tail_bound", t), lambda: chernoff_tail(self.mgf, self.chernoff_alpha_sup(), t)
         )
-
-    def twist_remainder(self, gamma: float, top: float) -> float:
-        """Smallest steeper-twist bound on E[e^{gamma M}; M > top] for the
-        walk maximum M, over 400 twists in (gamma, alpha_sup); inf when none
-        of them has a subcritical mgf.  See ``exp_moment``."""
-
-        def scan():
-            upper = min(self.chernoff_alpha_sup() * (1 - 1e-9), 8.0 * gamma)
-            return twist_min(
-                self.mgf,
-                np.linspace(gamma + 1e-3 * (upper - gamma), upper, 400),
-                lambda a, p: (
-                    math.exp(-(a - gamma) * top) * (1.0 + gamma / (a - gamma)) / (1.0 - p)
-                ),
-            )
-
-        return self._memoized(("twist_remainder", gamma, top), scan)
 
 
 def discretize(
@@ -328,7 +309,9 @@ class MaxLaw:
 
     ``trunc_bound`` certifies P(max > top); ``overflow`` is the mass actually
     lost above the grid during the recursion (the only mass deficit — the
-    vector plus ``overflow`` accounts for exactly 1).
+    vector plus ``overflow`` accounts for exactly 1).  ``stop_bound``
+    certifies P(M != M_n) for a fixed point stopped after ``n_iter`` sweeps;
+    a horizon law is the law of its own M_n, and carries 0.
     """
 
     h: float
@@ -337,7 +320,7 @@ class MaxLaw:
     trunc_bound: float
     overflow: float = 0.0
     n_iter: int = 0
-    final_delta: float = 0.0
+    stop_bound: float = 0.0
 
     @property
     def top(self) -> float:
@@ -388,7 +371,7 @@ def _reflected(pmf: LatticePMF, top: float):
     kept = pmf._memo.get(("reflected", K), [(V, 0.0)])
     yield from kept
     V, overflow = kept[-1]
-    for n, (V, _, above) in enumerate(_sweep(V, pmf, reflect=True), len(kept) - 1):
+    for n, (V, _, above) in enumerate(_sweep(V, pmf, reflect=True), len(kept)):
         overflow += above.sum()
         if overflow > 1e-3:
             # a sound grid loses ~1e-30 per sweep; this is a sizing mistake,
@@ -415,14 +398,14 @@ def _auto_top(pmf: LatticePMF) -> float:
 def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
     """Law of the all-time maximum M = sup_n S_n via the reflected recursion.
 
-    Iterates from the point mass at 0 until the sup-norm step change drops
-    below ``FIXED_POINT_TOL``.  Each iterate is exactly the law of the n-step
-    maximum, so ``finite_horizon`` runs the same recursion.  Sweep n moves a
-    cell by at most P(M_n != M_{n-1}) <= P(S_n > 0) <= phi(alpha)^n for any
-    twist alpha with phi(alpha) < 1, so a grid that keeps the walk's mass stops
-    within a count known up front.  A count above ``MAX_SWEEPS`` is refused
-    before the first sweep; a step still above the tolerance after that count
-    is mass leaking through the grid top, and is refused.
+    Each iterate is exactly the law of the n-step maximum, so ``finite_horizon``
+    runs the same recursion.  M_n differs from M only if some later partial
+    sum is above 0, so P(M != M_n) <= sum_{m>n} phi(alpha)^m
+    = phi(alpha)^{n+1}/(1 - phi(alpha)) for any twist alpha with
+    phi(alpha) < 1.  The recursion stops after the count n that brings
+    phi(alpha)^n below ``FIXED_POINT_TOL`` at alpha = 0.75 alpha_sup, and the
+    law carries that bound as ``stop_bound``.  A count above ``MAX_SWEEPS`` is
+    refused before the first sweep.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
@@ -437,20 +420,7 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
             f"phi = {phi!r} at the certifying twist bounds the fixed point only after "
             f"{sweeps:.3g} sweeps, more than {MAX_SWEEPS:.0e}: the walk is too near criticality"
         )
-    laws = _reflected(pmf, top)
-    V, overflow = next(laws)
-    n, delta = 0, math.inf
-    while delta >= FIXED_POINT_TOL:
-        if n >= sweeps:
-            raise LatticeError(
-                f"fixed-point step {delta:.3e} after {n} sweeps, past which a grid that keeps "
-                f"the walk's mass steps below {FIXED_POINT_TOL:g}: the grid top {top:g} leaks "
-                "mass; raise the top", residual=delta,
-            )
-        V_next, overflow = next(laws)
-        delta = float(np.abs(V_next - V).max())
-        V = V_next
-        n += 1
+    V, overflow = next(islice(_reflected(pmf, top), sweeps, None))
     K = len(V) - 1
     return MaxLaw(
         h=pmf.h,
@@ -458,8 +428,8 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
         increment=pmf,
         trunc_bound=pmf.chernoff_tail_bound(K * pmf.h),
         overflow=overflow,
-        n_iter=n,
-        final_delta=delta,
+        n_iter=sweeps,
+        stop_bound=phi ** (sweeps + 1) / (1.0 - phi),
     )
 
 
@@ -492,7 +462,6 @@ def finite_horizon(
             trunc_bound=trunc,
             overflow=leaked,
             n_iter=n,
-            final_delta=0.0,
         )
         for n, (V, leaked) in enumerate(history)
     ]
@@ -609,52 +578,44 @@ def stopped_max_sigma1(
     )
 
 
-def exp_moment(law: MaxLaw, gamma: float) -> Bracket:
-    """Sum of exp(gamma * k * h) against a walk-maximum law, with a certified
-    enclosure, for a positive twist ``gamma``.
+def boundary_term(law: MaxLaw, gamma: float) -> Bracket:
+    """B = E[1 - e^{gamma (M + xi)}; M + xi <= 0] for the walk maximum M of
+    ``law`` and an independent increment xi, for a positive twist ``gamma``.
 
-    The mass beyond the grid top is controlled by a steeper-twist bound built
-    from the increment law's own lattice mgf: for any alpha in
-    (gamma, alpha_sup) with phi(alpha) < 1,
-
-        E[e^{gamma M}; M > top] <= e^{-(alpha-gamma) top}
-                                   * (1 + gamma/(alpha-gamma)) / (1 - phi(alpha)).
-
-    The enclosure also charges the recursion's lost overflow mass at the top.
-    Raises when the certified remainder exceeds ``MAX_REMAINDER``.
-
-    The remainder depends only on the increment pmf, ``gamma`` and ``top``, so
-    its 400-twist scan is memoized on the increment pmf (whose ``probs`` are
-    read-only) and runs once for all the horizon laws of one walk.  Every
-    refusal is still decided on every call.  A ``gamma * top`` above
-    ``EXP_ARG_LIMIT`` is refused: e^{gamma * top} would overflow a float.
+    Only the cells 0 ... -k0 of M can land at or below 0, so B is the sum of
+    V_y G_y over them, with the weights G_y = sum_{k <= -y} p_k (1 -
+    e^{gamma (y + k) h}) in [0, 1] from cumulative sums of the increment pmf.
+    M differs from the law's vector by at most its ``stop_bound`` in
+    probability plus its ``overflow`` in lost mass, and B moves by at most that
+    much; the enclosure charges both.
     """
     if not gamma > 0:
-        raise LatticeError(f"exp_moment needs a positive twist, got {gamma}")
-    top = law.top
-    if gamma * top > EXP_ARG_LIMIT:
-        raise LatticeError(
-            f"E exp({gamma} M) overflows a float at gamma*top = {gamma * top:.1f} "
-            f"> {EXP_ARG_LIMIT:g}; lower the grid top"
-        )
-    logs = gamma * law.centers()
-    m = float(logs.max())
-    val = float(math.exp(m) * (np.exp(logs - m) * law.probs).sum())
-    slop = law.overflow * math.exp(gamma * top)
+        raise LatticeError(f"boundary term needs a positive twist, got {gamma}")
     inc = law.increment
-    a_sup = inc.chernoff_alpha_sup()
-    if a_sup <= gamma:
-        raise LatticeError(
-            f"cannot certify twist {gamma}: increment lattice admits no twist "
-            f"beyond {a_sup:.4f} with subcritical mgf"
-        )
-    remainder = inc.twist_remainder(gamma, top)
-    if not math.isfinite(remainder) or remainder + slop > MAX_REMAINDER:
-        raise LatticeError(
-            f"twist remainder {remainder + slop:.3e} exceeds {MAX_REMAINDER:g}; "
-            "raise the grid top"
-        )
-    return Bracket(float(val), float(max(val - slop, 0.0)), float(val + remainder + slop))
+    n = min(-inc.k0, len(law.probs) - 1) + 1
+    p = np.zeros(1 - inc.k0)  # cells k0 ... 0
+    p[: inc.probs.size] = inc.probs[: p.size]
+    cum = np.cumsum([p, p * np.exp(gamma * inc.h * np.arange(inc.k0, 1))], axis=1)
+    y = np.arange(n)
+    G = cum[0, -inc.k0 - y] - np.exp(gamma * inc.h * y) * cum[1, -inc.k0 - y]
+    value = float((law.probs[:n] * G).sum())
+    err = law.stop_bound + float(law.overflow)
+    return Bracket(value, max(value - err, 0.0), value + err)
+
+
+def exp_moment(law: MaxLaw, gamma: float, phi: float) -> Bracket:
+    """E e^{gamma M} for the fixed-point law of the all-time maximum, where
+    ``phi`` = E e^{gamma xi} < 1 is the model's twisted increment moment.
+
+    From M =d (M + xi)^+, E e^{gamma M} (1 - phi) = ``boundary_term``, which
+    reads M only near 0: no sum over the tail enters, so the jumps past the
+    increment's span edge are counted through ``phi``.  The identity holds
+    for the fixed point only; a horizon law M_n obeys the one-step form
+    E e^{gamma M_{n+1}} = phi E e^{gamma M_n} + B(M_n) instead.
+    """
+    if not phi < 1.0:
+        raise LatticeError(f"exp_moment needs a twisted moment below 1, got {phi}")
+    return boundary_term(law, gamma).scale(1.0 / (1.0 - phi))
 
 
 @dataclass

@@ -37,12 +37,10 @@ __all__ = [
     "EstimatorError",
     "SimConfig",
     "EstimatorReport",
-    "ProfileTable",
     "RenewalTable",
     "estimate_tail_crude",
     "estimate_bigjump_sum",
     "bigjump_conditional_ratio",
-    "exceedance_time_profile",
     "renewal_diagnostics",
 ]
 
@@ -363,58 +361,6 @@ def bigjump_conditional_ratio(
         n_effective=hits,
         bias_bound=bias,
         params={"x": x, "h_choice": h_choice, "a": a, "slack": K},
-        flags=flags,
-    )
-
-
-@dataclass
-class ProfileTable:
-    """P(max by step N exceeds x | max ever exceeds x) over an N grid."""
-
-    model: str
-    x: float
-    rows: list[dict]
-    n_hits: int
-    n_paths: int
-    seed: int
-    flags: dict = field(default_factory=dict)
-
-
-def exceedance_time_profile(
-    model: IncrementModel, x: float, n_grid: Sequence[int], cfg: SimConfig
-) -> ProfileTable:
-    """Conditional distribution of the first time the walk exceeds x."""
-    n_grid = sorted(int(N) for N in n_grid)
-    if n_grid and n_grid[0] < 0:
-        raise EstimatorError("horizon grid entries must be >= 0")
-    K = _crude_slack(model, x)
-
-    def reduce(p: _Paths, hit: np.ndarray) -> dict:
-        hit_steps = p.step[hit]
-        return {"counts": np.array([(hit_steps <= N).sum() for N in n_grid], dtype=np.int64)}
-
-    total = _simulate(model, cfg, reduce, x, K)
-    _check_undecided(total["undecided"], cfg.n_paths, "exceedance_time_profile")
-    hits = int(total["hits"])
-    rows = []
-    for j, N in enumerate(n_grid):
-        if hits == 0:
-            rows.append({"N": N, "estimate": None, "stderr": 0.0})
-        else:
-            c = int(total["counts"][j])
-            rows.append(
-                {"N": N, "estimate": c / hits, "stderr": _binomial_stderr(c, hits)}
-            )
-    flags = {"undecided": int(total["undecided"])}
-    if hits == 0:
-        flags["inconclusive"] = True
-    return ProfileTable(
-        model=model.spec_string(),
-        x=x,
-        rows=rows,
-        n_hits=hits,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
         flags=flags,
     )
 

@@ -61,8 +61,8 @@ def test_criterion_01_oracle_exactness(tp_model):
     certify(1, ok, f"ruin-chain max err {worst:.2e} (<1e-10), {elapsed:.2f}s (<5s)")
 
 
-def test_criterion_02_twisted_moment_bounds(ref_law):
-    em = exp_moment(ref_law, 1.0)
+def test_criterion_02_twisted_moment_bounds(ref_model, ref_law):
+    em = exp_moment(ref_law, 1.0, ref_model.mgf(1.0))
     ok = 1.0 < em.lo and em.hi < 2.0 and em.width < 1e-3
     certify(
         2,

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from walkmax import (
     Bracket,
+    LatticePMF,
     ModelError,
     PointMass,
+    PolyExp,
+    QuadratureError,
     constants,
+    convolve,
     convergence_report,
     convolution_prediction,
     discretize,
@@ -23,6 +29,7 @@ from walkmax import (
     stopped_max_sigma1,
 )
 from walkmax.asymptotics import AsymptoticConstants
+from walkmax.cli import constants_pipeline
 from walkmax.lattice import LatticeError, convolution_power
 
 
@@ -69,6 +76,64 @@ class TestConstants:
             constants(tp_model, tp_law)
 
 
+class PollaczekKhinchine:
+    """xi = eta - T with eta = PolyExp(1, 2, 0) and T ~ Exp(lam) independent:
+    M is the M/G/1 waiting time, and E e^{gM} = (1-rho) g / ((lam+g)(1-phi(g)))
+    with rho = lam E eta and phi(g) = E e^{g eta} lam/(lam+g) (Embrechts and
+    Veraverbeke, Insurance Math. Econ. 1, 1982), so C is closed-form."""
+
+    decay_rate = 1.0
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self.eta = PolyExp(1.0, 2.0, 0.0, require_subcritical=False)
+
+    def mgf(self, alpha: float) -> float:
+        return self.eta.mgf(alpha) * self.lam / (self.lam + alpha)
+
+    def exact_constant(self) -> float:
+        g, phi = self.decay_rate, self.mgf(self.decay_rate)
+        return (1.0 - self.lam * self.eta.mean()) * g / ((self.lam + g) * (1.0 - phi) ** 2)
+
+    def pmf(self, h: float) -> LatticePMF:
+        """discretize(eta) convolved with -T binned on the same cells (-T in
+        cell k < 0 iff T in [(-k-1/2)h, (-k+1/2)h)); T past 1e-16 folds into
+        the lowest cell."""
+        k_lo = -math.ceil(math.log(1e16) / self.lam / h)
+        k = np.arange(k_lo, 1)
+        cdf_hi = -np.expm1(-self.lam * (0.5 - k) * h)
+        cdf_lo = -np.expm1(-self.lam * np.maximum(-0.5 - k, 0.0) * h)
+        probs = cdf_hi - cdf_lo
+        probs[0] += 1.0 - cdf_hi[0]
+        return convolve(discretize(self.eta, h), LatticePMF(h=h, k0=k_lo, probs=probs))
+
+
+class TestOutsideGate:
+    @pytest.mark.parametrize("lam,phi,exact", [(1 / 3, 0.5, 2.596347),
+                                               (0.75, 0.857, 19.523295)])
+    def test_pollaczek_khinchine_constant(self, lam, phi, exact):
+        model = PollaczekKhinchine(lam)
+        assert model.mgf(1.0) == pytest.approx(phi, abs=5e-4)
+        assert model.exact_constant() == pytest.approx(exact, abs=5e-7)
+        law = lindley_fixed_point(model.pmf(0.02), top=75.0)
+        c = constants(model, law).constant
+        assert c.value == pytest.approx(model.exact_constant(), rel=5e-5)
+
+
+@given(gamma=st.floats(0.5, 2.0), beta=st.floats(1.2, 5.0), phi=st.floats(0.1, 0.9))
+@settings(max_examples=25, deadline=None)
+def test_random_subcritical_constant_in_apriori_enclosure(gamma, beta, phi):
+    # the shift that puts the twisted moment at phi
+    phi0 = PolyExp(gamma, beta, 0.0, require_subcritical=False).mgf(gamma)
+    model = PolyExp(gamma, beta, math.log(phi0 / phi) / gamma)
+    try:
+        _, _, consts = constants_pipeline(model, h=0.05)
+    except (ModelError, LatticeError, QuadratureError):
+        return
+    c = consts.constant
+    assert consts.c_lo <= c.lo <= c.value <= c.hi <= consts.c_hi
+
+
 class TestLocalConstant:
     def test_infinite_window_recovers_constant(self, ref_consts):
         assert local_constant(ref_consts, math.inf).value == pytest.approx(
@@ -100,22 +165,16 @@ class TestFiniteConstant:
         fc = finite_constant(ref_consts, 1, ref_horizon_laws)
         assert fc.value == pytest.approx(1.0, abs=1e-15)
 
-    def test_two_step_against_direct_quadrature(
-        self, ref_model, ref_pmf, ref_consts, ref_horizon_laws
-    ):
+    def test_two_step_against_direct_quadrature(self, ref_model, ref_consts, ref_horizon_laws):
         # horizon-2 value is E e^{g M_1} + phg * E e^{g M_0}; the one-step
-        # maximum is xi^+, so its moment is P(xi <= 0) + E[e^{g xi}; xi > 0],
-        # with the increment mass folded at the grid's upper edge
+        # maximum is xi^+, so its moment is P(xi <= 0) + E[e^{g xi}; xi > 0]
+        # over the model's whole tail, past the grid's span edge too
         def integrand(x):
             return math.exp(ref_model.gamma * x) * float(ref_model.pdf(x))
 
-        top_cell = (ref_pmf.k0 + ref_pmf.probs.size - 1) * ref_pmf.h
-        pos, err = integrate.quad(integrand, 0.0, top_cell, epsabs=1e-12, limit=300)
+        pos, err = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-12, limit=500)
         assert err < 1e-9
-        folded = math.exp(ref_model.gamma * top_cell) * float(
-            ref_model.tail(top_cell + ref_pmf.h / 2)
-        )
-        e_m1 = float(ref_model.cdf(0.0)) + pos + folded
+        e_m1 = float(ref_model.cdf(0.0)) + pos
         fc = finite_constant(ref_consts, 2, ref_horizon_laws)
         assert fc.value == pytest.approx(e_m1 + ref_consts.phg, rel=1e-3)
 
@@ -144,7 +203,7 @@ class TestFiniteConstant:
 
     def test_missing_laws(self, ref_consts, ref_horizon_laws):
         with pytest.raises(ModelError):
-            finite_constant(ref_consts, len(ref_horizon_laws) + 1, ref_horizon_laws)
+            finite_constant(ref_consts, len(ref_horizon_laws) + 2, ref_horizon_laws)
 
 
 class TestStoppedConstant:

@@ -84,6 +84,20 @@ class TestConstants:
         assert code == 2
         assert "constants:" in err
 
+    @pytest.mark.parametrize("spec,fine", [
+        ("polyexp:gamma=1,beta=2,shift=0.8", 29.0114),
+        ("polyexp:gamma=1,beta=1.5,shift=1.3862943611198906", 8.7894),
+    ])
+    def test_heavy_far_tail_gets_a_constant(self, capsys, spec, fine):
+        # a sum of e^{gamma x} over the law of M refused both: its certified
+        # remainder past the grid top was 3.6 and 0.29; ``fine`` is C at h = 0.01
+        code, out, _ = run(capsys, "constants", "--model", spec, "--step", "0.05")
+        assert code == 0
+        consts = json.loads(out)["constants"]
+        c = consts["constant"]
+        assert consts["c_lo"] <= c["lo"] <= c["value"] <= c["hi"] <= consts["c_hi"]
+        assert c["value"] == pytest.approx(fine, rel=1e-3)
+
 
 class TestTailReport:
     def test_oracle_verdict_converging(self, capsys, tmp_path):
@@ -589,7 +603,7 @@ class TestTwistOverride:
         assert consts["gamma"] == 0.9
         # ruin chain: E e^{0.9 M} = (2/3) / (1 - e^{0.9}/3)
         expected = (2.0 / 3.0) / (1.0 - math.exp(0.9) / 3.0)
-        assert consts["exp_moment_m"]["value"] == pytest.approx(expected, rel=1e-5)
+        assert consts["exp_moment_m"]["value"] == pytest.approx(expected, rel=1e-12)
 
     def test_finite_ratios_use_the_twist_top(self, capsys):
         code, out, _ = run(capsys, "finite", "--model", TP, "--gamma", "0.9",

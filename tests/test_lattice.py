@@ -347,12 +347,12 @@ class TestStopped:
 class TestExpMoment:
     def test_degenerate_maximum(self, pm_model):
         law = lindley_fixed_point(discretize(pm_model, 1.0), top=20.0)
-        em = exp_moment(law, 0.7)
+        em = exp_moment(law, 0.7, pm_model.mgf(0.7))
         assert em.value == pytest.approx(1.0, abs=1e-12)
         assert em.hi - em.lo < 1e-6
 
-    def test_reference_enclosure(self, ref_law):
-        em = exp_moment(ref_law, 1.0)
+    def test_reference_enclosure(self, ref_model, ref_law):
+        em = exp_moment(ref_law, 1.0, ref_model.mgf(1.0))
         assert 1.0 < em.lo and em.hi < 2.0
         assert em.width < 1e-3
 
@@ -364,16 +364,13 @@ class TestExpMoment:
         # 1 <= E e^{gM} <= 1/(1 - twisted moment) on every subcritical model
         model = PolyExp(gamma, beta, shift)
         law = lindley_fixed_point(discretize(model, 0.02), top=75.0 / gamma)
-        em = exp_moment(law, gamma)
+        em = exp_moment(law, gamma, model.mgf(gamma))
         assert 1.0 - 1e-12 <= em.lo
         assert em.hi <= 1.0 / (1.0 - model.mgf_at_gamma) + 1e-9
 
     def test_fixed_point_identity_oracle(self, ref_pmf, ref_law):
-        """Independent route: E e^{gM}(1 - phi(g)) = E[1 - e^{g(M+xi)}; M+xi <= 0].
-
-        The right side only touches the law of M near the origin, so it is
-        immune to top-of-grid truncation and cross-checks the direct sum.
-        """
+        """E e^{gM}(1 - phi(g)) = E[1 - e^{g(M+xi)}; M+xi <= 0], summed cell
+        pair by cell pair: cross-checks the cumulative-sum weights."""
         g = 1.0
         phi_lat = ref_pmf.mgf(g)
         V = ref_law.probs
@@ -387,8 +384,8 @@ class TestExpMoment:
             vals = 1.0 - np.exp(g * (np.arange(kmax + 1) + kj) * h)
             num += q * float(V[: kmax + 1] @ vals)
         identity_value = num / (1.0 - phi_lat)
-        em = exp_moment(ref_law, g)
-        assert em.value == pytest.approx(identity_value, abs=2e-5)
+        em = exp_moment(ref_law, g, phi_lat)
+        assert em.value == pytest.approx(identity_value, rel=1e-12)
 
     def test_overshoot_moment(self, pm_model):
         stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5])
@@ -398,34 +395,29 @@ class TestExpMoment:
     @pytest.mark.parametrize("gamma", [0.0, -0.5])
     def test_nonpositive_twist_refused(self, tp_law, gamma):
         with pytest.raises(LatticeError, match="positive twist"):
-            exp_moment(tp_law, gamma)
+            exp_moment(tp_law, gamma, 0.5)
 
-    def test_uncertifiable_twist_refused(self, ref_pmf):
-        # top=25 converges fine but leaves a twist remainder far above 1e-3
-        law = lindley_fixed_point(ref_pmf, top=25.0)
-        with pytest.raises(LatticeError):
-            exp_moment(law, 1.0)
+    @pytest.mark.parametrize("top", [8.0, 25.0])
+    def test_short_top_is_charged_not_refused(self, ref_model, ref_pmf, ref_law, top):
+        # mass lost above the top enters the bracket; the top-75 law's moment
+        # lies inside it (top 8 loses 4e-5, top 25 loses 3e-13)
+        phi = ref_model.mgf(1.0)
+        short = exp_moment(lindley_fixed_point(ref_pmf, top=top), 1.0, phi)
+        assert short.lo <= exp_moment(ref_law, 1.0, phi).value <= short.hi
 
     def test_hopeless_top_refused_quickly(self, ref_pmf):
-        with pytest.raises(LatticeError):
-            lindley_fixed_point(ref_pmf, top=8.0)
+        # more than 1e-3 of the mass leaves through top 4 within 8 sweeps
+        with pytest.raises(LatticeError, match=r"grid top 4\.0 far too small: overflow "
+                           r"1\.04\de-03 after 8 iterations"):
+            lindley_fixed_point(ref_pmf, top=4.0)
 
-    def test_leaking_top_refused_at_the_sweep_count(self, ref_model):
-        # at top 20 the step stalls near 1.4e-12, above the 1e-13 tolerance:
-        # mass leaks through the top on every sweep
-        with pytest.raises(LatticeError, match=r"fixed-point step 1\.377e-12 after 43 "
-                           r"sweeps.*grid top 20 leaks mass; raise the top"):
-            lindley_fixed_point(discretize(ref_model, 0.05), top=20.0)
-
-    def test_twist_past_float_range_is_refused(self, tp_pmf):
-        # gamma*top = 720: e^{gamma*top} alone overflows a float
-        with pytest.raises(LatticeError, match=r"gamma\*top = 720\.0 > 700; lower the grid top"):
-            exp_moment(lindley_fixed_point(tp_pmf, top=800.0), 0.9)
-        # below the limit: E e^{0.9 M} = (2/3) / (1 - e^{0.9}/3) of the ruin
-        # chain (the fixed-point stop leaves the lattice value ~2e-6 below it)
-        low = exp_moment(lindley_fixed_point(tp_pmf, top=600.0), 0.9)
-        assert low.value == pytest.approx((2.0 / 3.0) / (1.0 - math.exp(0.9) / 3.0), rel=1e-5)
-        assert low.lo <= low.value <= low.hi
+    @pytest.mark.parametrize("top", [60.0, 800.0])
+    def test_ruin_chain_moment_at_any_top(self, tp_model, tp_pmf, top):
+        # E e^{0.9 M} = (2/3) / (1 - e^{0.9}/3); the identity never forms
+        # e^{gamma * top}, which overflows a float at top 800
+        em = exp_moment(lindley_fixed_point(tp_pmf, top=top), 0.9, tp_model.mgf(0.9))
+        assert em.value == pytest.approx((2.0 / 3.0) / (1.0 - math.exp(0.9) / 3.0), rel=1e-12)
+        assert em.lo <= em.value <= em.hi
 
 
 @pytest.fixture
@@ -464,13 +456,10 @@ class TestMemo:
         with pytest.raises(ValueError):
             pmf.probs[0] = 0.5
 
-    def test_remainder_scan_once_for_all_horizon_laws(self, ref_model, ref_consts, mgf_calls):
+    def test_horizon_moments_scan_no_twist(self, ref_model, ref_consts, mgf_calls):
         laws = finite_horizon(discretize(ref_model, 0.05), 50, top=75.0)
         mgf_calls[0] = 0
         first = finite_constant(ref_consts, 50, laws)
-        # one 400-twist remainder scan for the 49 nontrivial laws, not 49
-        assert 0 < mgf_calls[0] <= 700
-        mgf_calls[0] = 0
         assert finite_constant(ref_consts, 50, laws) == first
         assert mgf_calls[0] == 0
 
@@ -484,12 +473,6 @@ class TestMemo:
         pmf.chernoff_tail_bound(40.0)
         assert mgf_calls[0] == 400
 
-    def test_refusal_repeats_after_memoized_scan(self, ref_pmf):
-        law = lindley_fixed_point(ref_pmf, top=25.0)
-        for _ in range(2):
-            with pytest.raises(LatticeError, match="twist remainder"):
-                exp_moment(law, 1.0)
-
     def test_fixed_point_replays_horizon_laws(self, ref_model, sweeps):
         pmf = discretize(ref_model, 0.05)
         finite_horizon(pmf, 50, top=75.0)
@@ -499,7 +482,7 @@ class TestMemo:
         fresh = lindley_fixed_point(discretize(ref_model, 0.05), top=75.0)
         assert law.n_iter == fresh.n_iter < 50
         assert np.array_equal(law.probs, fresh.probs)
-        assert law.final_delta == fresh.final_delta
+        assert law.stop_bound == fresh.stop_bound
         assert law.overflow == fresh.overflow
 
     def test_sweep_resumes_after_short_history(self, ref_model, sweeps):

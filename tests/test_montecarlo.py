@@ -16,7 +16,6 @@ from walkmax import (
     bigjump_conditional_ratio,
     estimate_bigjump_sum,
     estimate_tail_crude,
-    exceedance_time_profile,
     renewal_diagnostics,
 )
 from walkmax.lattice import bigjump_flow, discretize
@@ -277,27 +276,6 @@ class TestConditionalRatio:
         rep = bigjump_conditional_ratio(ref_model, 25.0, "quarter", SimConfig(n_paths=2000, seed=1))
         assert rep.flags.get("inconclusive")
         assert math.isnan(rep.estimate)
-
-
-class TestExceedanceProfile:
-    def test_degenerate_rows(self, ref_model):
-        table = exceedance_time_profile(ref_model, 3.0, [0, 400], SimConfig(n_paths=100_000, seed=3))
-        assert table.rows[0]["estimate"] == 0.0  # nothing exceeds by step 0
-        assert table.rows[-1]["estimate"] == 1.0  # every hit happens eventually
-
-    def test_matches_finite_horizon_oracle(self, ref_model, ref_law, ref_horizon_laws):
-        x, N = 5.0, 50
-        table = exceedance_time_profile(ref_model, x, [N], SimConfig(n_paths=10**6, seed=13))
-        oracle = ref_horizon_laws[N].tail(x) / ref_law.tail(x)
-        row = table.rows[0]
-        assert abs(row["estimate"] - oracle) < 3 * row["stderr"] + 0.01
-
-    def test_monotone_in_horizon(self, ref_model):
-        table = exceedance_time_profile(
-            ref_model, 4.0, [5, 10, 20, 40, 80], SimConfig(n_paths=200_000, seed=14)
-        )
-        vals = [r["estimate"] for r in table.rows]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 class TestRenewalDiagnostics:

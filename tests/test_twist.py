@@ -1,8 +1,8 @@
 """One twist search for every Chernoff certificate.
 
-The lattice truncation bound, the exponential-moment twist remainder, the
-atomic ``max_tail_bound`` and the Monte Carlo stopping slacks all go through
-``twist_sup``, ``twist_min`` and ``chernoff_tail``.  The per-module searches
+The lattice truncation bound, the atomic ``max_tail_bound`` and the Monte
+Carlo stopping slacks all go through ``twist_sup``, ``twist_min`` and
+``chernoff_tail``.  The per-module searches
 they replaced are kept below as oracles: every lattice and Monte Carlo
 certificate must be bit-equal to them, and the atomic bound must stay within
 1e-3 of the continuous optimum it used to take from scipy.
@@ -71,17 +71,6 @@ def tail_bound_oracle(pmf, t):
         pmf, a_sup * 1e-3, a_sup * (1 - 1e-6), lambda a, p: math.exp(-a * t) / (1.0 - p)
     )
     return min(1.0, bound)
-
-
-def twist_remainder_oracle(pmf, gamma, top):
-    """The scan of LatticePMF.twist_remainder."""
-    upper = min(alpha_sup_oracle(pmf) * (1 - 1e-9), 8.0 * gamma)
-    return twist_scan_oracle(
-        pmf,
-        gamma + 1e-3 * (upper - gamma),
-        upper,
-        lambda a, p: math.exp(-(a - gamma) * top) * (1.0 + gamma / (a - gamma)) / (1.0 - p),
-    )
 
 
 def geometric_remainder_oracle(model, x, n_cut):
@@ -162,9 +151,6 @@ def assert_lattice_certificates_match(pmf):
         assert pmf.chernoff_tail_bound(t) == tail_bound_oracle(pmf, t)
     # M >= 0; the replaced scan got 1 too, unless exp(-alpha t) overflowed
     assert pmf.chernoff_tail_bound(-1.0) == 1.0
-    gamma = 0.5 * a_sup if math.isfinite(a_sup) else 1.0
-    for top in (4.0, 40.0):
-        assert pmf.twist_remainder(gamma, top) == twist_remainder_oracle(pmf, gamma, top)
 
 
 class TestLatticeCertificates:
