@@ -244,10 +244,10 @@ def bigjump_dp_ratio(
             "single-jump ratio at that level; choose levels below the grid top"
         )
     a = band_h(h_choice, x)
-    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate)
+    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate, level=x)
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
     weights = np.array([1.0 if y < 0 else law.tail(y) for y in x - cells * pmf.h])
-    numerator = float((flow.landing_mass * weights).sum())
+    numerator = float((flow.landing_mass * weights).sum()) + flow.beyond
     return numerator / p_x
 
 

@@ -408,6 +408,8 @@ class TestByteStability:
         for argv in (
             ["constants", "--step", "0.005"],
             ["bigjump", "--x", "10,20,40", "--step", "0.005"],
+            ["stopped", "--x", "4,8,12", "--step", "0.005"],
+            ["finite", "--N", "1,5,50", "--step", "0.005"],
             ["renewal-diag", "--R", "2,4", "--n-paths", "70000", "--shards", "2"],
         ):
             procs = [
@@ -638,8 +640,8 @@ class TestOracleWorkOnce:
         reflected = [0]
         sweep = lattice._sweep
 
-        def counting(V, pmf, reflect=False):
-            for step in sweep(V, pmf, reflect):
+        def counting(V, pmf, reflect=False, **kwargs):
+            for step in sweep(V, pmf, reflect, **kwargs):
                 reflected[0] += reflect
                 yield step
 

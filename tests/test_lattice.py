@@ -137,6 +137,44 @@ class TestDirectConv:
             assert np.array_equal(got, np.convolve(a, b))
             assert got.tolist() == fsum_conv(a, b)
 
+    @staticmethod
+    def zero_ends(draw, values):
+        """``values`` with a drawn run of exact zeros at each end."""
+        lead, trail = draw(st.integers(0, 2 * CONV_BLOCK)), draw(st.integers(0, 2 * CONV_BLOCK))
+        return [0.0] * lead + values + [0.0] * trail
+
+    @staticmethod
+    def draw_spans(draw, n):
+        """Up to three half-open bin ranges, possibly empty or overlapping."""
+        ends = st.integers(0, n + 2)
+        return [sorted(draw(st.tuples(ends, ends))) for _ in range(draw(st.integers(0, 3)))]
+
+    @given(a=vectors, b=vectors, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_formed_bins_keep_relative_accuracy(self, a, b, data):
+        a, b = self.zero_ends(data.draw, a), self.zero_ends(data.draw, b)
+        spans = self.draw_spans(data.draw, len(a) + len(b) - 1)
+        got = _direct_conv(np.array(a), np.array(b), spans)
+        want = np.array(fsum_conv(a, b))
+        assert got.shape == want.shape
+        n = min(len(a), len(b))
+        for lo, hi in spans:
+            err = np.abs(got[lo:hi] - want[lo:hi])
+            assert np.all(err <= n * 2.0**-52 * want[lo:hi] + n * 2.0**-1074)
+
+    @given(la=st.integers(1, 3 * CONV_BLOCK + 5), lb=st.integers(1, 3 * CONV_BLOCK + 5),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_formed_dyadic_bins_equal_numpy(self, la, lb, seed, data):
+        rng = np.random.default_rng(seed)
+        a = self.zero_ends(data.draw, list(rng.integers(0, 16, la) / 16.0))
+        b = self.zero_ends(data.draw, list(rng.integers(0, 16, lb) / 16.0))
+        spans = self.draw_spans(data.draw, len(a) + len(b) - 1)
+        got = _direct_conv(np.array(a), np.array(b), spans)
+        want = np.convolve(a, b)
+        for lo, hi in spans:
+            assert np.array_equal(got[lo:hi], want[lo:hi])
+
 
 def dyadic(raw, bits: int = 20) -> np.ndarray:
     """Round to multiples of 2**-bits, so sums and products of a few dozen
@@ -145,32 +183,50 @@ def dyadic(raw, bits: int = 20) -> np.ndarray:
 
 
 class TestSweep:
+    pmfs = st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10).filter(lambda w: sum(w) > 0.01),
+        st.integers(-8, 0),  # k0 + len(weights) <= 0 leaves no mass above 0
+    )
+
     @given(
-        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10).filter(
-            lambda w: sum(w) > 0.01
-        ),
-        k0=st.integers(-8, 0),  # k0 + len(weights) <= 0 leaves no mass above 0
+        pmf=pmfs,
         start=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
         reflect=st.booleans(),
         steps=st.integers(1, 6),
     )
     @settings(max_examples=200, deadline=None)
-    def test_step_conserves_window_mass(self, weights, k0, start, reflect, steps):
-        # dyadic masses keep the convolution exact, so any deviation is mass
-        # lost or duplicated by the routing, not roundoff
+    def test_step_conserves_window_mass(self, pmf, start, reflect, steps):
+        # dyadic masses keep the convolution and the exit sum exact, so any
+        # deviation is mass lost or duplicated by the routing, not roundoff
+        weights, k0 = pmf
         probs = dyadic(np.asarray(weights) / sum(weights))
         probs[int(np.argmax(probs))] += 1.0 - probs.sum()
         if reflect and k0 == 0:
             k0 = -1  # reflection needs an increment cell below 0
         pmf = LatticePMF(h=1.0, k0=k0, probs=probs)
         V = dyadic(np.asarray(start) / len(start))
-        for V_next, below, above in itertools.islice(_sweep(V, pmf, reflect), steps):
+        for V_next, below, up in itertools.islice(_sweep(V, pmf, reflect, below=True), steps):
             assert V_next.size == V.size
             if reflect:
                 assert below.size == 0
-            total = V_next.sum() + below.sum() + above.sum()
+            total = V_next.sum() + below.sum() + up
             assert total == pytest.approx(V.sum(), rel=1e-15, abs=1e-300)
             V = V_next
+
+    @given(pmf=pmfs, start=TestDirectConv.vectors, exit_at=st.integers(-3, 30),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_sum_is_the_sum_of_the_bins_above(self, pmf, start, exit_at, data):
+        # the one-sum exit equals the exact sum of the full convolution's bins
+        # at window index exit_at and above, within its term count in roundoff
+        weights, k0 = pmf
+        pmf = LatticePMF(h=1.0, k0=k0, probs=np.asarray(weights) / math.fsum(weights))
+        V = np.array(start)
+        reflect = data.draw(st.booleans()) and k0 < 0
+        _, _, up = next(_sweep(V, pmf, reflect, exit_at=exit_at))
+        want = math.fsum(fsum_conv(V, pmf.probs)[max(exit_at - k0, 0):])
+        n = V.size + pmf.probs.size
+        assert abs(up - want) <= n * 2.0**-52 * want + n * 2.0**-1074
 
 
 def ruin_tail(k: int) -> float:
@@ -315,7 +371,7 @@ class TestStopped:
         assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
 
     def test_level_above_top_refused_before_sweeping(self, tp_pmf, monkeypatch):
-        def no_sweep(*args):
+        def no_sweep(*args, **kwargs):
             raise AssertionError("swept before refusing")
 
         monkeypatch.setattr(lattice, "_sweep", no_sweep)
@@ -327,8 +383,8 @@ class TestStopped:
         # top never comes back, so the refusal names the top once STOP_REFUSE crossed
         real, sweeps = lattice._sweep, []
 
-        def counting(*args):
-            for out in real(*args):
+        def counting(*args, **kwargs):
+            for out in real(*args, **kwargs):
                 sweeps.append(1)
                 yield out
 
@@ -439,8 +495,8 @@ def sweeps(monkeypatch):
     """Counts the steps the sweep primitive takes."""
     steps = [0]
 
-    def counting(V, pmf, reflect=False):
-        for step in _sweep(V, pmf, reflect):
+    def counting(V, pmf, *args, **kwargs):
+        for step in _sweep(V, pmf, *args, **kwargs):
             steps[0] += 1
             yield step
 
@@ -522,3 +578,30 @@ class TestConvolutionPowerTail:
         pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0))
         ratio = convolution_power(pmf, 3)[-1].tail(24.0) / float(ref_model.tail(24.0))
         assert ratio == pytest.approx(0.75, abs=0.75 * 0.025)
+
+
+class TestBigJumpFlow:
+    @pytest.mark.parametrize("case", [
+        # (model, step, barrier, jump level, levels, gamma); the TwoPoint
+        # walk lands on cell 7 only, the reference walk far past each level
+        (TwoPoint(u=5.0, pu=0.05, v=-1.0), 1.0, 2.5, 6.0, [6.5, 7.0, 9.0], None),
+        (PolyExp(1.0, 2.0, math.log(4.0)), 0.05, 2.0, 6.0, [6.02, 8.0, 20.0], 1.0),
+    ], ids=["twopoint", "reference"])
+    def test_landings_up_to_a_level_and_beyond_add_up(self, case):
+        model, step, barrier, jump, levels, gamma = case
+        pmf = discretize(model, step)
+        full = lattice.bigjump_flow(pmf, barrier, jump, n_max=60, gamma=gamma)
+        assert full.beyond == 0.0 and full.total() > 0
+        # every landing is a sum of nonnegative products over at most the
+        # window and increment cells, so n unit roundoffs bound each sum
+        n = round((barrier + 60.0) / step) + pmf.probs.size
+        for level in levels:
+            part = lattice.bigjump_flow(pmf, barrier, jump, n_max=60, gamma=gamma, level=level)
+            assert part.n_run == full.n_run
+            k = part.landing_mass.size
+            last = math.floor(level / step + 1e-9)  # the last cell at or below the level
+            assert k == min(last - part.landing_k0 + 1, full.landing_mass.size)
+            assert np.allclose(part.landing_mass, full.landing_mass[:k], rtol=n * 2.0**-52, atol=0)
+            assert part.total() == pytest.approx(full.total(), rel=n * 2.0**-52)
+            assert part.beyond == pytest.approx(full.landing_mass[k:].sum(), rel=n * 2.0**-52,
+                                                abs=1e-300)
