@@ -246,7 +246,7 @@ def bigjump_dp_ratio(
     a = band_h(h_choice, x)
     flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate, level=x)
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
-    weights = np.array([1.0 if y < 0 else law.tail(y) for y in x - cells * pmf.h])
+    weights = law.tail(x - cells * pmf.h)
     numerator = float((flow.landing_mass * weights).sum()) + flow.beyond
     return numerator / p_x
 
@@ -385,10 +385,10 @@ def cmd_finite(args):
     xs = _floats(args.x)
     bases = increment_tails(model, xs)
     pmf, top = oracle_grid(model, args.step, args.gamma, xs)
-    # horizon laws first: they stay on the pmf, and the fixed point
-    # replays them instead of sweeping from M_0 a second time
+    # the fixed point is a horizon law or sweeps on from the last one,
+    # never from M_0 a second time
     laws = finite_horizon(pmf, max(Ns), top=top)
-    law = lindley_fixed_point(pmf, top=top)
+    law = lindley_fixed_point(pmf, top=top, laws=laws)
     consts = constants(model, law, gamma=args.gamma)
     rows = []
     for N in Ns:

@@ -3,15 +3,19 @@
 An increment law is discretized onto a uniform grid (cell ``k`` covers
 ``((k-1/2)h, (k+1/2)h]``).  Every law here then comes from one primitive,
 ``_sweep``: it advances a sub-law on a window of cells by one convolution
-with the increment pmf and reports the mass that landed below (by cell) and
-above (as one sum) the window.  Each oracle is a loop over that primitive:
+with the increment pmf and reports the mass that landed above the window as
+one sum.  Each oracle is a loop over that primitive:
 
 * ``lindley_fixed_point`` and ``finite_horizon`` reflect the mass below onto
   cell 0, which is the distributional recursion ``M =d (M + xi)^+``, and
   count the mass above the grid top as overflow;
-* ``stopped_max_sigma1`` absorbs below 0 (the overshoot law) and, per level,
-  above the level (the first-passage probability);
-* ``bigjump_flow`` collects the landings above a jump level.
+* ``stopped_max_sigma1`` absorbs below 0 and, per level, above the level
+  (the first-passage probability);
+* ``bigjump_flow`` absorbs above a jump level.
+
+Landings by cell outside a window (the overshoot law, the single-jump
+landings) are one convolution of the occupation, the sum of the pre-step
+sub-laws, with the increment pmf, formed once after the loop.
 
 ``exp_moment`` reads the law of M only on the cells ``0 ... -k0`` through
 the boundary identity of ``M =d (M + xi)^+``, so no far-tail sum enters it.
@@ -32,7 +36,8 @@ keeps explicit truncation bookkeeping; nothing is ever silently renormalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -114,36 +119,40 @@ def _check_cells(cells: float, where: str, h: float) -> None:
         )
 
 
-def _interp_tail(probs: np.ndarray, k0: int, h: float, x: float) -> float:
-    """P(law > x) treating each cell's mass as uniform on the cell."""
+def _suffix(probs: np.ndarray) -> np.ndarray:
+    """Suffix sums ``s[i] = probs[i:].sum()``, with ``s[probs.size] = 0``."""
+    return np.r_[np.cumsum(probs[::-1])[::-1], 0.0]
+
+
+def _interp_tail(probs: np.ndarray, k0: int, h: float, x):
+    """P(law > x) at a level or an array of levels, treating each cell's mass
+    as uniform on the cell."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise LatticeError("tail level is nan")
+    # a level past either end reads the same tail as the end, and stays finite
+    x = np.clip(x, (k0 - 1) * h, (k0 + probs.size + 1) * h)
     # cell containing x: (b-1/2)h < x <= (b+1/2)h
-    b = int(math.ceil(x / h - 0.5 - 1e-9))
-    i = b - k0
-    if i < 0:
-        return float(probs.sum())
-    if i >= len(probs):
-        return 0.0
-    t = float(probs[i + 1 :].sum())
-    frac = ((b + 0.5) * h - x) / h
-    return t + float(probs[i]) * frac
+    b = np.ceil(x / h - 0.5 - 1e-9)
+    i = (b - k0).astype(int)
+    inside = np.clip(i, 0, probs.size - 1)
+    s = _suffix(probs)
+    t = s[inside + 1] + probs[inside] * (((b + 0.5) * h - x) / h)
+    t = np.where(i < 0, s[0], np.where(i < probs.size, t, 0.0))
+    return t if t.ndim else float(t)
 
 
 @dataclass
 class LatticePMF:
     """Probability mass vector on the uniform grid ``{k*h : k0 <= k}``, summing to 1.
 
-    Work that depends only on the law is memoized on the instance, so each
-    scan runs once however many laws of its walk ask for it: the subcritical
-    twist bound ``chernoff_alpha_sup``, ``chernoff_tail_bound`` per level,
-    and the reflected laws that ``finite_horizon`` computed.  ``probs`` is
-    made read-only here, and nothing assigns ``h`` or ``k0`` after
-    construction, so the memo cannot go stale; it is freed with the pmf.
+    ``probs`` is made read-only here, and nothing assigns ``h`` or ``k0``
+    after construction, so the cached ``chernoff_alpha_sup`` cannot go stale.
     """
 
     h: float
     k0: int
     probs: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -175,26 +184,19 @@ class LatticePMF:
         except OverflowError:
             return math.inf
 
-    def tail(self, x: float) -> float:
+    def tail(self, x):
+        """P(law > x) at a level or an array of levels."""
         return _interp_tail(self.probs, self.k0, self.h, x)
 
-    def _memoized(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
+    @cached_property
     def chernoff_alpha_sup(self) -> float:
         """Largest twist alpha with mgf(alpha) < 1 (0 if none exists)."""
-        return self._memoized(
-            "alpha_sup", lambda: twist_sup(self.mgf, self.mean(), self.centers()[-1])
-        )
+        return twist_sup(self.mgf, self.mean(), self.centers()[-1])
 
     def chernoff_tail_bound(self, t: float) -> float:
         """min over alpha of exp(-alpha t)/(1 - mgf(alpha)): a certified bound
         on P(sup_n S_n > t) for the walk with these lattice increments."""
-        return self._memoized(
-            ("tail_bound", t), lambda: chernoff_tail(self.mgf, self.chernoff_alpha_sup(), t)
-        )
+        return chernoff_tail(self.mgf, self.chernoff_alpha_sup, t)
 
 
 def discretize(
@@ -284,9 +286,7 @@ def convolve(a: LatticePMF, b: LatticePMF) -> LatticePMF:
     needs)."""
     if a.h != b.h:
         raise LatticeError(f"grid step mismatch: {a.h} vs {b.h}")
-    probs = _direct_conv(a.probs, b.probs)
-    probs = probs / probs.sum()  # remove float-level drift, never visible above 1e-15
-    return LatticePMF(h=a.h, k0=a.k0 + b.k0, probs=probs)
+    return LatticePMF(h=a.h, k0=a.k0 + b.k0, probs=_direct_conv(a.probs, b.probs))
 
 
 def convolution_power(pmf: LatticePMF, n: int) -> list[LatticePMF]:
@@ -302,25 +302,22 @@ def convolution_power(pmf: LatticePMF, n: int) -> list[LatticePMF]:
 def _exit_weights(pmf: LatticePMF, size: int, cut: int) -> np.ndarray:
     """Weights ``w_j = P(j + idx >= cut)``, ``j < size``, for ``idx`` the index
     into ``pmf.probs``: a sub-law ``V`` sends ``(V * w).sum()`` to convolution
-    bins ``cut`` and above.  The suffix sums are memoized on the pmf."""
-    tail = pmf._memoized("suffix", lambda: np.r_[np.cumsum(pmf.probs[::-1])[::-1], 0.0])
+    bins ``cut`` and above."""
+    tail = _suffix(pmf.probs)
     return tail[np.clip(cut - np.arange(size), 0, tail.size - 1)]
 
 
-def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False, below: bool = False,
-           exit_at: int | None = None):
+def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False, exit_at: int | None = None):
     """Advance the sub-law ``V`` on a window of cells, one increment per step.
 
-    Yields ``(V, below, up)`` per step: the new sub-law on the window, the
-    landings below it by cell (only with ``below``, else empty), and as one
-    sum the mass landing at window index ``exit_at`` (default: the window's
-    size) or above.  With ``reflect`` the mass below moves onto the window's
-    first cell instead.  No other bin is formed.  Each yielded ``V`` is a
-    fresh read-only array, so callers may keep it.
+    Yields ``(V, up)`` per step: the new sub-law on the window and, as one
+    sum, the mass landing at window index ``exit_at`` (default: the window's
+    size) or above.  The mass below the window leaves, or with ``reflect``
+    moves onto its first cell.  No other bin is formed.  Each yielded ``V``
+    is a fresh read-only array, so callers may keep it.
     """
     nneg = -pmf.k0  # index of the window's first cell in the convolution
-    shown = nneg if below and not reflect else 0  # landing bins below that are yielded
-    lo = 0 if reflect else nneg - shown  # first bin formed
+    lo = 0 if reflect else nneg  # first bin formed
     weights = _exit_weights(pmf, V.size, nneg + (V.size if exit_at is None else exit_at))
     while True:
         up = float((V * weights).sum())
@@ -331,7 +328,7 @@ def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False, below: bool = 
         if reflect:
             V[0] = W[: nneg + 1].sum()
         V.flags.writeable = False
-        yield V, W[:shown], up
+        yield V, up
 
 
 @dataclass
@@ -360,16 +357,16 @@ class MaxLaw:
     def centers(self) -> np.ndarray:
         return np.arange(len(self.probs)) * self.h
 
-    def tail(self, x: float) -> float:
-        """P(max > x); excludes overflow mass.
+    def tail(self, x):
+        """P(max > x) at a level or an array of levels; excludes overflow mass.
 
         Bin 0 is the reflection atom at exactly 0 (not cell-smeared mass), so
         any x >= 0 excludes it entirely; higher bins interpolate linearly
         within their cells.
         """
-        if x < 0:
-            return float(self.probs.sum())
-        return _interp_tail(self.probs[1:], 1, self.h, x)
+        x = np.asarray(x, dtype=float)
+        t = np.where(x < 0, self.probs.sum(), _interp_tail(self.probs[1:], 1, self.h, x))
+        return t if t.ndim else float(t)
 
     def window(self, x: float, t: float) -> float:
         """P(max in (x, x+t]); an infinite ``t`` gives P(max > x)."""
@@ -380,16 +377,14 @@ class MaxLaw:
         return self.tail(x) - self.tail(x + t)
 
 
-def _reflected(pmf: LatticePMF, top: float):
+def _reflected(pmf: LatticePMF, top: float, start: MaxLaw | None = None):
     """Laws of M_0 = 0, M_1, M_2, ... on cells [0, top/h], each with the
     overflow lost above the top so far (it never returns, so its effect
-    anywhere is bounded by the accumulated amount).
-
-    Laws that ``finite_horizon`` left in the pmf's memo for this cell count
-    are replayed first, and the sweep goes on from the last of them: the
-    recursion is deterministic in the pmf and the grid, so a replayed law is
-    the one a fresh sweep would give, bit for bit.  Laws swept here are not
-    kept, so a caller that holds two at a time stays that small.
+    anywhere is bounded by the accumulated amount).  From a horizon law
+    ``start`` = M_k of this pmf and grid they run M_k, M_{k+1}, ... instead:
+    the recursion is deterministic, so each is the law a sweep from M_0
+    gives, bit for bit.  Laws are not kept, so a caller that holds two at a
+    time stays that small.
     """
     _check_cells(top / pmf.h + 1, f"up to the grid top {top:g}", pmf.h)
     K = int(round(top / pmf.h))
@@ -397,16 +392,16 @@ def _reflected(pmf: LatticePMF, top: float):
         raise LatticeError(f"top {top} is below one grid step")
     if pmf.k0 >= 0:
         raise LatticeError("increment law has no mass below 0; walk cannot reflect")
-    V = np.eye(1, K + 1)[0]  # M_0: point mass at cell 0
-    V.flags.writeable = False
-    kept = pmf._memo.get(("reflected", K), [(V, 0.0)])
-    yield from kept
-    V, overflow = kept[-1]
-    for n, (V, _, up) in enumerate(_sweep(V, pmf, reflect=True), len(kept)):
+    if start is None:
+        V, overflow, k = np.eye(1, K + 1)[0], 0.0, 0  # M_0: point mass at cell 0
+        V.flags.writeable = False
+    else:
+        V, overflow, k = start.probs, start.overflow, start.n_iter
+    yield V, overflow
+    for n, (V, up) in enumerate(_sweep(V, pmf, reflect=True), k + 1):
         overflow += up
         if overflow > 1e-3:
-            # a sound grid loses ~1e-30 per sweep; this is a sizing mistake,
-            # and waiting for the drained iteration to settle takes forever
+            # a sound grid loses ~1e-30 per sweep; this is a sizing mistake
             raise LatticeError(
                 f"grid top {top} far too small: overflow {overflow:.3e} "
                 f"after {n} iterations",
@@ -417,7 +412,7 @@ def _reflected(pmf: LatticePMF, top: float):
 
 def _auto_top(pmf: LatticePMF) -> float:
     """Grid top such that the walk-maximum mass beyond it is below ~1e-24."""
-    a_sup = pmf.chernoff_alpha_sup()
+    a_sup = pmf.chernoff_alpha_sup
     if a_sup == 0.0:
         raise LatticeError("cannot size the grid: no subcritical twist exists")
     if math.isinf(a_sup):
@@ -426,7 +421,8 @@ def _auto_top(pmf: LatticePMF) -> float:
     return -math.log(1e-24 * (1.0 - pmf.mgf(anchor))) / anchor
 
 
-def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
+def lindley_fixed_point(pmf: LatticePMF, top: float | None = None,
+                        laws: Sequence[MaxLaw] = ()) -> MaxLaw:
     """Law of the all-time maximum M = sup_n S_n via the reflected recursion.
 
     Each iterate is exactly the law of the n-step maximum, so ``finite_horizon``
@@ -437,12 +433,16 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
     phi(alpha)^n below ``FIXED_POINT_TOL`` at alpha = 0.75 alpha_sup, and the
     law carries that bound as ``stop_bound``.  A count above ``MAX_SWEEPS`` is
     refused before the first sweep.
+
+    ``laws`` are horizon laws M_0 ... M_k of this pmf and top, as
+    ``finite_horizon`` returns them: the fixed point is M_n itself when
+    n <= k, and otherwise is swept on from M_k.  Other laws are refused.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
     if top is None:
         top = _auto_top(pmf)
-    a_sup = pmf.chernoff_alpha_sup()  # inf when no mass lies above 0
+    a_sup = pmf.chernoff_alpha_sup  # inf when no mass lies above 0
     phi = pmf.mgf(0.75 * a_sup if math.isfinite(a_sup) else 1.0)
     # a phi below the tolerance settles in one sweep
     sweeps = math.ceil(math.log(FIXED_POINT_TOL) / math.log(max(phi, FIXED_POINT_TOL)))
@@ -451,13 +451,18 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None) -> MaxLaw:
             f"phi = {phi!r} at the certifying twist bounds the fixed point only after "
             f"{sweeps:.3g} sweeps, more than {MAX_SWEEPS:.0e}: the walk is too near criticality"
         )
-    V, overflow = next(islice(_reflected(pmf, top), sweeps, None))
-    K = len(V) - 1
+    # a grid top within half a step of ``top`` is the one ``round(top / h)`` picks
+    if any(law.increment is not pmf or law.n_iter != n or not abs(law.top - top) < pmf.h / 2
+           for n, law in enumerate(laws)):
+        raise LatticeError(f"laws must be horizon laws M_0, M_1, ... of this pmf and top {top:g}")
+    start = laws[min(sweeps, len(laws) - 1)] if laws else None
+    k = start.n_iter if start else 0
+    V, overflow = next(islice(_reflected(pmf, top, start), sweeps - k, None))
     return MaxLaw(
         h=pmf.h,
         probs=V,
         increment=pmf,
-        trunc_bound=pmf.chernoff_tail_bound(K * pmf.h),
+        trunc_bound=laws[0].trunc_bound if laws else pmf.chernoff_tail_bound((V.size - 1) * pmf.h),
         overflow=overflow,
         n_iter=sweeps,
         stop_bound=phi ** (sweeps + 1) / (1.0 - phi),
@@ -471,31 +476,17 @@ def finite_horizon(
 ) -> list[MaxLaw]:
     """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion.
 
-    The laws stay in the pmf's memo, keyed by the grid's cell count, so a
-    later ``lindley_fixed_point`` or ``finite_horizon`` on the same pmf and
-    top replays them instead of sweeping again.  Like the pmf's ``probs``,
-    every swept law is a read-only array, so a kept law cannot go stale.
+    Like the pmf's ``probs``, every law is a read-only array, so a caller may
+    keep the list and hand it to ``lindley_fixed_point``.
     """
     if N < 0:
         raise LatticeError(f"horizon must be >= 0, got {N}")
     if top is None:
         top = _auto_top(pmf)
     history = list(islice(_reflected(pmf, top), N + 1))
-    K = len(history[0][0]) - 1
-    if N + 1 > len(pmf._memo.get(("reflected", K), ())):
-        pmf._memo[("reflected", K)] = history
-    trunc = min(pmf.chernoff_tail_bound(K * pmf.h), 1.0)
-    return [
-        MaxLaw(
-            h=pmf.h,
-            probs=V,
-            increment=pmf,
-            trunc_bound=trunc,
-            overflow=leaked,
-            n_iter=n,
-        )
-        for n, (V, leaked) in enumerate(history)
-    ]
+    trunc = pmf.chernoff_tail_bound((history[0][0].size - 1) * pmf.h)
+    return [MaxLaw(h=pmf.h, probs=V, increment=pmf, trunc_bound=trunc, overflow=leaked, n_iter=n)
+            for n, (V, leaked) in enumerate(history)]
 
 
 @dataclass
@@ -503,15 +494,13 @@ class StoppedLaw:
     """Joint output of the first-negative-sum stopping analysis.
 
     ``chi`` is the law of the overshoot below 0 (conditional on absorption,
-    which is certain up to ``residual``); ``survival[n]`` is the probability
-    the walk has stayed nonnegative through step n; ``max_tail`` holds
+    which is certain up to ``residual``); ``max_tail`` holds
     P(max before stopping > x) at the requested levels.
     """
 
     chi: LatticePMF
     absorbed: float
     residual: float
-    survival: np.ndarray
     max_tail_x: np.ndarray
     max_tail: np.ndarray
     horizon_used: int
@@ -525,7 +514,8 @@ def stopped_max_sigma1(
 ) -> StoppedLaw:
     """Overshoot and maximum up to the first strictly negative partial sum.
 
-    The overshoot law comes from one absorbing sweep on the nonnegative cells.
+    The overshoot law comes from one absorbing sweep on the nonnegative
+    cells: its landings below 0 are one convolution of the sweep's occupation.
     P(max before stopping > x) is a first-passage probability (reach above x
     before dropping below 0); it is computed by a separate two-barrier sweep
     per requested level, on the cells up to the level, so a level above the
@@ -551,15 +541,14 @@ def stopped_max_sigma1(
             "choose levels at or below the grid top"
         )
 
-    # absorb below 0 (overshoot cell j means chi = j*h) and above the working
-    # top; paths above the top are still unabsorbed, hence still alive
-    chi_cells = np.zeros(nneg + 1)
-    up_mass = 0.0
-    survival = [1.0]
+    # absorb below 0 and above the working top; paths above the top are
+    # still unabsorbed, hence still alive
+    up_mass, residual, n_run = 0.0, 1.0, 0
     S = np.eye(1, upper_cells + 1)[0]
-    n_run = 0
-    for n_run, (S, below, up) in enumerate(islice(_sweep(S, pmf, below=True), horizon), 1):
-        chi_cells[1:] += below[::-1]
+    occupation = np.zeros(S.size)
+    for n_run, (survivors, up) in enumerate(islice(_sweep(S, pmf), horizon), 1):
+        occupation += S
+        S = survivors
         up_mass += up
         if up_mass > STOP_REFUSE:
             # crossed mass never comes back and the final residual is at
@@ -569,18 +558,18 @@ def stopped_max_sigma1(
                 "before the stopping time: raise the top",
                 residual=up_mass,
             )
-        survival.append(float(S.sum()) + up_mass)
-        if survival[-1] < STOP_RESIDUAL:
+        residual = float(S.sum()) + up_mass  # mass still alive after step n_run
+        if residual < STOP_RESIDUAL:
             break
-    survival = np.array(survival)
     # mass that escaped above the working grid is below the chernoff bound at top;
     # it is part of the residual bookkeeping rather than the overshoot law
-    residual = float(S.sum()) + up_mass
     if residual > STOP_REFUSE:
         raise LatticeError(
             f"stopping-time horizon {horizon} exhausted with residual {residual:.3e}",
             residual=residual,
         )
+    # bin nneg - j of occupation * probs is the cell -j, an overshoot of j cells
+    chi_cells = np.r_[0.0, _direct_conv(occupation, pmf.probs, [(0, nneg)])[nneg - 1 :: -1]]
     absorbed = float(chi_cells.sum())
     conserved = absorbed + residual
     if abs(conserved - 1.0) > 1e-10:
@@ -593,7 +582,7 @@ def stopped_max_sigma1(
         if kx < 0:
             continue
         up = 0.0
-        for S, _, passed in islice(_sweep(np.eye(1, kx + 1)[0], pmf), horizon):
+        for S, passed in islice(_sweep(np.eye(1, kx + 1)[0], pmf), horizon):
             up += passed
             if S.sum() < STOP_RESIDUAL * 1e-3:
                 break
@@ -602,7 +591,6 @@ def stopped_max_sigma1(
         chi=chi,
         absorbed=absorbed,
         residual=residual,
-        survival=survival,
         max_tail_x=xs,
         max_tail=tails,
         horizon_used=n_run,
@@ -708,7 +696,7 @@ def bigjump_flow(
         phi = pmf.mgf(gamma)
     n = 0
     steps = _sweep(nu, pmf, exit_at=k_jump + 1 - k_floor)
-    for n, (survivors, _, flow) in enumerate(islice(steps, n_max), 1):
+    for n, (survivors, flow) in enumerate(islice(steps, n_max), 1):
         occupation += nu
         nu = survivors
         total += flow

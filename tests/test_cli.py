@@ -634,22 +634,33 @@ class TestTwistOverride:
 
 
 class TestOracleWorkOnce:
-    def test_finite_sweeps_once(self, capsys, monkeypatch):
-        # the fixed point (n_iter < 50 here) replays the horizon laws, so the
-        # reflected recursion runs max(N, n_iter) sweeps, not N + n_iter
-        reflected = [0]
-        sweep = lattice._sweep
+    @pytest.mark.parametrize("Ns, reads", [("1,2,5,10,50", True), ("1,5", False)],
+                             ids=["reads", "resumes"])
+    def test_finite_sweeps_once(self, capsys, monkeypatch, Ns, reads):
+        # the fixed point reads the horizon law M_n (N >= n_iter) or sweeps on
+        # from M_N, so the reflected recursion runs max(N, n_iter) sweeps
+        from walkmax import cli
+
+        reflected, counts = [0], []
+        sweep, fixed_point = lattice._sweep, cli.lindley_fixed_point
 
         def counting(V, pmf, reflect=False, **kwargs):
             for step in sweep(V, pmf, reflect, **kwargs):
                 reflected[0] += reflect
                 yield step
 
+        def counted(*args, **kwargs):
+            law = fixed_point(*args, **kwargs)
+            counts.append(law.n_iter)
+            return law
+
         monkeypatch.setattr(lattice, "_sweep", counting)
-        code, out, _ = run(capsys, "finite", "--N", "1,2,5,10,50", "--model", REF,
-                           "--step", "0.05")
+        monkeypatch.setattr(cli, "lindley_fixed_point", counted)
+        code, out, _ = run(capsys, "finite", "--N", Ns, "--model", REF, "--step", "0.05")
         assert code == 0
-        assert reflected[0] == 50
+        N = int(Ns.split(",")[-1])
+        assert (N >= counts[0]) == reads
+        assert reflected[0] == max(N, counts[0])
 
     def test_every_command_runs_without_scipy(self):
         # scipy is a test-only dependency: with its import blocked, the

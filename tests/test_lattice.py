@@ -75,6 +75,14 @@ class TestDiscretize:
         for x in (0.0, 1.0, 5.0, 10.0):
             assert ref_pmf.tail(x) == pytest.approx(float(ref_model.tail(x)), rel=2e-3)
 
+    def test_tail_of_an_array_is_the_tail_of_each_level(self, ref_pmf, tp_law):
+        for law, xs in [(ref_pmf, [-math.inf, -99.0, -1.0, 0.0, 5.0, 26.0, 99.0, math.inf]),
+                        (tp_law, [-1.0, -0.2, 0.0, 0.5, 3.2, 1e3, math.inf])]:
+            assert law.tail(np.array(xs)).tolist() == [law.tail(x) for x in xs]
+            assert law.tail(math.inf) == 0.0
+            with pytest.raises(LatticeError, match="tail level is nan"):
+                law.tail(np.array([1.0, math.nan]))
+
 
 class TestConvolve:
     def test_pointmass_pair(self, pm_model):
@@ -90,6 +98,16 @@ class TestConvolve:
         assert got[-2] == pytest.approx(9 / 16, abs=1e-15)
         assert got[0] == pytest.approx(6 / 16, abs=1e-15)
         assert got[2] == pytest.approx(1 / 16, abs=1e-15)
+
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    def test_mass_is_the_product_of_the_input_masses(self, ref_model, h):
+        # nothing is renormalized: each bin of nonnegative products is exact
+        # within n unit roundoffs, n the shorter input's length
+        a = discretize(ref_model, h)
+        b = convolution_power(a, 3)[-1]
+        got = math.fsum(convolve(a, b).probs)
+        want = math.fsum(a.probs) * math.fsum(b.probs)
+        assert abs(got - want) <= a.probs.size * 2.0**-52 * want
 
     def test_step_mismatch(self, tp_pmf, ref_pmf):
         with pytest.raises(LatticeError):
@@ -205,11 +223,11 @@ class TestSweep:
             k0 = -1  # reflection needs an increment cell below 0
         pmf = LatticePMF(h=1.0, k0=k0, probs=probs)
         V = dyadic(np.asarray(start) / len(start))
-        for V_next, below, up in itertools.islice(_sweep(V, pmf, reflect, below=True), steps):
+        for V_next, up in itertools.islice(_sweep(V, pmf, reflect), steps):
             assert V_next.size == V.size
-            if reflect:
-                assert below.size == 0
-            total = V_next.sum() + below.sum() + up
+            # without reflection, the landings below come from the one-step occupation V
+            below = 0.0 if reflect else _direct_conv(V, probs, [(0, -k0)])[:-k0].sum()
+            total = V_next.sum() + below + up
             assert total == pytest.approx(V.sum(), rel=1e-15, abs=1e-300)
             V = V_next
 
@@ -223,7 +241,7 @@ class TestSweep:
         pmf = LatticePMF(h=1.0, k0=k0, probs=np.asarray(weights) / math.fsum(weights))
         V = np.array(start)
         reflect = data.draw(st.booleans()) and k0 < 0
-        _, _, up = next(_sweep(V, pmf, reflect, exit_at=exit_at))
+        _, up = next(_sweep(V, pmf, reflect, exit_at=exit_at))
         want = math.fsum(fsum_conv(V, pmf.probs)[max(exit_at - k0, 0):])
         n = V.size + pmf.probs.size
         assert abs(up - want) <= n * 2.0**-52 * want + n * 2.0**-1074
@@ -339,13 +357,17 @@ def enumerate_first_passage(p_up: float, barrier: int, depth: int):
 class TestStopped:
     def test_pointmass(self, pm_model):
         stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5])
-        assert stopped.survival[1] == pytest.approx(0.0, abs=1e-15)  # stops at step 1
+        assert stopped.horizon_used == 1  # stops at step 1
         assert stopped.chi.tail(0.5) == pytest.approx(1.0, abs=1e-15)  # overshoot 1
         assert stopped.max_tail[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_twopoint_first_step(self, tp_pmf):
+        start = np.eye(1, 11)[0]
+        survivors, up = next(_sweep(start, tp_pmf))
+        below = _direct_conv(start, tp_pmf.probs, [(0, 1)])[0]  # the cell -1
+        assert below == pytest.approx(0.75, abs=1e-14)
+        assert survivors.sum() + up + below == pytest.approx(1.0, abs=1e-14)
         stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5])
-        assert 1.0 - stopped.survival[1] == pytest.approx(0.75, abs=1e-14)
         # only -1 overshoots are reachable
         assert stopped.chi.tail(1.5) == pytest.approx(0.0, abs=1e-14)
 
@@ -365,6 +387,25 @@ class TestStopped:
         # exhaustive 12-step enumeration brackets the depth-unlimited value
         p_hit, p_open = enumerate_first_passage(0.25, 3, 12)
         assert p_hit <= tail_at(3) <= p_hit + p_open
+
+    @pytest.mark.parametrize("which", ["twopoint", "reference"])
+    def test_chi_from_occupation_matches_per_step_landings(self, which, tp_pmf, ref_model):
+        # the overshoot cells, one convolution of the summed pre-step laws, equal
+        # the exactly summed landings below 0 of every step; the occupation sums
+        # steps, the convolution increment cells and the normalization chi cells
+        pmf, top = (tp_pmf, 30.0) if which == "twopoint" else (discretize(ref_model, 0.1), 40.0)
+        stopped = stopped_max_sigma1(pmf, x_grid=[0.5], top=top)
+        nneg = -pmf.k0
+        S = np.eye(1, round(top / pmf.h) + 1)[0]
+        landings = [[] for _ in range(nneg)]
+        for survivors, _ in itertools.islice(_sweep(S, pmf), stopped.horizon_used):
+            for j, p in enumerate(fsum_conv(S, pmf.probs)[:nneg]):
+                landings[nneg - 1 - j].append(p)  # bin nneg - 1 - j is an overshoot of j + 1
+            S = survivors
+        want = np.array([0.0] + [math.fsum(cell) for cell in landings])
+        want /= math.fsum(want)
+        n = stopped.horizon_used + pmf.probs.size + nneg + 2
+        assert np.all(np.abs(stopped.chi.probs - want) <= n * 2.0**-53 * want + 2.0**-1074)
 
     def test_conservation(self, tp_pmf):
         stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5])
@@ -504,8 +545,9 @@ def sweeps(monkeypatch):
     return steps
 
 
-class TestMemo:
-    """Scans that depend only on the increment pmf run once per instance."""
+class TestWorkOnce:
+    """Work that depends only on the pmf, or that the caller already holds,
+    is not done again."""
 
     def test_probs_are_read_only(self, ref_model):
         pmf = discretize(ref_model, 0.05)
@@ -519,42 +561,42 @@ class TestMemo:
         assert finite_constant(ref_consts, 50, laws) == first
         assert mgf_calls[0] == 0
 
-    def test_scans_memoized_per_argument(self, ref_model, mgf_calls):
+    def test_alpha_sup_scans_once_per_pmf(self, ref_model, mgf_calls):
         pmf = discretize(ref_model, 0.05)
-        a_sup, bound = pmf.chernoff_alpha_sup(), pmf.chernoff_tail_bound(30.0)
+        a_sup = pmf.chernoff_alpha_sup
         mgf_calls[0] = 0
-        assert pmf.chernoff_alpha_sup() == a_sup
-        assert pmf.chernoff_tail_bound(30.0) == bound
+        assert pmf.chernoff_alpha_sup == a_sup
         assert mgf_calls[0] == 0
-        pmf.chernoff_tail_bound(40.0)
+        pmf.chernoff_tail_bound(40.0)  # its 400 twists, and no second alpha scan
         assert mgf_calls[0] == 400
 
-    def test_fixed_point_replays_horizon_laws(self, ref_model, sweeps):
+    @pytest.mark.parametrize("k", [50, 5])
+    def test_fixed_point_from_horizon_laws(self, ref_model, sweeps, k):
+        # k >= n reads M_n, k < n sweeps on from M_k: either way the law a
+        # fresh recursion gives, bit for bit, after only the missing sweeps
         pmf = discretize(ref_model, 0.05)
-        finite_horizon(pmf, 50, top=75.0)
-        assert sweeps[0] == 50
-        law = lindley_fixed_point(pmf, top=75.0)
-        assert sweeps[0] == 50  # converged within the replayed laws
+        laws = finite_horizon(pmf, k, top=75.0)
+        sweeps[0] = 0
+        law = lindley_fixed_point(pmf, top=75.0, laws=laws)
+        assert sweeps[0] == max(law.n_iter - k, 0)
         fresh = lindley_fixed_point(discretize(ref_model, 0.05), top=75.0)
-        assert law.n_iter == fresh.n_iter < 50
+        assert 5 < fresh.n_iter < 50
         assert np.array_equal(law.probs, fresh.probs)
-        assert law.stop_bound == fresh.stop_bound
-        assert law.overflow == fresh.overflow
+        for name in ("overflow", "stop_bound", "trunc_bound", "n_iter"):
+            assert getattr(law, name) == getattr(fresh, name), name
 
-    def test_sweep_resumes_after_short_history(self, ref_model, sweeps):
+    def test_foreign_horizon_laws_refused(self, ref_model, sweeps):
         pmf = discretize(ref_model, 0.05)
-        finite_horizon(pmf, 5, top=75.0)
-        law = lindley_fixed_point(pmf, top=75.0)
-        assert sweeps[0] == law.n_iter  # 5 replayed, the rest swept on
-        longer = finite_horizon(pmf, 12, top=75.0)
-        assert sweeps[0] == law.n_iter + 7  # M_6..M_12 on top of the kept 5
-        fresh = finite_horizon(discretize(ref_model, 0.05), 12, top=75.0)
-        for a, b in zip(longer, fresh):
-            assert np.array_equal(a.probs, b.probs) and a.overflow == b.overflow
-        fresh_law = lindley_fixed_point(discretize(ref_model, 0.05), top=75.0)
-        assert np.array_equal(law.probs, fresh_law.probs)
+        laws = finite_horizon(pmf, 5, top=75.0)
+        sweeps[0] = 0
+        for other, top in [(discretize(ref_model, 0.05), 75.0), (pmf, 50.0)]:
+            with pytest.raises(LatticeError, match=r"horizon laws M_0, M_1, \.\.\. of this pmf"):
+                lindley_fixed_point(other, top=top, laws=laws)
+        with pytest.raises(LatticeError, match="horizon laws"):
+            lindley_fixed_point(pmf, top=75.0, laws=laws[1:])
+        assert sweeps[0] == 0
 
-    def test_memo_is_per_grid(self, ref_model, sweeps):
+    def test_each_top_sweeps_its_own_grid(self, ref_model, sweeps):
         pmf = discretize(ref_model, 0.05)
         finite_horizon(pmf, 3, top=75.0)
         laws = finite_horizon(pmf, 3, top=50.0)

@@ -18,6 +18,7 @@ from walkmax import (
     estimate_tail_crude,
     renewal_diagnostics,
 )
+from walkmax.cli import bigjump_dp_ratio
 from walkmax.lattice import bigjump_flow, discretize
 from walkmax.montecarlo import HIT, MISS, _walk
 
@@ -260,15 +261,9 @@ class TestConditionalRatio:
 
     def test_matches_flow_dp(self, ref_model, ref_pmf, ref_law):
         x = 4.0
-        a = x / 4.0
         cfg = SimConfig(n_paths=10**6, seed=11)
         rep = bigjump_conditional_ratio(ref_model, x, "quarter", cfg)
-        flow = bigjump_flow(ref_pmf, barrier=a, jump_level=x - a, gamma=ref_model.gamma)
-        cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
-        weights = np.array(
-            [1.0 if y < 0 else ref_law.tail(y) for y in x - cells * ref_pmf.h]
-        )
-        dp_ratio = float(flow.landing_mass @ weights) / ref_law.tail(x)
+        dp_ratio = bigjump_dp_ratio(ref_model, ref_pmf, ref_law, x, "quarter")
         assert rep.n_effective > 50
         assert abs(rep.estimate - dp_ratio) < 3 * rep.stderr + 0.01
 

@@ -145,7 +145,7 @@ def negative_mean_pmfs(draw):
 
 
 def assert_lattice_certificates_match(pmf):
-    a_sup = pmf.chernoff_alpha_sup()
+    a_sup = pmf.chernoff_alpha_sup
     assert a_sup == alpha_sup_oracle(pmf)
     for t in (0.0, 0.5, 3.0, 17.3):
         assert pmf.chernoff_tail_bound(t) == tail_bound_oracle(pmf, t)
@@ -180,7 +180,7 @@ class TestLatticeCertificates:
         pmf = LatticePMF(h=1.0, k0=-1, probs=np.array([0.75, 0.25, 0.0, 0.0]))
         assert pmf.mgf(354.0) == pytest.approx(0.25, rel=1e-15)
         assert pmf.mgf(1e4) == math.inf
-        assert 354.0 < pmf.chernoff_alpha_sup() < 355.0
+        assert 354.0 < pmf.chernoff_alpha_sup < 355.0
         assert pmf.chernoff_tail_bound(3.0) == 0.0  # e^{-3 alpha} underflows
         assert pmf.chernoff_tail_bound(-2.0) == 1.0
 
