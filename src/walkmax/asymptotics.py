@@ -68,23 +68,13 @@ class AsymptoticConstants:
         }
 
 
-def _resolve_gamma(model: IncrementModel, gamma: float | None) -> float:
-    if gamma is not None:
-        return float(gamma)
-    if model.decay_rate is not None:
-        return model.decay_rate
-    raise ModelError(
-        "model family has no intrinsic decay rate; pass the twist explicitly"
-    )
-
-
 def constants(
     model: IncrementModel,
     max_law: MaxLaw,
     gamma: float | None = None,
 ) -> AsymptoticConstants:
     """Assemble the predicted constants from the oracle maximum law."""
-    g = _resolve_gamma(model, gamma)
+    g = model.twist(gamma)
     phg = model.mgf(g)
     if not phg < 1.0:
         raise ModelError(f"twisted moment {phg:.6f} >= 1; no subcritical constant")
@@ -223,7 +213,7 @@ def convolution_prediction(model: IncrementModel, n: int, gamma: float | None = 
     copies of the increment to the increment tail."""
     if n < 1:
         raise ModelError(f"need at least one summand, got n = {n}")
-    g = _resolve_gamma(model, gamma)
+    g = model.twist(gamma)
     phg = model.mgf(g)
     if not math.isfinite(phg):
         raise ModelError(f"{model.spec_string()} has infinite twisted moment")

@@ -39,7 +39,6 @@ from .lattice import (
     LatticeError,
     LatticePMF,
     MaxLaw,
-    _auto_top,
     bigjump_flow,
     convolution_power,
     discretize,
@@ -187,17 +186,16 @@ def oracle_grid(model: IncrementModel, h: float, gamma: float | None, levels=(),
     any sweep.  ``reach = (level, decay_lengths)`` widens a smooth tail's span
     to cover jumps past ``level`` (atomic families keep their exact support).
     The top is 75 decay lengths of the decay rate, or of ``gamma`` for atomic
-    families, which keeps the tail range certified; with neither, the
-    increment law sizes it.  A level at or above the top cell is refused: the
-    laws end there, so no tail at it is whole."""
+    families, which keeps the tail range certified; with neither, the model
+    is refused before any work.  A level at or above the top cell is refused:
+    the laws end there, so no tail at it is whole."""
     rate = model.decay_rate
+    top = 75.0 / (rate or model.twist(gamma))
     span = None
     if reach and rate:
         lo, hi = model.default_span()
         span = (lo, max(hi, reach[0] + reach[1] / rate))
     pmf = discretize(model, h, span=span)
-    rate = rate or gamma
-    top = 75.0 / rate if rate else _auto_top(pmf)
     grid_top = round(top / h) * h  # the laws' top cell
     above = [x for x in levels if not x < grid_top]
     if above:
@@ -227,16 +225,17 @@ def increment_tails(model: IncrementModel, xs) -> list[float]:
 
 
 def bigjump_dp_ratio(
-    model: IncrementModel,
     pmf: LatticePMF,
     law: MaxLaw,
     x: float,
     h_choice: str,
+    gamma: float,
 ) -> float:
     """Conditional single-jump ratio measured on the lattice: the flow of
     first exceedances of x - h(x) from below the h(x) band, each landing
-    weighted by the probability the remaining walk carries it past x.
-    Refuses a level whose P(M > x) is 0 on the grid."""
+    weighted by the probability the remaining walk carries it past x.  The
+    flow stops on the certificate of the twist ``gamma``, the rate that sized
+    the grid.  Refuses a level whose P(M > x) is 0 on the grid."""
     p_x = law.tail(x)
     if p_x <= 0.0:
         raise LatticeError(
@@ -244,7 +243,7 @@ def bigjump_dp_ratio(
             "single-jump ratio at that level; choose levels below the grid top"
         )
     a = band_h(h_choice, x)
-    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=model.decay_rate, level=x)
+    flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=gamma, level=x)
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
     weights = law.tail(x - cells * pmf.h)
     numerator = float((flow.landing_mass * weights).sum()) + flow.beyond
@@ -438,10 +437,11 @@ def cmd_bigjump(args):
         pmf, top = oracle_grid(model, args.step, args.gamma, xs,
                                reach=(x_top - band_h(args.h_choice, x_top), 22.0))
         law = lindley_fixed_point(pmf, top=top)
+        rate = model.decay_rate or args.gamma  # the rate that sized the grid
         rows = [
             {
                 "x": x,
-                "ratio": bigjump_dp_ratio(model, pmf, law, x, args.h_choice),
+                "ratio": bigjump_dp_ratio(pmf, law, x, args.h_choice, rate),
                 "stderr": 0.0,
             }
             for x in map(float, xs)

@@ -191,6 +191,13 @@ class IncrementModel:
         """Exponential decay rate of the tail; None for the atomic families."""
         return None
 
+    def twist(self, gamma: float | None) -> float:
+        """The twist of every tail constant and certificate: ``gamma`` when
+        given, else the decay rate; a family with neither is refused."""
+        if gamma is None and self.decay_rate is None:
+            raise ModelError("model family has no intrinsic decay rate; pass the twist explicitly")
+        return self.decay_rate if gamma is None else float(gamma)
+
     def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
         """Span [lo, hi] with true increment mass outside it below ``fold``."""
         raise NotImplementedError

@@ -335,17 +335,16 @@ def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False, exit_at: int |
 class MaxLaw:
     """Law of a walk maximum on ``{0, h, 2h, ...}`` up to ``top``.
 
-    ``trunc_bound`` certifies P(max > top); ``overflow`` is the mass actually
-    lost above the grid during the recursion (the only mass deficit — the
-    vector plus ``overflow`` accounts for exactly 1).  ``stop_bound``
-    certifies P(M != M_n) for a fixed point stopped after ``n_iter`` sweeps;
-    a horizon law is the law of its own M_n, and carries 0.
+    ``overflow`` is the mass actually lost above the grid during the
+    recursion (the only mass deficit — the vector plus ``overflow`` accounts
+    for exactly 1).  ``stop_bound`` certifies P(M != M_n) for a fixed point
+    stopped after ``n_iter`` sweeps; a horizon law is the law of its own M_n,
+    and carries 0.
     """
 
     h: float
     probs: np.ndarray
     increment: LatticePMF
-    trunc_bound: float
     overflow: float = 0.0
     n_iter: int = 0
     stop_bound: float = 0.0
@@ -353,6 +352,11 @@ class MaxLaw:
     @property
     def top(self) -> float:
         return (len(self.probs) - 1) * self.h
+
+    @cached_property
+    def trunc_bound(self) -> float:
+        """Certified bound on P(max > top), from the increment's twist scan."""
+        return self.increment.chernoff_tail_bound(self.top)
 
     def centers(self) -> np.ndarray:
         return np.arange(len(self.probs)) * self.h
@@ -410,20 +414,10 @@ def _reflected(pmf: LatticePMF, top: float, start: MaxLaw | None = None):
         yield V, overflow
 
 
-def _auto_top(pmf: LatticePMF) -> float:
-    """Grid top such that the walk-maximum mass beyond it is below ~1e-24."""
-    a_sup = pmf.chernoff_alpha_sup
-    if a_sup == 0.0:
-        raise LatticeError("cannot size the grid: no subcritical twist exists")
-    if math.isinf(a_sup):
-        return pmf.h  # maximum is identically 0
-    anchor = 0.75 * a_sup
-    return -math.log(1e-24 * (1.0 - pmf.mgf(anchor))) / anchor
-
-
-def lindley_fixed_point(pmf: LatticePMF, top: float | None = None,
+def lindley_fixed_point(pmf: LatticePMF, top: float,
                         laws: Sequence[MaxLaw] = ()) -> MaxLaw:
-    """Law of the all-time maximum M = sup_n S_n via the reflected recursion.
+    """Law of the all-time maximum M = sup_n S_n via the reflected recursion,
+    on the cells up to the grid top ``top``.
 
     Each iterate is exactly the law of the n-step maximum, so ``finite_horizon``
     runs the same recursion.  M_n differs from M only if some later partial
@@ -440,8 +434,6 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None,
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
-    if top is None:
-        top = _auto_top(pmf)
     a_sup = pmf.chernoff_alpha_sup  # inf when no mass lies above 0
     phi = pmf.mgf(0.75 * a_sup if math.isfinite(a_sup) else 1.0)
     # a phi below the tolerance settles in one sweep
@@ -462,7 +454,6 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None,
         h=pmf.h,
         probs=V,
         increment=pmf,
-        trunc_bound=laws[0].trunc_bound if laws else pmf.chernoff_tail_bound((V.size - 1) * pmf.h),
         overflow=overflow,
         n_iter=sweeps,
         stop_bound=phi ** (sweeps + 1) / (1.0 - phi),
@@ -472,21 +463,18 @@ def lindley_fixed_point(pmf: LatticePMF, top: float | None = None,
 def finite_horizon(
     pmf: LatticePMF,
     N: int,
-    top: float | None = None,
+    top: float,
 ) -> list[MaxLaw]:
-    """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion.
+    """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion, on
+    the cells up to the grid top ``top``.
 
     Like the pmf's ``probs``, every law is a read-only array, so a caller may
     keep the list and hand it to ``lindley_fixed_point``.
     """
     if N < 0:
         raise LatticeError(f"horizon must be >= 0, got {N}")
-    if top is None:
-        top = _auto_top(pmf)
-    history = list(islice(_reflected(pmf, top), N + 1))
-    trunc = pmf.chernoff_tail_bound((history[0][0].size - 1) * pmf.h)
-    return [MaxLaw(h=pmf.h, probs=V, increment=pmf, trunc_bound=trunc, overflow=leaked, n_iter=n)
-            for n, (V, leaked) in enumerate(history)]
+    return [MaxLaw(h=pmf.h, probs=V, increment=pmf, overflow=leaked, n_iter=n)
+            for n, (V, leaked) in enumerate(islice(_reflected(pmf, top), N + 1))]
 
 
 @dataclass
@@ -509,22 +497,21 @@ class StoppedLaw:
 def stopped_max_sigma1(
     pmf: LatticePMF,
     x_grid: Sequence[float],
+    top: float,
     horizon: int = 100_000,
-    top: float | None = None,
 ) -> StoppedLaw:
     """Overshoot and maximum up to the first strictly negative partial sum.
 
     The overshoot law comes from one absorbing sweep on the nonnegative
-    cells: its landings below 0 are one convolution of the sweep's occupation.
-    P(max before stopping > x) is a first-passage probability (reach above x
-    before dropping below 0); it is computed by a separate two-barrier sweep
-    per requested level, on the cells up to the level, so a level above the
-    grid top is refused.
+    cells up to the grid top ``top``: its landings below 0 are one
+    convolution of the sweep's occupation.  P(max before stopping > x) is a
+    first-passage probability (reach above x before dropping below 0); it is
+    computed by a separate two-barrier sweep per requested level, on the
+    cells up to the level, so a level above the grid top is refused.  Either
+    sweep refuses once ``horizon`` steps leave mass still walking.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"stopping analysis needs a negative mean, got {pmf.mean():.6g}")
-    if top is None:
-        top = _auto_top(pmf)
     _check_cells(top / pmf.h + 1, f"up to the grid top {top:g}", pmf.h)
     upper_cells = int(round(top / pmf.h))
     nneg = -pmf.k0
@@ -558,8 +545,9 @@ def stopped_max_sigma1(
                 "before the stopping time: raise the top",
                 residual=up_mass,
             )
-        residual = float(S.sum()) + up_mass  # mass still alive after step n_run
-        if residual < STOP_RESIDUAL:
+        walking = float(S.sum())  # mass still on the grid after step n_run
+        residual = walking + up_mass
+        if walking < STOP_RESIDUAL:
             break
     # mass that escaped above the working grid is below the chernoff bound at top;
     # it is part of the residual bookkeeping rather than the overshoot law
@@ -586,6 +574,9 @@ def stopped_max_sigma1(
             up += passed
             if S.sum() < STOP_RESIDUAL * 1e-3:
                 break
+        else:
+            raise LatticeError(f"stopping-time horizon {horizon} exhausted at level {xs[i]:g}",
+                               residual=float(S.sum()))
         tails[i] = up
     return StoppedLaw(
         chi=chi,
@@ -660,8 +651,8 @@ def bigjump_flow(
     pmf: LatticePMF,
     barrier: float,
     jump_level: float,
+    gamma: float,
     n_max: int = 10_000,
-    gamma: float | None = None,
     level: float = math.inf,
 ) -> BigJumpFlow:
     """Dynamic program over the disjoint events
@@ -672,16 +663,22 @@ def bigjump_flow(
     the computation for good, and those above ``jump_level`` are summed.  The
     landings by cell on (jump_level, level] are then one convolution of the
     occupation (the sum of the pre-step sub-laws) with the increments, and
-    those past ``level`` one sum, ``beyond``.  With ``gamma`` given, iteration
-    stops once the remaining exp(gamma .)-weighted occupation certifies that
-    future contributions are below ``BIGJUMP_REL_TOL`` of the accumulated total.
+    those past ``level`` one sum, ``beyond``.  Iteration stops once the
+    remaining exp(gamma .)-weighted occupation certifies that future
+    contributions are below ``BIGJUMP_REL_TOL`` of the accumulated total, or
+    after ``n_max`` steps.  The certificate needs the lattice phi(gamma) =
+    E e^{gamma xi} below 1; another twist is refused.
     """
     if not jump_level > barrier:
         raise LatticeError(f"need jump_level > barrier, got {jump_level} <= {barrier}")
+    phi = pmf.mgf(gamma)
+    if not phi < 1.0:
+        raise LatticeError(f"bigjump flow needs a lattice twisted moment below 1, got "
+                           f"phi({gamma:g}) = {phi!r}; lower the twist")
     h = pmf.h
     # survivors below the floor cannot matter: their jump probability is
     # exponentially small in the gap; 30 decay lengths is plenty
-    floor = -(30.0 / gamma if gamma else 30.0 / abs(min(pmf.mean(), -1e-2)))
+    floor = -30.0 / gamma
     _check_cells((barrier - floor) / h + 1, f"on the window [{floor:g}, {barrier:g}]", h)
     k_bar = int(math.floor(barrier / h + 1e-9))  # cells with center <= barrier
     k_jump = int(math.floor(jump_level / h + 1e-9))  # landing means center > jump_level
@@ -691,22 +688,19 @@ def bigjump_flow(
     nu = np.eye(1, k_bar - k_floor + 1, -k_floor)[0]  # point mass at cell 0
     occupation = np.zeros(nu.size)
     total = 0.0
-    if gamma is not None:
-        weights = np.exp(gamma * np.arange(k_floor, k_bar + 1) * h)
-        phi = pmf.mgf(gamma)
+    weights = np.exp(gamma * np.arange(k_floor, k_bar + 1) * h)
     n = 0
     steps = _sweep(nu, pmf, exit_at=k_jump + 1 - k_floor)
     for n, (survivors, flow) in enumerate(islice(steps, n_max), 1):
         occupation += nu
         nu = survivors
         total += flow
-        if gamma is not None:
-            tilt = float((nu * weights).sum())
-            # future landings are bounded by sup_y e^{gamma y} T(y) * e^{-gamma level}
-            # * tilt / (1 - phi); the constant prefactor is conservative at 1
-            remaining = math.exp(-gamma * jump_level) * tilt / max(1.0 - phi, 1e-12)
-            if remaining < BIGJUMP_REL_TOL * max(total, 1e-300):
-                break
+        tilt = float((nu * weights).sum())
+        # future landings are bounded by sup_y e^{gamma y} T(y) * e^{-gamma level}
+        # * tilt / (1 - phi); the constant prefactor is conservative at 1
+        remaining = math.exp(-gamma * jump_level) * tilt / (1.0 - phi)
+        if remaining < BIGJUMP_REL_TOL * max(total, 1e-300):
+            break
     # bin i of occupation * probs is cell shift + i
     shift = k_floor + pmf.k0
     k_last = math.floor(min(level / h + 1e-9, shift + occupation.size + pmf.probs.size - 2))

@@ -419,10 +419,7 @@ def renewal_diagnostics(
     K_r below the line; the per-path neglected contributions are accumulated
     into the reported bias bounds.
     """
-    if gamma is None:
-        gamma = model.decay_rate
-        if gamma is None:
-            raise EstimatorError("gamma must be given for families without a decay rate")
+    gamma = model.twist(gamma)
     mean = model.mean()
     if not mean < 0:
         raise EstimatorError(f"renewal diagnostics need a negative mean, got {mean}")

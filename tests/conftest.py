@@ -19,6 +19,9 @@ REF_GAMMA = 1.0
 REF_BETA = 2.0
 REF_SHIFT = math.log(4.0)
 ORACLE_TOP = 75.0
+# the ruin chain's grid top: 75 decay lengths of the twist 0.9, whose
+# phi(0.9) < 1, as the command line sizes it
+TP_TOP = 75.0 / 0.9
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +81,7 @@ def tp_pmf(tp_model):
 
 @pytest.fixture(scope="session")
 def tp_law(tp_pmf):
-    return lindley_fixed_point(tp_pmf)
+    return lindley_fixed_point(tp_pmf, top=TP_TOP)
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,7 @@ from walkmax.cli import bigjump_dp_ratio, main as cli_main
 from walkmax.lattice import bigjump_flow, convolution_power
 from walkmax.montecarlo import bigjump_conditional_ratio
 
-from conftest import ORACLE_TOP
+from conftest import ORACLE_TOP, TP_TOP
 
 
 def certify(number: int, ok: bool, detail: str) -> None:
@@ -54,7 +54,7 @@ def tail_edge_grid(model, n=6):
 
 def test_criterion_01_oracle_exactness(tp_model):
     t0 = time.monotonic()
-    law = lindley_fixed_point(discretize(tp_model, 1.0))
+    law = lindley_fixed_point(discretize(tp_model, 1.0), top=TP_TOP)
     elapsed = time.monotonic() - t0
     worst = max(abs(law.tail(k - 0.5) - 3.0**-k) for k in range(21))
     ok = worst < 1e-10 and elapsed < 5.0
@@ -184,13 +184,13 @@ def test_criterion_08_single_jump_ratio(ref_model):
     span_hi = max(ref_model.inverse_tail(1e-15), xs[-1] - xs[-1] / 4 + 22.0)
     pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, span_hi))
     law = lindley_fixed_point(pmf, top=ORACLE_TOP)
-    ratios = [bigjump_dp_ratio(ref_model, pmf, law, x, "quarter") for x in xs]
+    ratios = [bigjump_dp_ratio(pmf, law, x, "quarter", ref_model.decay_rate) for x in xs]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
 
     # simulation cross-check at a level crude paths can reach
     x_mc = 4.0
     mc = bigjump_conditional_ratio(ref_model, x_mc, "quarter", SimConfig(n_paths=400_000, seed=17))
-    dp_small = bigjump_dp_ratio(ref_model, pmf, law, x_mc, "quarter")
+    dp_small = bigjump_dp_ratio(pmf, law, x_mc, "quarter", ref_model.decay_rate)
     agree = abs(mc.estimate - dp_small) < 3 * mc.stderr + 0.01
     ok = ratios[-1] >= 0.9 and increasing and agree
     certify(
@@ -251,7 +251,9 @@ def test_criterion_12_estimator_soundness(tp_model):
         z_crude.append((rep.estimate - exact) / rep.stderr)
 
     jumpy = TwoPoint(u=5.0, pu=0.05, v=-1.0)
-    dp = bigjump_flow(discretize(jumpy, 1.0), barrier=2.5, jump_level=6.0, n_max=60).total()
+    # phi(0.2) = 0.91 certifies the flow's stop
+    dp = bigjump_flow(discretize(jumpy, 1.0), barrier=2.5, jump_level=6.0, gamma=0.2,
+                      n_max=60).total()
     z_bj = []
     for seed in range(10):
         rep = estimate_bigjump_sum(jumpy, 6.0, 2.5, 60, SimConfig(n_paths=60_000, seed=seed))

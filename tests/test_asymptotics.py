@@ -30,7 +30,10 @@ from walkmax import (
 )
 from walkmax.asymptotics import AsymptoticConstants
 from walkmax.cli import constants_pipeline
+from walkmax.increments import IncrementModel
 from walkmax.lattice import LatticeError, convolution_power
+
+from conftest import ORACLE_TOP
 
 
 def degenerate_consts(gamma: float = 1.0, phg: float = 0.5) -> AsymptoticConstants:
@@ -76,7 +79,7 @@ class TestConstants:
             constants(tp_model, tp_law)
 
 
-class PollaczekKhinchine:
+class PollaczekKhinchine(IncrementModel):
     """xi = eta - T with eta = PolyExp(1, 2, 0) and T ~ Exp(lam) independent:
     M is the M/G/1 waiting time, and E e^{gM} = (1-rho) g / ((lam+g)(1-phi(g)))
     with rho = lam E eta and phi(g) = E e^{g eta} lam/(lam+g) (Embrechts and
@@ -211,12 +214,12 @@ class TestStoppedConstant:
         consts = degenerate_consts(gamma=1.0, phg=0.5)
         # overshoot identically 1: factor (1 - e^{-1})
         law = lindley_fixed_point(discretize(PointMass(-1.0), 1.0), top=40.0)
-        stopped = stopped_max_sigma1(discretize(PointMass(-1.0), 1.0), x_grid=[0.5])
+        stopped = stopped_max_sigma1(discretize(PointMass(-1.0), 1.0), x_grid=[0.5], top=40.0)
         got = stopped_constant(consts, stopped)
         assert got.value == pytest.approx((1 - math.exp(-1.0)) * 2.0, abs=1e-10)
 
     def test_reference_regime(self, ref_pmf, ref_consts):
-        stopped = stopped_max_sigma1(ref_pmf, x_grid=[5.0])
+        stopped = stopped_max_sigma1(ref_pmf, x_grid=[5.0], top=ORACLE_TOP)
         got = stopped_constant(ref_consts, stopped)
         assert 0.0 < got.value < ref_consts.constant.value
         assert got.lo <= got.value <= got.hi

@@ -632,6 +632,47 @@ class TestTwistOverride:
         assert out == ""
         assert "bigjump: level 100 is at or above the grid top 83" in err
 
+    def test_bigjump_flow_reads_the_twist(self, capsys, monkeypatch):
+        from walkmax import cli
+
+        seen, flow = [], cli.bigjump_flow
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["gamma"])
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bigjump_flow", spy)
+        code, out, _ = run(capsys, "bigjump", "--model", TP, "--gamma", "0.9",
+                           "--step", "1", "--x", "1,2,3")
+        assert code in (0, 2)
+        assert len(json.loads(out)["rows"]) == 3
+        assert seen == [0.9] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["tail-report", "--x", "0.25,0.5,0.75"],
+        ["local-report", "--x", "0.25,0.5,0.75"],
+        ["finite", "--N", "1,2", "--x", "0.5"],
+        ["stopped", "--x", "0.25,0.5,0.75"],
+        ["bigjump"],
+        ["convolution-check", "--x", "0.25,0.5,0.75"],
+        ["renewal-diag"],
+    ], ids=lambda argv: argv[0])
+    def test_no_twist_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        from walkmax import cli, montecarlo
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the twist was resolved")
+
+        monkeypatch.setattr(cli, "discretize", no_work)
+        monkeypatch.setattr(montecarlo, "_simulate", no_work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, argv[0], "--model", TP, *argv[1:], "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert (f"{argv[0]}: model family has no intrinsic decay rate; "
+                "pass the twist explicitly") in err
+        assert not out_dir.exists()
+
 
 class TestOracleWorkOnce:
     @pytest.mark.parametrize("Ns, reads", [("1,2,5,10,50", True), ("1,5", False)],

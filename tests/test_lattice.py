@@ -22,7 +22,10 @@ from walkmax import (
 )
 from walkmax import finite_constant
 from walkmax import lattice
-from walkmax.lattice import CONV_BLOCK, STOP_REFUSE, LatticePMF, _direct_conv, _sweep
+from walkmax.lattice import (CONV_BLOCK, STOP_REFUSE, STOP_RESIDUAL, LatticePMF, _direct_conv,
+                             _sweep)
+
+from conftest import ORACLE_TOP, TP_TOP
 
 
 class TestDiscretize:
@@ -259,7 +262,7 @@ class TestFixedPoint:
             assert abs(got - ruin_tail(k)) < 1e-10, k
 
     def test_pointmass_maximum_is_zero(self, pm_model):
-        law = lindley_fixed_point(discretize(pm_model, 1.0))
+        law = lindley_fixed_point(discretize(pm_model, 1.0), top=40.0)
         assert law.probs[0] == pytest.approx(1.0, abs=1e-14)
         assert law.tail(0.0) == pytest.approx(0.0, abs=1e-14)
 
@@ -286,7 +289,7 @@ class TestFixedPoint:
     def test_refuses_nonnegative_mean(self):
         up = TwoPoint(u=1.0, pu=0.75, v=-1.0)
         with pytest.raises(LatticeError):
-            lindley_fixed_point(discretize(up, 1.0))
+            lindley_fixed_point(discretize(up, 1.0), top=TP_TOP)
 
     @pytest.mark.parametrize("pmf,count", [
         (lambda: LatticePMF(h=1.0, k0=-1, probs=[0.5, 0.0, 0.5 - 2**-53]), r"2\.7e\+17"),
@@ -306,17 +309,17 @@ class TestFixedPoint:
 
 class TestFiniteHorizon:
     def test_zero_horizon(self, tp_pmf):
-        laws = finite_horizon(tp_pmf, 0)
+        laws = finite_horizon(tp_pmf, 0, top=TP_TOP)
         assert len(laws) == 1
         assert laws[0].probs[0] == 1.0
 
     def test_single_step(self, tp_pmf):
-        laws = finite_horizon(tp_pmf, 1)
+        laws = finite_horizon(tp_pmf, 1, top=TP_TOP)
         assert laws[1].tail(0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_two_steps_enumeration(self, tp_pmf):
         # all four 2-step paths: the maximum reaches 1 iff the first step is up
-        laws = finite_horizon(tp_pmf, 2)
+        laws = finite_horizon(tp_pmf, 2, top=TP_TOP)
         assert laws[2].tail(0.5) == pytest.approx(0.25, abs=1e-14)
         # P(M_2 >= 2) = P(up, up)
         assert laws[2].tail(1.5) == pytest.approx(0.25 * 0.25, abs=1e-14)
@@ -356,7 +359,7 @@ def enumerate_first_passage(p_up: float, barrier: int, depth: int):
 
 class TestStopped:
     def test_pointmass(self, pm_model):
-        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5])
+        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5], top=40.0)
         assert stopped.horizon_used == 1  # stops at step 1
         assert stopped.chi.tail(0.5) == pytest.approx(1.0, abs=1e-15)  # overshoot 1
         assert stopped.max_tail[0] == pytest.approx(0.0, abs=1e-15)
@@ -367,12 +370,12 @@ class TestStopped:
         below = _direct_conv(start, tp_pmf.probs, [(0, 1)])[0]  # the cell -1
         assert below == pytest.approx(0.75, abs=1e-14)
         assert survivors.sum() + up + below == pytest.approx(1.0, abs=1e-14)
-        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5])
+        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5], top=TP_TOP)
         # only -1 overshoots are reachable
         assert stopped.chi.tail(1.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_twopoint_max_before_ruin(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf, x_grid=[k - 0.5 for k in (1, 2, 3, 5)])
+        stopped = stopped_max_sigma1(tp_pmf, x_grid=[k - 0.5 for k in (1, 2, 3, 5)], top=TP_TOP)
 
         def tail_at(k):
             i = int(np.searchsorted(stopped.max_tail_x, k - 0.5))
@@ -408,7 +411,7 @@ class TestStopped:
         assert np.all(np.abs(stopped.chi.probs - want) <= n * 2.0**-53 * want + 2.0**-1074)
 
     def test_conservation(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5])
+        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5], top=TP_TOP)
         assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
 
     def test_level_above_top_refused_before_sweeping(self, tp_pmf, monkeypatch):
@@ -437,8 +440,28 @@ class TestStopped:
 
     def test_horizon_exhaustion_raises(self, ref_pmf):
         with pytest.raises(LatticeError) as err:
-            stopped_max_sigma1(ref_pmf, horizon=3, x_grid=[5.0])
+            stopped_max_sigma1(ref_pmf, horizon=3, x_grid=[5.0], top=ORACLE_TOP)
         assert err.value.residual is not None and err.value.residual > STOP_REFUSE
+
+    @pytest.mark.parametrize("which", ["reference", "twopoint"])
+    def test_mass_over_a_short_top_does_not_hold_the_sweep(self, which, ref_model, tp_pmf):
+        # 1e-12 to 1e-10 of the mass crosses top 20 and never returns: the
+        # sweep stops on the mass still walking, and keeps the crossed mass
+        # in the residual
+        pmf = discretize(ref_model, 0.05) if which == "reference" else tp_pmf
+        stopped = stopped_max_sigma1(pmf, x_grid=[4.0], top=20.0)
+        assert stopped.horizon_used < 200
+        assert STOP_RESIDUAL < stopped.residual <= STOP_REFUSE
+        assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
+
+    def test_level_sweep_refuses_an_exhausted_horizon(self, ref_model):
+        # the absorbing sweep settles within its count, the two-barrier sweep
+        # at a level near the top does not: a truncated first passage is refused
+        pmf = discretize(ref_model, 0.05)
+        n = stopped_max_sigma1(pmf, x_grid=[4.0], top=ORACLE_TOP).horizon_used
+        with pytest.raises(LatticeError, match=rf"horizon {n} exhausted at level 70") as err:
+            stopped_max_sigma1(pmf, x_grid=[4.0, 70.0], top=ORACLE_TOP, horizon=n)
+        assert err.value.residual > 0.0
 
 
 class TestExpMoment:
@@ -485,7 +508,7 @@ class TestExpMoment:
         assert em.value == pytest.approx(identity_value, rel=1e-12)
 
     def test_overshoot_moment(self, pm_model):
-        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5])
+        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5], top=40.0)
         # chi is identically 1
         assert stopped.chi.mgf(-1.0) == pytest.approx(math.exp(-1.0), abs=1e-14)
 
@@ -626,7 +649,7 @@ class TestBigJumpFlow:
     @pytest.mark.parametrize("case", [
         # (model, step, barrier, jump level, levels, gamma); the TwoPoint
         # walk lands on cell 7 only, the reference walk far past each level
-        (TwoPoint(u=5.0, pu=0.05, v=-1.0), 1.0, 2.5, 6.0, [6.5, 7.0, 9.0], None),
+        (TwoPoint(u=5.0, pu=0.05, v=-1.0), 1.0, 2.5, 6.0, [6.5, 7.0, 9.0], 0.2),
         (PolyExp(1.0, 2.0, math.log(4.0)), 0.05, 2.0, 6.0, [6.02, 8.0, 20.0], 1.0),
     ], ids=["twopoint", "reference"])
     def test_landings_up_to_a_level_and_beyond_add_up(self, case):
@@ -647,3 +670,11 @@ class TestBigJumpFlow:
             assert part.total() == pytest.approx(full.total(), rel=n * 2.0**-52)
             assert part.beyond == pytest.approx(full.landing_mass[k:].sum(), rel=n * 2.0**-52,
                                                 abs=1e-300)
+
+    @pytest.mark.parametrize("gamma", [1.2, 2.0])
+    def test_twist_without_certificate_refused(self, tp_pmf, sweeps, gamma):
+        # phi(gamma) >= 1 past log 3 on the ruin chain: no stop is certified
+        with pytest.raises(LatticeError, match=rf"lattice twisted moment below 1, got "
+                                               rf"phi\({gamma:g}\) = 1\."):
+            lattice.bigjump_flow(tp_pmf, barrier=0.5, jump_level=1.5, gamma=gamma)
+        assert sweeps[0] == 0

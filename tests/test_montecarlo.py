@@ -10,6 +10,7 @@ import pytest
 
 from walkmax import (
     EstimatorError,
+    ModelError,
     PointMass,
     SimConfig,
     TwoPoint,
@@ -218,14 +219,14 @@ class TestBigJumpSum:
         # unit up-steps cannot leap from below 1/2 past 9/2: both the
         # estimator and the exact flow are identically zero
         rep = estimate_bigjump_sum(tp_model, 4.5, 0.5, 60, SimConfig(n_paths=2000, seed=1))
-        flow = bigjump_flow(tp_pmf, barrier=0.5, jump_level=4.5, n_max=60)
+        flow = bigjump_flow(tp_pmf, barrier=0.5, jump_level=4.5, gamma=0.9, n_max=60)
         assert rep.estimate == 0.0
         assert flow.total() == 0.0
 
     def test_jumpy_twopoint_matches_flow_dp(self):
         model = TwoPoint(u=5.0, pu=0.05, v=-1.0)
         pmf = discretize(model, 1.0)
-        flow = bigjump_flow(pmf, barrier=2.5, jump_level=6.0, n_max=60)
+        flow = bigjump_flow(pmf, barrier=2.5, jump_level=6.0, gamma=0.2, n_max=60)
         rep = estimate_bigjump_sum(model, 6.0, 2.5, 60, SimConfig(n_paths=200_000, seed=4))
         assert flow.total() > 0
         assert abs(rep.estimate - flow.total()) < 3 * rep.stderr + rep.bias_bound
@@ -234,7 +235,7 @@ class TestBigJumpSum:
         cfg = SimConfig(n_paths=100_000, seed=5)
         rep = estimate_bigjump_sum(ref_model, 20.0, 5.0, 60, cfg)
         # exact flow for the same disjoint events, from the grid oracle
-        dp = bigjump_flow(ref_pmf, barrier=5.0, jump_level=20.0, n_max=60).total()
+        dp = bigjump_flow(ref_pmf, barrier=5.0, jump_level=20.0, gamma=1.0, n_max=60).total()
         assert abs(rep.estimate - dp) < 3 * rep.stderr + rep.bias_bound
         # the single-jump route carries most, but not all, of the tail here
         frac = rep.estimate / ref_law.tail(20.0)
@@ -263,7 +264,7 @@ class TestConditionalRatio:
         x = 4.0
         cfg = SimConfig(n_paths=10**6, seed=11)
         rep = bigjump_conditional_ratio(ref_model, x, "quarter", cfg)
-        dp_ratio = bigjump_dp_ratio(ref_model, ref_pmf, ref_law, x, "quarter")
+        dp_ratio = bigjump_dp_ratio(ref_pmf, ref_law, x, "quarter", ref_model.decay_rate)
         assert rep.n_effective > 50
         assert abs(rep.estimate - dp_ratio) < 3 * rep.stderr + 0.01
 
@@ -291,7 +292,7 @@ class TestRenewalDiagnostics:
         assert all(r["delta_bias_bound"] <= 1e-4 for r in table.rows)
 
     def test_lattice_family_needs_rate(self, tp_model):
-        with pytest.raises(EstimatorError):
+        with pytest.raises(ModelError, match="no intrinsic decay rate; pass the twist explicitly"):
             renewal_diagnostics(tp_model, [2.0], SimConfig(n_paths=100, seed=0))
 
 
@@ -306,7 +307,7 @@ class TestUnbiasedness:
     def test_bigjump_z_scores_ten_seeds(self):
         model = TwoPoint(u=5.0, pu=0.05, v=-1.0)
         pmf = discretize(model, 1.0)
-        exact = bigjump_flow(pmf, barrier=2.5, jump_level=6.0, n_max=60).total()
+        exact = bigjump_flow(pmf, barrier=2.5, jump_level=6.0, gamma=0.2, n_max=60).total()
         for seed in range(10):
             rep = estimate_bigjump_sum(model, 6.0, 2.5, 60, SimConfig(n_paths=60_000, seed=seed))
             z = (rep.estimate - exact) / rep.stderr
