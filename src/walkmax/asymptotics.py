@@ -133,23 +133,19 @@ def finite_constant(
 def stopped_constant(consts: AsymptoticConstants, stopped: StoppedLaw) -> Bracket:
     """Predicted stopped-walk constant (1 - E exp(-gamma*overshoot)) * C.
 
-    The sweep residual (paths not yet absorbed) enters the enclosure of the
-    overshoot moment; the overshoot is strictly positive by construction.
+    The overshoot law's ``residual`` bounds its error in E exp(-gamma*chi),
+    whose integrand lies in [0, 1], on either side; the overshoot is strictly
+    positive by construction.
     """
     chi = stopped.chi
     if float(chi.probs[1:].sum()) <= 0.0:
         raise ModelError("degenerate overshoot law: no mass above 0")
-    e_cond = chi.mgf(-consts.gamma)
-    # E[exp(-gamma*chi); absorbed] plus an unabsorbed remainder in [0, residual]
-    e_lo = stopped.absorbed * e_cond
-    e_hi = min(e_lo + stopped.residual, 1.0)
-    factor_lo = 1.0 - e_hi
-    factor_hi = 1.0 - e_lo
+    e = chi.mgf(-consts.gamma)
     c = consts.constant
     return Bracket(
-        (1.0 - stopped.absorbed * e_cond) * c.value,
-        factor_lo * c.lo,
-        factor_hi * c.hi,
+        (1.0 - e) * c.value,
+        (1.0 - min(e + stopped.residual, 1.0)) * c.lo,
+        (1.0 - max(e - stopped.residual, 0.0)) * c.hi,
     )
 
 

@@ -234,8 +234,8 @@ def bigjump_dp_ratio(
     """Conditional single-jump ratio measured on the lattice: the flow of
     first exceedances of x - h(x) from below the h(x) band, each landing
     weighted by the probability the remaining walk carries it past x.  The
-    flow stops on the certificate of the twist ``gamma``, the rate that sized
-    the grid.  Refuses a level whose P(M > x) is 0 on the grid."""
+    flow stops on the certificate of the twist ``gamma``.  Refuses a level
+    whose P(M > x) is 0 on the grid."""
     p_x = law.tail(x)
     if p_x <= 0.0:
         raise LatticeError(
@@ -409,8 +409,8 @@ def cmd_stopped(args):
     xs = _floats(args.x)
     _as_usage(check_levels, xs)
     bases = increment_tails(model, xs)
-    pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma, levels=xs)
-    stopped = stopped_max_sigma1(pmf, x_grid=xs, top=law.top)
+    _, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma, levels=xs)
+    stopped = stopped_max_sigma1(law, xs, consts.gamma)
     pred = stopped_constant(consts, stopped)
     rows = [
         (float(x), float(t) / b)
@@ -437,11 +437,11 @@ def cmd_bigjump(args):
         pmf, top = oracle_grid(model, args.step, args.gamma, xs,
                                reach=(x_top - band_h(args.h_choice, x_top), 22.0))
         law = lindley_fixed_point(pmf, top=top)
-        rate = model.decay_rate or args.gamma  # the rate that sized the grid
+        gamma = model.twist(args.gamma)
         rows = [
             {
                 "x": x,
-                "ratio": bigjump_dp_ratio(pmf, law, x, args.h_choice, rate),
+                "ratio": bigjump_dp_ratio(pmf, law, x, args.h_choice, gamma),
                 "stderr": 0.0,
             }
             for x in map(float, xs)

@@ -9,13 +9,16 @@ one sum.  Each oracle is a loop over that primitive:
 * ``lindley_fixed_point`` and ``finite_horizon`` reflect the mass below onto
   cell 0, which is the distributional recursion ``M =d (M + xi)^+``, and
   count the mass above the grid top as overflow;
-* ``stopped_max_sigma1`` absorbs below 0 and, per level, above the level
-  (the first-passage probability);
-* ``bigjump_flow`` absorbs above a jump level.
+* ``_passage`` kills below a floor and above a barrier and sums the mass
+  passing over an exit level, stopped on one twist certificate.  It is the
+  first passage of ``bigjump_flow`` and, per level, of
+  ``stopped_max_sigma1`` (floor 0, barrier and exit at the level).
 
-Landings by cell outside a window (the overshoot law, the single-jump
-landings) are one convolution of the occupation, the sum of the pre-step
-sub-laws, with the increment pmf, formed once after the loop.
+Landings by cell outside a window are one convolution with the increment
+pmf, formed once after the loop: the single-jump landings from the
+occupation (the sum of the pre-step sub-laws), and the overshoot law below 0
+from the fixed-point law of M, which by duality is the occupation of the
+walk stopped at its first negative sum, up to a factor.
 
 ``exp_moment`` reads the law of M only on the cells ``0 ... -k0`` through
 the boundary identity of ``M =d (M + xi)^+``, so no far-tail sum enters it.
@@ -70,11 +73,7 @@ FOLD_REFUSE = 1e-6
 FIXED_POINT_TOL = 1e-13
 # ... and refuses a walk whose sweep count is larger than this
 MAX_SWEEPS = 10**6
-# stopped_max_sigma1 stops sweeping once this much mass is still unabsorbed
-STOP_RESIDUAL = 1e-12
-# ... and refuses once more than this much is left unabsorbed or crossed the top
-STOP_REFUSE = 1e-9
-# bigjump_flow stops once future landings are below this share of the total
+# every first passage stops once future passages are below this share of the total
 BIGJUMP_REL_TOL = 1e-12
 # block width of ``_direct_conv``; of 32, 48, 64 and 128, 64 ran the oracle-fine
 # sweeps (step 0.005, one BLAS thread, 2-core x86_64) in the least CPU time:
@@ -481,13 +480,14 @@ def finite_horizon(
 class StoppedLaw:
     """Joint output of the first-negative-sum stopping analysis.
 
-    ``chi`` is the law of the overshoot below 0 (conditional on absorption,
-    which is certain up to ``residual``); ``max_tail`` holds
-    P(max before stopping > x) at the requested levels.
+    ``chi`` is the law of the overshoot below 0 (absorption is certain for a
+    negative drift); no expectation of a function with values in [0, 1] under
+    it is further than ``residual`` from the lattice walk's.  ``max_tail``
+    holds P(max before stopping > x) at the levels ``max_tail_x``, and
+    ``horizon_used`` counts the sweeps of all their first passages.
     """
 
     chi: LatticePMF
-    absorbed: float
     residual: float
     max_tail_x: np.ndarray
     max_tail: np.ndarray
@@ -495,96 +495,61 @@ class StoppedLaw:
 
 
 def stopped_max_sigma1(
-    pmf: LatticePMF,
+    law: MaxLaw,
     x_grid: Sequence[float],
-    top: float,
+    gamma: float,
     horizon: int = 100_000,
 ) -> StoppedLaw:
     """Overshoot and maximum up to the first strictly negative partial sum.
 
-    The overshoot law comes from one absorbing sweep on the nonnegative
-    cells up to the grid top ``top``: its landings below 0 are one
-    convolution of the sweep's occupation.  P(max before stopping > x) is a
-    first-passage probability (reach above x before dropping below 0); it is
-    computed by a separate two-barrier sweep per requested level, on the
-    cells up to the level, so a level above the grid top is refused.  Either
-    sweep refuses once ``horizon`` steps leave mass still walking.
+    Before that time the walk's occupation is its mean duration times the
+    law of M (the duality lemma: Feller, Vol. II, XII; Asmussen, Applied
+    Probability and Queues, VIII), so the overshoot is -(M + xi) given
+    M + xi < 0: one convolution of the fixed-point ``law`` on its cells
+    0 ... -k0 - 1 with the increment pmf.  The law is within its charge
+    ``stop_bound`` + ``overflow`` of M in probability, so ``residual`` =
+    charge / (P(M + xi < 0) - charge) bounds the error of any probability
+    under chi.
+
+    P(max before stopping > x) is a first passage per level (``_passage``
+    with floor 0 and the barrier and exit at the level), stopped on the
+    certificate of the twist ``gamma``.  A level above the law's top, or whose
+    passage spends ``horizon`` sweeps without a certified stop, is refused.
     """
-    if pmf.mean() >= 0:
-        raise LatticeError(f"stopping analysis needs a negative mean, got {pmf.mean():.6g}")
-    _check_cells(top / pmf.h + 1, f"up to the grid top {top:g}", pmf.h)
-    upper_cells = int(round(top / pmf.h))
+    pmf = law.increment
     nneg = -pmf.k0
-    if nneg <= 0:
-        raise LatticeError("increment law has no mass below 0; stopping time is infinite")
     xs = np.asarray(list(x_grid), dtype=float)
     # cells with center <= x survive a level's sweep
     level_cells = np.floor(xs / pmf.h + 1e-9)
-    above_top = ~(level_cells <= upper_cells)  # nan counts as above
+    above_top = ~(level_cells < law.probs.size)  # nan counts as above
     if above_top.any():
-        x = xs[np.argmax(above_top)]
         raise LatticeError(
-            f"stopped level {x:g} is above the grid top {upper_cells * pmf.h:g}: "
+            f"stopped level {xs[np.argmax(above_top)]:g} is above the grid top {law.top:g}: "
             "choose levels at or below the grid top"
         )
+    # bin nneg - j of the convolution is the cell -j, an overshoot of j cells
+    W = _direct_conv(law.probs[:nneg], pmf.probs, [(0, nneg)])[:nneg]
+    chi_cells = np.zeros(nneg + 1)
+    chi_cells[nneg + 1 - W.size :] = W[::-1]
+    below = float(chi_cells.sum())  # P(M + xi < 0)
+    charge = law.stop_bound + float(law.overflow)
+    chi = LatticePMF(h=pmf.h, k0=0, probs=chi_cells / below)
 
-    # absorb below 0 and above the working top; paths above the top are
-    # still unabsorbed, hence still alive
-    up_mass, residual, n_run = 0.0, 1.0, 0
-    S = np.eye(1, upper_cells + 1)[0]
-    occupation = np.zeros(S.size)
-    for n_run, (survivors, up) in enumerate(islice(_sweep(S, pmf), horizon), 1):
-        occupation += S
-        S = survivors
-        up_mass += up
-        if up_mass > STOP_REFUSE:
-            # crossed mass never comes back and the final residual is at
-            # least up_mass, so the refusal below is already certain
-            raise LatticeError(
-                f"mass {up_mass:.3e} crossed the grid top {upper_cells * pmf.h:g} "
-                "before the stopping time: raise the top",
-                residual=up_mass,
-            )
-        walking = float(S.sum())  # mass still on the grid after step n_run
-        residual = walking + up_mass
-        if walking < STOP_RESIDUAL:
-            break
-    # mass that escaped above the working grid is below the chernoff bound at top;
-    # it is part of the residual bookkeeping rather than the overshoot law
-    if residual > STOP_REFUSE:
-        raise LatticeError(
-            f"stopping-time horizon {horizon} exhausted with residual {residual:.3e}",
-            residual=residual,
-        )
-    # bin nneg - j of occupation * probs is the cell -j, an overshoot of j cells
-    chi_cells = np.r_[0.0, _direct_conv(occupation, pmf.probs, [(0, nneg)])[nneg - 1 :: -1]]
-    absorbed = float(chi_cells.sum())
-    conserved = absorbed + residual
-    if abs(conserved - 1.0) > 1e-10:
-        raise LatticeError(f"absorption bookkeeping off by {conserved - 1.0:.2e}")
-    chi = LatticePMF(h=pmf.h, k0=0, probs=chi_cells / absorbed)
-
-    tails = np.ones(xs.size)
+    tails, used = np.ones(xs.size), 0
     for i, kx in enumerate(level_cells.astype(int)):
-        # P(walk exceeds x before its first strictly negative sum)
         if kx < 0:
             continue
-        up = 0.0
-        for S, passed in islice(_sweep(np.eye(1, kx + 1)[0], pmf), horizon):
-            up += passed
-            if S.sum() < STOP_RESIDUAL * 1e-3:
-                break
-        else:
+        _, tails[i], n, left = _passage(pmf, 0, kx, kx, xs[i], gamma, horizon)
+        used += n
+        if left:
             raise LatticeError(f"stopping-time horizon {horizon} exhausted at level {xs[i]:g}",
-                               residual=float(S.sum()))
-        tails[i] = up
+                               residual=left)
     return StoppedLaw(
         chi=chi,
-        absorbed=absorbed,
-        residual=residual,
+        residual=charge / (below - charge) if below > charge else math.inf,
         max_tail_x=xs,
         max_tail=tails,
-        horizon_used=n_run,
+        horizon_used=used,
     )
 
 
@@ -647,6 +612,37 @@ class BigJumpFlow:
         return float(self.landing_mass.sum()) + self.beyond
 
 
+def _passage(pmf: LatticePMF, k_lo: int, k_hi: int, k_exit: int, cut: float,
+             gamma: float, n_max: int):
+    """First passage from cell 0 over the cell ``k_exit``, killed below cell
+    ``k_lo`` and above cell ``k_hi``: returns the occupation (the sum of the
+    pre-step sub-laws), the mass passed over ``k_exit``, the steps taken and
+    ``left``.  With phi = E e^{gamma xi} < 1 on the lattice (else refused), a
+    walk at y passes over ``cut`` <= (k_exit + 1) h at a later step m with
+    probability at most phi^m e^{gamma (y - cut)}, so e^{-gamma cut}
+    sum_y V(y) e^{gamma y} / (1 - phi) bounds all future passages.  The loop
+    stops, with ``left`` = 0, once that is below ``BIGJUMP_REL_TOL`` of the
+    total; after ``n_max`` steps without that stop ``left`` is the bound.
+    """
+    phi = pmf.mgf(gamma)
+    if not phi < 1.0:
+        raise LatticeError(f"first passage needs a lattice twisted moment below 1, got "
+                           f"phi({gamma:g}) = {phi!r}; lower the twist")
+    V = np.eye(1, k_hi - k_lo + 1, -k_lo)[0]  # point mass at cell 0
+    occupation = np.zeros(V.size)
+    weights = np.exp(gamma * (np.arange(k_lo, k_hi + 1) * pmf.h - cut)) / (1.0 - phi)
+    total, remaining, n = 0.0, math.inf, 0
+    for n, (survivors, passed) in enumerate(
+            islice(_sweep(V, pmf, exit_at=k_exit + 1 - k_lo), n_max), 1):
+        occupation += V
+        V = survivors
+        total += passed
+        remaining = float((V * weights).sum())
+        if remaining < BIGJUMP_REL_TOL * max(total, 1e-300):
+            return occupation, total, n, 0.0
+    return occupation, total, n, remaining
+
+
 def bigjump_flow(
     pmf: LatticePMF,
     barrier: float,
@@ -658,23 +654,15 @@ def bigjump_flow(
     """Dynamic program over the disjoint events
     {max through step n-1 <= barrier, S_n > jump_level}.
 
-    Per step the surviving sub-law (paths still at or below the barrier) is
-    convolved with the increments; landings in (barrier, jump_level] leave
-    the computation for good, and those above ``jump_level`` are summed.  The
-    landings by cell on (jump_level, level] are then one convolution of the
-    occupation (the sum of the pre-step sub-laws) with the increments, and
-    those past ``level`` one sum, ``beyond``.  Iteration stops once the
-    remaining exp(gamma .)-weighted occupation certifies that future
-    contributions are below ``BIGJUMP_REL_TOL`` of the accumulated total, or
-    after ``n_max`` steps.  The certificate needs the lattice phi(gamma) =
-    E e^{gamma xi} below 1; another twist is refused.
+    This is the first passage (``_passage``) over ``jump_level`` of the walk
+    killed above the barrier: landings in (barrier, jump_level] leave the
+    computation for good.  The landings by cell on (jump_level, level] are
+    then one convolution of the occupation with the increments, and those
+    past ``level`` one sum, ``beyond``.  The passage stops on the certificate
+    of the twist ``gamma``, or after ``n_max`` steps.
     """
     if not jump_level > barrier:
         raise LatticeError(f"need jump_level > barrier, got {jump_level} <= {barrier}")
-    phi = pmf.mgf(gamma)
-    if not phi < 1.0:
-        raise LatticeError(f"bigjump flow needs a lattice twisted moment below 1, got "
-                           f"phi({gamma:g}) = {phi!r}; lower the twist")
     h = pmf.h
     # survivors below the floor cannot matter: their jump probability is
     # exponentially small in the gap; 30 decay lengths is plenty
@@ -685,22 +673,7 @@ def bigjump_flow(
     k_floor = int(math.floor(floor / h))
     if k_floor >= k_bar:
         raise LatticeError(f"barrier {barrier} must lie above the floor {floor}")
-    nu = np.eye(1, k_bar - k_floor + 1, -k_floor)[0]  # point mass at cell 0
-    occupation = np.zeros(nu.size)
-    total = 0.0
-    weights = np.exp(gamma * np.arange(k_floor, k_bar + 1) * h)
-    n = 0
-    steps = _sweep(nu, pmf, exit_at=k_jump + 1 - k_floor)
-    for n, (survivors, flow) in enumerate(islice(steps, n_max), 1):
-        occupation += nu
-        nu = survivors
-        total += flow
-        tilt = float((nu * weights).sum())
-        # future landings are bounded by sup_y e^{gamma y} T(y) * e^{-gamma level}
-        # * tilt / (1 - phi); the constant prefactor is conservative at 1
-        remaining = math.exp(-gamma * jump_level) * tilt / (1.0 - phi)
-        if remaining < BIGJUMP_REL_TOL * max(total, 1e-300):
-            break
+    occupation, _, n, _ = _passage(pmf, k_floor, k_bar, k_jump, jump_level, gamma, n_max)
     # bin i of occupation * probs is cell shift + i
     shift = k_floor + pmf.k0
     k_last = math.floor(min(level / h + 1e-9, shift + occupation.size + pmf.probs.size - 2))

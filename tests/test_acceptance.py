@@ -201,9 +201,9 @@ def test_criterion_08_single_jump_ratio(ref_model):
     )
 
 
-def test_criterion_09_stopped_walk(ref_model, ref_pmf, ref_consts):
+def test_criterion_09_stopped_walk(ref_model, ref_law, ref_consts):
     x_edge = ref_model.inverse_tail(1e-9)
-    stopped = stopped_max_sigma1(ref_pmf, x_grid=[x_edge], top=ORACLE_TOP)
+    stopped = stopped_max_sigma1(ref_law, [x_edge], ref_consts.gamma)
     pred = stopped_constant(ref_consts, stopped)
     measured = float(stopped.max_tail[0]) / float(ref_model.tail(x_edge))
     dev = abs(measured / pred.value - 1.0)

@@ -1,5 +1,6 @@
 """Predicted constants and convergence verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -214,15 +215,23 @@ class TestStoppedConstant:
         consts = degenerate_consts(gamma=1.0, phg=0.5)
         # overshoot identically 1: factor (1 - e^{-1})
         law = lindley_fixed_point(discretize(PointMass(-1.0), 1.0), top=40.0)
-        stopped = stopped_max_sigma1(discretize(PointMass(-1.0), 1.0), x_grid=[0.5], top=40.0)
+        stopped = stopped_max_sigma1(law, [0.5], 1.0)
         got = stopped_constant(consts, stopped)
         assert got.value == pytest.approx((1 - math.exp(-1.0)) * 2.0, abs=1e-10)
 
-    def test_reference_regime(self, ref_pmf, ref_consts):
-        stopped = stopped_max_sigma1(ref_pmf, x_grid=[5.0], top=ORACLE_TOP)
+    def test_reference_regime(self, ref_law, ref_consts):
+        stopped = stopped_max_sigma1(ref_law, [5.0], ref_consts.gamma)
         got = stopped_constant(ref_consts, stopped)
         assert 0.0 < got.value < ref_consts.constant.value
-        assert got.lo <= got.value <= got.hi
+        assert got.lo < got.value < got.hi
+
+    def test_bracket_is_two_sided_around_the_overshoot_moment(self, ref_consts, ref_law):
+        # the residual widens E e^{-gamma chi} on both sides before C's own bracket
+        stopped = dataclasses.replace(stopped_max_sigma1(ref_law, [5.0], 1.0), residual=1e-3)
+        e, c = stopped.chi.mgf(-1.0), ref_consts.constant
+        got = stopped_constant(ref_consts, stopped)
+        assert got.lo == pytest.approx((1.0 - e - 1e-3) * c.lo, rel=1e-14, abs=0.0)
+        assert got.hi == pytest.approx((1.0 - e + 1e-3) * c.hi, rel=1e-14, abs=0.0)
 
 
 class TestLambdaPartialSums:

@@ -647,6 +647,18 @@ class TestTwistOverride:
         assert code in (0, 2)
         assert len(json.loads(out)["rows"]) == 3
         assert seen == [0.9] * 3
+        # a smooth family's flow takes --gamma too; the twist moves only
+        # where the certified flow stops, so the ratios agree
+        ratios = {}
+        for gamma in ("0.5", None):
+            seen.clear()
+            extra = ["--gamma", gamma] if gamma else []
+            code, out, _ = run(capsys, "bigjump", "--model", REF, "--step", "0.05",
+                               "--x", "10,20", *extra)
+            assert code in (0, 2)
+            assert seen == [float(gamma or 1.0)] * 2
+            ratios[gamma] = [row["ratio"] for row in json.loads(out)["rows"]]
+        assert ratios["0.5"] == pytest.approx(ratios[None], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("argv", [
         ["constants"],
@@ -702,6 +714,20 @@ class TestOracleWorkOnce:
         N = int(Ns.split(",")[-1])
         assert (N >= counts[0]) == reads
         assert reflected[0] == max(N, counts[0])
+
+    def test_stopped_sweeps_only_level_passages(self, capsys, monkeypatch):
+        # the overshoot law is read from the fixed point: apart from the
+        # reflected sweep, every window is a level's, below the grid top
+        windows, sweep = [], lattice._sweep
+
+        def spy(V, pmf, reflect=False, **kwargs):
+            windows.append((V.size, reflect))
+            return sweep(V, pmf, reflect, **kwargs)
+
+        monkeypatch.setattr(lattice, "_sweep", spy)
+        code, _, _ = run(capsys, "stopped", "--x", "4,6,8", "--model", REF, "--step", "0.05")
+        assert code == 0
+        assert windows == [(1501, True), (81, False), (121, False), (161, False)]
 
     def test_every_command_runs_without_scipy(self):
         # scipy is a test-only dependency: with its import blocked, the

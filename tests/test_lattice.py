@@ -1,5 +1,6 @@
 """Grid oracle: discretization, convolution, reflected recursion, stopping."""
 
+import dataclasses
 import itertools
 import math
 
@@ -22,8 +23,7 @@ from walkmax import (
 )
 from walkmax import finite_constant
 from walkmax import lattice
-from walkmax.lattice import (CONV_BLOCK, STOP_REFUSE, STOP_RESIDUAL, LatticePMF, _direct_conv,
-                             _sweep)
+from walkmax.lattice import CONV_BLOCK, LatticePMF, _direct_conv, _sweep, boundary_term
 
 from conftest import ORACLE_TOP, TP_TOP
 
@@ -62,7 +62,7 @@ class TestDiscretize:
     @pytest.mark.parametrize("run", [
         lambda pmf, top: lindley_fixed_point(pmf, top=top),
         lambda pmf, top: finite_horizon(pmf, 1, top=top),
-        lambda pmf, top: stopped_max_sigma1(pmf, x_grid=[1.0], top=top),
+        lambda pmf, top: stopped_max_sigma1(lindley_fixed_point(pmf, top=top), [1.0], 0.9),
         lambda pmf, top: lattice.bigjump_flow(pmf, barrier=top, jump_level=top + 1.0,
                                               gamma=0.9),
     ], ids=["fixed-point", "finite-horizon", "stopped", "bigjump"])
@@ -357,25 +357,59 @@ def enumerate_first_passage(p_up: float, barrier: int, depth: int):
     return p_hit, p_open
 
 
+def absorbing_overshoot(pmf, top, tol=1e-15):
+    """Reference overshoot law: the walk absorbed below 0 and above ``top``,
+    swept until less than ``tol`` of it still walks; its landings below 0 are
+    one convolution of the occupation.  Returns the normalized overshoot
+    cells and the mass that never landed below 0."""
+    nneg = -pmf.k0
+    S = np.eye(1, round(top / pmf.h) + 1)[0]
+    occupation = np.zeros(S.size)
+    for survivors, _ in itertools.islice(_sweep(S, pmf), 10_000):
+        occupation += S
+        S = survivors
+        if S.sum() < tol:
+            break
+    cells = np.r_[0.0, _direct_conv(occupation, pmf.probs, [(0, nneg)])[nneg - 1 :: -1]]
+    return cells / cells.sum(), 1.0 - cells.sum()
+
+
+def below_zero(law):
+    """P(M + xi < 0) for the law's vector, summed cell pair by cell pair."""
+    inc = law.increment
+    return math.fsum(float(law.probs[y]) * float(inc.probs[j])
+                     for y in range(min(-inc.k0, law.probs.size))
+                     for j in range(min(-inc.k0 - y, inc.probs.size)))
+
+
+ITEM1_MODELS = {  # the reference model and its lighter, heavier and near-critical variants
+    "reference": PolyExp(1.0, 2.0, math.log(4.0)),
+    "beta=3": PolyExp(1.0, 3.0, math.log(4.0)),
+    "beta=1.5": PolyExp(1.0, 1.5, math.log(4.0)),
+    "shift=0.8": PolyExp(1.0, 2.0, 0.8),
+}
+
+
 class TestStopped:
     def test_pointmass(self, pm_model):
-        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5], top=40.0)
+        law = lindley_fixed_point(discretize(pm_model, 1.0), top=40.0)
+        stopped = stopped_max_sigma1(law, [0.5], 1.0)
         assert stopped.horizon_used == 1  # stops at step 1
         assert stopped.chi.tail(0.5) == pytest.approx(1.0, abs=1e-15)  # overshoot 1
         assert stopped.max_tail[0] == pytest.approx(0.0, abs=1e-15)
 
-    def test_twopoint_first_step(self, tp_pmf):
+    def test_twopoint_first_step(self, tp_pmf, tp_law):
         start = np.eye(1, 11)[0]
         survivors, up = next(_sweep(start, tp_pmf))
         below = _direct_conv(start, tp_pmf.probs, [(0, 1)])[0]  # the cell -1
         assert below == pytest.approx(0.75, abs=1e-14)
         assert survivors.sum() + up + below == pytest.approx(1.0, abs=1e-14)
-        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5], top=TP_TOP)
+        stopped = stopped_max_sigma1(tp_law, [0.5], 0.9)
         # only -1 overshoots are reachable
         assert stopped.chi.tail(1.5) == pytest.approx(0.0, abs=1e-14)
 
-    def test_twopoint_max_before_ruin(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf, x_grid=[k - 0.5 for k in (1, 2, 3, 5)], top=TP_TOP)
+    def test_twopoint_max_before_ruin(self, tp_law):
+        stopped = stopped_max_sigma1(tp_law, [k - 0.5 for k in (1, 2, 3, 5)], 0.9)
 
         def tail_at(k):
             i = int(np.searchsorted(stopped.max_tail_x, k - 0.5))
@@ -391,77 +425,90 @@ class TestStopped:
         p_hit, p_open = enumerate_first_passage(0.25, 3, 12)
         assert p_hit <= tail_at(3) <= p_hit + p_open
 
-    @pytest.mark.parametrize("which", ["twopoint", "reference"])
-    def test_chi_from_occupation_matches_per_step_landings(self, which, tp_pmf, ref_model):
-        # the overshoot cells, one convolution of the summed pre-step laws, equal
-        # the exactly summed landings below 0 of every step; the occupation sums
-        # steps, the convolution increment cells and the normalization chi cells
-        pmf, top = (tp_pmf, 30.0) if which == "twopoint" else (discretize(ref_model, 0.1), 40.0)
-        stopped = stopped_max_sigma1(pmf, x_grid=[0.5], top=top)
-        nneg = -pmf.k0
-        S = np.eye(1, round(top / pmf.h) + 1)[0]
-        landings = [[] for _ in range(nneg)]
-        for survivors, _ in itertools.islice(_sweep(S, pmf), stopped.horizon_used):
-            for j, p in enumerate(fsum_conv(S, pmf.probs)[:nneg]):
-                landings[nneg - 1 - j].append(p)  # bin nneg - 1 - j is an overshoot of j + 1
-            S = survivors
-        want = np.array([0.0] + [math.fsum(cell) for cell in landings])
-        want /= math.fsum(want)
-        n = stopped.horizon_used + pmf.probs.size + nneg + 2
-        assert np.all(np.abs(stopped.chi.probs - want) <= n * 2.0**-53 * want + 2.0**-1074)
+    @pytest.mark.parametrize("which", ["twopoint", "reference", "shift=0.8"])
+    def test_chi_matches_the_absorbing_sweep(self, which, tp_model):
+        # the overshoot read from the law of M (duality) is the absorbing
+        # sweep's, up to the law's charge
+        model, h, gamma = ((tp_model, 1.0, 0.9) if which == "twopoint"
+                           else (ITEM1_MODELS[which], 0.1, 1.0))
+        pmf = discretize(model, h)
+        law = lindley_fixed_point(pmf, top=75.0 / gamma)
+        stopped = stopped_max_sigma1(law, [1.0], gamma)
+        want, lost = absorbing_overshoot(pmf, 75.0 / gamma)
+        assert 0.0 < stopped.residual < 1e-11 and lost < 1e-14
+        assert np.abs(stopped.chi.probs - want).max() <= stopped.residual + 2 * lost
+        moment = (want * np.exp(-gamma * h * np.arange(want.size))).sum()
+        assert stopped.chi.mgf(-gamma) == pytest.approx(moment, abs=stopped.residual + 2 * lost)
 
-    def test_conservation(self, tp_pmf):
-        stopped = stopped_max_sigma1(tp_pmf, x_grid=[0.5], top=TP_TOP)
-        assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("which", list(ITEM1_MODELS))
+    def test_overshoot_moment_is_the_boundary_identity(self, which):
+        # 1 - E e^{-gamma chi} = E[1 - e^{gamma (M + xi)}; M + xi < 0] / P(M + xi < 0)
+        law = lindley_fixed_point(discretize(ITEM1_MODELS[which], 0.02), top=75.0)
+        stopped = stopped_max_sigma1(law, [1.0], 1.0)
+        want = boundary_term(law, 1.0).value / below_zero(law)
+        assert 1.0 - stopped.chi.mgf(-1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sweeps", [3, 6, 10])
+    def test_residual_bounds_a_loose_stop(self, ref_model, sweeps):
+        # a fixed point stopped after a few sweeps charges P(M != M_n) <=
+        # phi^{n+1}/(1-phi); every overshoot cell stays within the residual
+        pmf = discretize(ref_model, 0.1)
+        phi = pmf.mgf(0.75 * pmf.chernoff_alpha_sup)
+        loose = dataclasses.replace(finite_horizon(pmf, sweeps, top=75.0)[-1],
+                                    stop_bound=phi ** (sweeps + 1) / (1.0 - phi))
+        stopped = stopped_max_sigma1(loose, [1.0], 1.0)
+        want, _ = absorbing_overshoot(pmf, 75.0)
+        assert stopped.residual == pytest.approx(
+            loose.stop_bound / (below_zero(loose) - loose.stop_bound), rel=1e-12, abs=0.0)
+        assert 1e-10 < np.abs(stopped.chi.probs - want).max() <= stopped.residual
+
+    @pytest.mark.parametrize("which", ["reference", "twopoint"])
+    def test_mass_over_a_short_top_is_charged(self, which, ref_model, tp_pmf):
+        # 1e-8 to 1e-10 of the mass leaves through top 20 and never returns:
+        # the residual charges it, and the overshoot stays within it of the
+        # top-75 law's
+        pmf, gamma = (discretize(ref_model, 0.05), 1.0) if which == "reference" else (tp_pmf, 0.9)
+        short = lindley_fixed_point(pmf, top=20.0)
+        stopped = stopped_max_sigma1(short, [4.0], gamma)
+        assert 1e-11 < short.overflow < stopped.residual < 1e-7
+        full = stopped_max_sigma1(lindley_fixed_point(pmf, top=75.0 / gamma), [4.0], gamma)
+        assert np.abs(stopped.chi.probs - full.chi.probs).max() <= stopped.residual
+        assert stopped.max_tail[0] == full.max_tail[0]  # level passages never reach the top
 
     def test_level_above_top_refused_before_sweeping(self, tp_pmf, monkeypatch):
+        law = lindley_fixed_point(tp_pmf, top=10.0)
+
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept before refusing")
 
         monkeypatch.setattr(lattice, "_sweep", no_sweep)
         with pytest.raises(LatticeError, match=r"stopped level 1e\+09 .* grid top 10"):
-            stopped_max_sigma1(tp_pmf, x_grid=[2.0, 1e9], top=10.0)
+            stopped_max_sigma1(law, [2.0, 1e9], 0.9)
 
-    def test_mass_over_the_top_refused_when_it_crosses(self, tp_pmf, monkeypatch):
-        # the ruin walk passes top 10 with probability 3**-10; mass above the
-        # top never comes back, so the refusal names the top once STOP_REFUSE crossed
-        real, sweeps = lattice._sweep, []
-
-        def counting(*args, **kwargs):
-            for out in real(*args, **kwargs):
-                sweeps.append(1)
-                yield out
-
-        monkeypatch.setattr(lattice, "_sweep", counting)
-        with pytest.raises(LatticeError, match=r"crossed the grid top 10 .*raise the top") as err:
-            stopped_max_sigma1(tp_pmf, x_grid=[0.5, 3.0], top=10.0)
-        assert err.value.residual > STOP_REFUSE
-        assert len(sweeps) < 100
-
-    def test_horizon_exhaustion_raises(self, ref_pmf):
-        with pytest.raises(LatticeError) as err:
-            stopped_max_sigma1(ref_pmf, horizon=3, x_grid=[5.0], top=ORACLE_TOP)
-        assert err.value.residual is not None and err.value.residual > STOP_REFUSE
-
-    @pytest.mark.parametrize("which", ["reference", "twopoint"])
-    def test_mass_over_a_short_top_does_not_hold_the_sweep(self, which, ref_model, tp_pmf):
-        # 1e-12 to 1e-10 of the mass crosses top 20 and never returns: the
-        # sweep stops on the mass still walking, and keeps the crossed mass
-        # in the residual
-        pmf = discretize(ref_model, 0.05) if which == "reference" else tp_pmf
-        stopped = stopped_max_sigma1(pmf, x_grid=[4.0], top=20.0)
-        assert stopped.horizon_used < 200
-        assert STOP_RESIDUAL < stopped.residual <= STOP_REFUSE
-        assert stopped.absorbed + stopped.residual == pytest.approx(1.0, abs=1e-10)
+    def test_horizon_exhaustion_raises(self, ref_law):
+        with pytest.raises(LatticeError, match="horizon 3 exhausted at level 5") as err:
+            stopped_max_sigma1(ref_law, [5.0], 1.0, horizon=3)
+        assert err.value.residual > 0.0
 
     def test_level_sweep_refuses_an_exhausted_horizon(self, ref_model):
-        # the absorbing sweep settles within its count, the two-barrier sweep
-        # at a level near the top does not: a truncated first passage is refused
-        pmf = discretize(ref_model, 0.05)
-        n = stopped_max_sigma1(pmf, x_grid=[4.0], top=ORACLE_TOP).horizon_used
+        # a level passage stops on its relative certificate: level 70 takes
+        # more sweeps than level 4, and a horizon that only level 4 fits is
+        # refused at level 70
+        law = lindley_fixed_point(discretize(ref_model, 0.05), top=ORACLE_TOP)
+        n = stopped_max_sigma1(law, [4.0], 1.0).horizon_used
         with pytest.raises(LatticeError, match=rf"horizon {n} exhausted at level 70") as err:
-            stopped_max_sigma1(pmf, x_grid=[4.0, 70.0], top=ORACLE_TOP, horizon=n)
+            stopped_max_sigma1(law, [4.0, 70.0], 1.0, horizon=n)
         assert err.value.residual > 0.0
+
+    def test_deep_level_is_certified_relative(self, ref_model):
+        # P(max before stopping > 70) is about 1.7e-38, far below any
+        # absolute stop on the mass still walking: only a stop relative to
+        # the passed mass agrees with a 400-sweep passage
+        pmf = discretize(ref_model, 0.05)
+        stopped = stopped_max_sigma1(lindley_fixed_point(pmf, top=ORACLE_TOP), [70.0], 1.0)
+        want = math.fsum(up for _, up in itertools.islice(_sweep(np.eye(1, 1401)[0], pmf), 400))
+        assert stopped.horizon_used < 400
+        assert stopped.max_tail[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestExpMoment:
@@ -508,7 +555,8 @@ class TestExpMoment:
         assert em.value == pytest.approx(identity_value, rel=1e-12)
 
     def test_overshoot_moment(self, pm_model):
-        stopped = stopped_max_sigma1(discretize(pm_model, 1.0), x_grid=[0.5], top=40.0)
+        law = lindley_fixed_point(discretize(pm_model, 1.0), top=40.0)
+        stopped = stopped_max_sigma1(law, [0.5], 1.0)
         # chi is identically 1
         assert stopped.chi.mgf(-1.0) == pytest.approx(math.exp(-1.0), abs=1e-14)
 
