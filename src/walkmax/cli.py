@@ -235,7 +235,7 @@ def bigjump_dp_ratio(
     first exceedances of x - h(x) from below the h(x) band, each landing
     weighted by the probability the remaining walk carries it past x.  The
     flow stops on the certificate of the twist ``gamma``.  Refuses a level
-    whose P(M > x) is 0 on the grid."""
+    whose P(M > x) is 0 on the grid, and a flow that ran out of steps."""
     p_x = law.tail(x)
     if p_x <= 0.0:
         raise LatticeError(
@@ -244,6 +244,11 @@ def bigjump_dp_ratio(
         )
     a = band_h(h_choice, x)
     flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=gamma, level=x)
+    if flow.remainder > 0.0:
+        raise LatticeError(
+            f"the single-jump flow at x = {x:g} used all n_max = {flow.n_run} steps with "
+            f"landings up to {flow.remainder:.3g} still to come; raise the flow's n_max"
+        )
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
     weights = law.tail(x - cells * pmf.h)
     numerator = float((flow.landing_mass * weights).sum()) + flow.beyond
@@ -344,7 +349,7 @@ def cmd_tail_report(args):
         cfg = _mc_config(args)
         rows = []
         for x, b in zip(xs, bases):
-            rep = estimate_tail_crude(model, x, cfg)
+            rep = estimate_tail_crude(model, x, cfg, grid=xs)  # the levels share one walk
             rows.append((x, rep.estimate / b))
             if rep.estimate == 0.0:  # a row with dev 1, not a refusal
                 print(f"tail-report: no path of {cfg.n_paths} exceeded x = {x:g}; "

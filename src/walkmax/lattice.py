@@ -600,13 +600,16 @@ class BigJumpFlow:
 
     ``landing_k0``/``landing_mass`` give the accumulated landing distribution
     (sub-probability, by cell) up to a level, ``beyond`` the landing mass past
-    it, and ``n_run`` the number of steps taken.
+    it, and ``n_run`` the number of steps taken.  ``remainder`` bounds the
+    landings still to come: 0 when the twist certificate stopped the flow,
+    else the certificate's bound after the last of ``n_max`` steps.
     """
 
     landing_k0: int
     landing_mass: np.ndarray
     n_run: int
     beyond: float
+    remainder: float
 
     def total(self) -> float:
         return float(self.landing_mass.sum()) + self.beyond
@@ -659,7 +662,7 @@ def bigjump_flow(
     computation for good.  The landings by cell on (jump_level, level] are
     then one convolution of the occupation with the increments, and those
     past ``level`` one sum, ``beyond``.  The passage stops on the certificate
-    of the twist ``gamma``, or after ``n_max`` steps.
+    of the twist ``gamma``, or after ``n_max`` steps with a ``remainder``.
     """
     if not jump_level > barrier:
         raise LatticeError(f"need jump_level > barrier, got {jump_level} <= {barrier}")
@@ -673,7 +676,7 @@ def bigjump_flow(
     k_floor = int(math.floor(floor / h))
     if k_floor >= k_bar:
         raise LatticeError(f"barrier {barrier} must lie above the floor {floor}")
-    occupation, _, n, _ = _passage(pmf, k_floor, k_bar, k_jump, jump_level, gamma, n_max)
+    occupation, _, n, left = _passage(pmf, k_floor, k_bar, k_jump, jump_level, gamma, n_max)
     # bin i of occupation * probs is cell shift + i
     shift = k_floor + pmf.k0
     k_last = math.floor(min(level / h + 1e-9, shift + occupation.size + pmf.probs.size - 2))
@@ -681,4 +684,5 @@ def bigjump_flow(
     hi = max(k_last + 1 - shift, lo)
     landing = _direct_conv(occupation, pmf.probs, [(lo, hi)])[lo:hi]
     beyond = float((occupation * _exit_weights(pmf, occupation.size, hi)).sum())
-    return BigJumpFlow(landing_k0=k_jump + 1, landing_mass=landing, n_run=n, beyond=beyond)
+    return BigJumpFlow(landing_k0=k_jump + 1, landing_mass=landing, n_run=n, beyond=beyond,
+                       remainder=left)

@@ -4,29 +4,35 @@ Estimates carry three separately reported uncertainties: sampling error
 (``stderr``), certified truncation bias from early path stopping
 (``bias_bound``), and counts of paths the stopping rules could not decide.
 
-One kernel, ``_walk``, advances the paths of a block until each exceeds the
-line ``x + step*c`` (hit) or falls more than a slack ``K`` below it (a miss,
-certified by the slack) and returns per-path records: outcome, step, final
-``S`` and, on request, whether the first climb above a band overshot, and
-the sum of a score of the position each step starts from.  It keeps only
-the paths still walking, in compact arrays of their indices and positions,
-and writes a path's record once, when it stops; each position is still the
-same left-to-right sum of its draws.  Every estimator is a
-reduction of those records, one block at a time (``estimate_bigjump_sum``
+One kernel, ``_walk``, advances the paths of a block until each has
+decided every level ``x_i`` of a grid: it exceeds the line ``x_i + step*c``
+(hit) or falls more than a slack ``K_i`` below it (a miss, certified by the
+slack).  It hands each level's first exit from its window (outcome, step,
+final ``S``) to the estimator as it happens, and returns per-level outcome
+counts and, on request, whether the first climb above a band overshot, and
+the sum of a score of the position each step starts from.  Each position is
+the same left-to-right sum of its draws.  Every estimator is a reduction of
+those exits and records, one block at a time (``estimate_bigjump_sum``
 scores each step a path starts inside the band with the jump probability
 ``tail(x - S)``); ``SimConfig.trace`` rows are read straight from them.
+The levels of one run share their paths (common random numbers), so a
+level's estimate depends on which other levels are in the grid;
+``estimate_tail_crude`` takes the grid of its level and keeps the last
+grid's walk, so one call per level walks the grid once.
 
 Reproducibility: work is split into fixed-size blocks of paths; block ``i``
 always draws from the ``i``-th spawn of the master seed sequence and results
 merge in block order.  The shard count therefore only controls scheduling --
-identical configurations produce identical bytes for any shard count.
+identical configurations (seed, block size, level grid) produce identical
+bytes for any shard count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +73,7 @@ class SimConfig:
     n_shards: int = 1
     block_size: int = 65536
     horizon: int = 100_000
-    trace: bool = False  # debug: per-path outcome records of ``estimate_tail_crude``
+    trace: bool = False  # debug: per-path, per-level records of the crude estimators
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -89,7 +95,7 @@ class EstimatorReport:
     bias_bound: float
     params: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-    trace: list | None = None  # per-path debug rows of ``estimate_tail_crude``
+    trace: list | None = None  # per-path debug rows of the crude estimators
 
     def __post_init__(self):
         if self.stderr < 0 or self.bias_bound < 0:
@@ -124,14 +130,27 @@ def _check_undecided(undecided: int, n: int, method: str) -> None:
 UNDECIDED, HIT, MISS = 0, 1, 2
 
 
-class _Paths(NamedTuple):
-    """Per-path records of one block, in path order."""
+class _Walked(NamedTuple):
+    """What one block's walk returns besides the exits it hands out."""
 
-    outcome: np.ndarray  # int8: UNDECIDED, HIT or MISS
-    step: np.ndarray  # steps walked
-    S: np.ndarray  # position when the path stopped
-    overshot: np.ndarray | None  # the first climb above the band landed above x - band
-    score: np.ndarray | None  # sum of score(S) over the positions steps start from
+    counts: np.ndarray  # int64 (3, levels): paths per outcome UNDECIDED, HIT, MISS
+    overshot: np.ndarray | None  # per path: the first climb above band[0] landed above band[1]
+    score: np.ndarray | None  # per path: sum of score(S) over the positions steps start from
+
+
+class _Records:
+    """An ``on_exit`` that keeps every exit: row ``i`` of ``outcome``,
+    ``step`` and ``S`` holds level ``i``'s first exit of each path."""
+
+    def __init__(self, n_levels: int, n: int):
+        self.outcome = np.zeros((n_levels, n), dtype=np.int8)
+        self.step = np.zeros((n_levels, n), dtype=np.int64)
+        self.S = np.zeros((n_levels, n))
+
+    def __call__(self, levels, paths, step, S, outcome):
+        self.outcome[levels, paths] = outcome
+        self.step[levels, paths] = step
+        self.S[levels, paths] = S
 
 
 def _walk(
@@ -139,25 +158,47 @@ def _walk(
     rng: np.random.Generator,
     n: int,
     horizon: int,
-    x: float,
-    slack: float,
+    levels: Sequence[float],
+    slacks: float | Sequence[float],
     c: float = 0.0,
-    band: float | None = None,
+    on_exit: Callable[..., None] | None = None,
+    band: tuple[float, float] | None = None,
     score: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> _Paths:
-    """Walk ``n`` paths from 0 until each exceeds the line ``x + step*c`` (hit)
-    or falls more than ``slack`` below it (miss), for at most ``horizon``
-    steps.  With ``band`` given, also record whether each path's first climb
-    above ``band`` landed above ``x - band``.  With ``score`` given,
-    add ``score(S)`` into a per-path total before each draw.
+) -> _Walked:
+    """Walk ``n`` paths from 0, for at most ``horizon`` steps, until every
+    level is decided on every path: level ``i`` is a hit once the path
+    exceeds the line ``levels[i] + step*c``, a miss once it falls more than
+    ``slacks[i]`` below it.  Each level's first exit from its window goes to
+    ``on_exit(levels, paths, step, S, outcome)`` as it happens, one call per
+    outcome (entry j is level ``levels[j]`` of path ``paths[j]``); a level
+    still open at the horizon goes there undecided, with the horizon's step
+    and position.  With ``band = (a, b)`` given, also record whether each
+    path's first climb above ``a`` landed above ``b``.  With ``score``
+    given, add ``score(S)`` into a per-path total before each draw.
 
-    Only the paths still walking are kept, in compact arrays of their
-    indices, positions and band state; a path's record is written once,
-    when it stops, and its score total as it goes.  Paths still walking at
-    the horizon are undecided."""
-    S = np.zeros(n)
-    outcome = np.zeros(n, dtype=np.int8)
-    steps = np.zeros(n, dtype=np.int64)
+    The lines keep the order of the levels at every step, and the lower lines
+    that of ``levels - slacks`` (fixed when c = 0, the lines' order under one
+    slack).  So the lines a path has ever exceeded are the lowest ones, and
+    the lower lines it has ever fallen below the highest ones: a path keeps
+    the two counts, a level is open while it is in neither set, and only a
+    path beyond its next line or next lower line does per-level work.  Only
+    the paths with a level open are kept, in compact arrays of their
+    indices, positions and counts."""
+    levels = np.asarray(levels, dtype=float)
+    L = levels.size
+    slacks = np.broadcast_to(np.asarray(slacks, dtype=float), (L,))
+    if c != 0.0 and np.any(slacks != slacks[0]):
+        raise EstimatorError("lines with a drift take one slack")
+    up = np.argsort(levels, kind="stable")  # by ascending line
+    down = np.lexsort((-levels, slacks - levels))  # by descending lower line, then level
+    rank_up, rank_down = np.argsort(up), np.argsort(down)
+    # a path with u lines and d lower lines passed has a level open iff
+    # last_down[u] >= d: the highest lower-line rank among lines not passed
+    last_down = np.append(np.maximum.accumulate(rank_down[up][::-1])[::-1], -1)
+    x_up, x_down, k_down = levels[up], levels[down], slacks[down]
+    tops = np.append(x_up, np.inf)  # this step's lines, then a sentinel
+    bots = np.append(x_down, -np.inf)
+    counts = np.zeros((3, L), dtype=np.int64)
     overshot = total = None
     if band is not None:
         overshot = np.zeros(n, dtype=bool)
@@ -166,70 +207,90 @@ def _walk(
         total = np.zeros(n)
     alive = np.arange(n)
     pos = np.zeros(n)
+    n_up = np.zeros(n, dtype=np.intp)  # lines ever exceeded
+    n_down = np.zeros(n, dtype=np.intp)  # lower lines ever fallen below
+
+    def cross(beyond, lines, mine, order, other, rank_other, outcome) -> list:
+        """Move each path past every line of ``lines`` it is ``beyond``, one
+        line at a time, deciding the line's level if the level is still
+        open; return the paths left with no level open."""
+        done = []
+        if L == 1:  # a path beyond the one line decides its level and is done
+            k = np.flatnonzero(beyond(pos, lines[0]))
+            if k.size:
+                counts[outcome, 0] += k.size
+                if on_exit is not None:
+                    on_exit(np.zeros(k.size, dtype=np.intp), alive[k], step, pos[k], outcome)
+                done.append(k)
+            return done
+        k = np.flatnonzero(beyond(pos, lines[mine]))
+        while k.size:
+            j = order[mine[k]]
+            decided = rank_other[j] >= other[k]
+            if decided.any():
+                # no copies when every path decides, as a whole block can at step 1
+                d, j_d = (k, j) if decided.all() else (k[decided], j[decided])
+                counts[outcome] += np.bincount(j_d, minlength=L)
+                if on_exit is not None:
+                    on_exit(j_d, alive[d], step, pos[d], outcome)
+            mine[k] += 1
+            closed = k[last_down[n_up[k]] < n_down[k]]
+            if closed.size:
+                done.append(closed)
+            k = k[beyond(pos[k], lines[mine[k]])]
+        return done
+
     for step in range(1, horizon + 1):
         if alive.size == 0:
             break
         if score is not None:
             total[alive] += score(pos)
         pos += model.sample(rng, alive.size)
-        line = x + step * c
-        hit = pos > line
-        done = hit | (pos < line - slack)
+        np.add(x_up, step * c, out=tops[:L])
+        np.subtract(x_down + step * c, k_down, out=bots[:L])
         # index arrays, not boolean masks: numpy gathers through them faster
         if band is not None:
-            first = np.flatnonzero(~climbed & (pos > band))
+            first = np.flatnonzero(~climbed & (pos > band[0]))
             if first.size:
                 climbed[first] = True
-                overshot[alive[first]] = pos[first] > x - band
-        stopped = np.flatnonzero(done)
-        if stopped.size:
-            stop = alive[stopped]
-            S[stop] = pos[stopped]
-            steps[stop] = step
-            outcome[stop] = np.where(hit[stopped], HIT, MISS)
-            keep = np.flatnonzero(~done)
-            alive, pos = alive[keep], pos[keep]
+                overshot[alive[first]] = pos[first] > band[1]
+        done = (cross(np.greater, tops, n_up, up, n_down, rank_down, HIT)
+                + cross(np.less, bots, n_down, down, n_up, rank_up, MISS))
+        if done:
+            keep = np.ones(alive.size, dtype=bool)
+            keep[np.concatenate(done)] = False
+            keep = np.flatnonzero(keep)
+            # one array at a time, so that no two copies of all four are held
+            alive = alive[keep]
+            pos = pos[keep]
+            n_up = n_up[keep]
+            n_down = n_down[keep]
             if band is not None:
                 climbed = climbed[keep]
-    S[alive] = pos
-    steps[alive] = horizon
-    return _Paths(outcome, steps, S, overshot, total)
+    for i in range(L):
+        k = np.flatnonzero((rank_up[i] >= n_up) & (rank_down[i] >= n_down))
+        counts[UNDECIDED, i] += k.size
+        if on_exit is not None and k.size:
+            on_exit(np.full(k.size, i), alive[k], horizon, pos[k], UNDECIDED)
+    return _Walked(counts, overshot, total)
 
 
-def _simulate(
-    model: IncrementModel,
-    cfg: SimConfig,
-    reduce: Callable[[_Paths, np.ndarray], dict],
-    x: float,
-    slack: float,
-    c: float = 0.0,
-    band: float | None = None,
-    score: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> dict:
-    """Run the kernel on every block, block ``i`` on the ``i``-th spawn of
-    the seed sequence, and add up the block sums in block order.
-
-    ``reduce(paths, hit)`` turns one block's records into sums (lists
-    concatenate); the hit and undecided counts are always added.
-    """
+def _simulate(cfg: SimConfig, block: Callable[[np.random.Generator, int], dict]) -> dict:
+    """Run ``block(rng, n)`` on every block of paths, block ``i`` on the
+    ``i``-th spawn of the seed sequence, and add up the blocks' sums in block
+    order (lists concatenate)."""
     sizes = [min(cfg.block_size, cfg.n_paths - start)
              for start in range(0, cfg.n_paths, cfg.block_size)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
 
-    def block(i: int) -> dict:
-        rng = np.random.default_rng(seeds[i])
-        paths = _walk(model, rng, sizes[i], cfg.horizon, x, slack, c, band, score)
-        hit = paths.outcome == HIT
-        out = reduce(paths, hit)
-        out["hits"] = int(hit.sum())
-        out["undecided"] = int((paths.outcome == UNDECIDED).sum())
-        return out
+    def run(i: int) -> dict:
+        return block(np.random.default_rng(seeds[i]), sizes[i])
 
     if cfg.n_shards > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_shards) as ex:
-            results = list(ex.map(block, range(len(sizes))))
+            results = list(ex.map(run, range(len(sizes))))
     else:
-        results = [block(i) for i in range(len(sizes))]
+        results = [run(i) for i in range(len(sizes))]
     total = results[0]
     for r in results[1:]:
         for k, v in r.items():
@@ -237,33 +298,57 @@ def _simulate(
     return total
 
 
-def estimate_tail_crude(model: IncrementModel, x: float, cfg: SimConfig) -> EstimatorReport:
+@functools.lru_cache(maxsize=1)
+def _crude_walk(
+    model: IncrementModel, levels: tuple[float, ...], cfg: SimConfig
+) -> tuple[list[float], dict]:
+    """The slacks of the crude levels and the block totals of one walk of
+    all of them.  The last grid's walk is kept, so estimating each of its
+    levels in turn walks once."""
+    slacks = [_crude_slack(model, x) for x in levels]
+
+    def block(rng: np.random.Generator, n: int) -> dict:
+        records = _Records(len(levels), n) if cfg.trace else None
+        walked = _walk(model, rng, n, cfg.horizon, levels, slacks, on_exit=records)
+        return {"counts": walked.counts, "records": [records] if cfg.trace else []}
+
+    return slacks, _simulate(cfg, block)
+
+
+def estimate_tail_crude(
+    model: IncrementModel, x: float, cfg: SimConfig, grid: Sequence[float] | None = None
+) -> EstimatorReport:
     """Crude estimate of P(M > x): follow each path until it exceeds x (hit)
-    or drops below x - K (certified miss)."""
-    K = _crude_slack(model, x)
-    bias = model.max_tail_bound(K)
+    or drops below x - K (certified miss).
 
-    def reduce(p: _Paths, hit: np.ndarray) -> dict:
-        if not cfg.trace:
-            return {}
-        names = ("undecided", "hit", "miss")
-        return {"trace": [
-            {"outcome": names[o], "steps": int(k), "final_s": float(v)}
-            for o, k, v in zip(p.outcome, p.step, p.S)
-        ]}
-
-    total = _simulate(model, cfg, reduce, x, K)
-    _check_undecided(total["undecided"], cfg.n_paths, "estimate_tail_crude")
+    With ``grid``, a level grid that holds x, the paths are those of one walk
+    of every level of the grid, which goes on until each path has decided
+    them all; x's estimate then depends on the other levels of the grid.
+    Calling this for each level of a grid walks once.  A call without a grid
+    walks its one level and keeps nothing."""
+    levels = (x,) if grid is None else tuple(float(v) for v in grid)
+    if x not in levels:
+        raise EstimatorError(f"level {x:g} is not in the grid {list(levels)}")
+    i = levels.index(x)
+    walk = _crude_walk if grid is not None else _crude_walk.__wrapped__
+    slacks, total = walk(model, levels, cfg)
+    K = slacks[i]
     n = cfg.n_paths
+    undecided, hits, _ = (int(v) for v in total["counts"][:, i])
+    _check_undecided(undecided, n, f"estimate_tail_crude at x = {x:g} (slack {K:g})")
+    names = ("undecided", "hit", "miss")
     return EstimatorReport(
-        estimate=total["hits"] / n,
-        stderr=_binomial_stderr(total["hits"], n),
+        estimate=hits / n,
+        stderr=_binomial_stderr(hits, n),
         n_paths=n,
-        n_effective=n - total["undecided"],
-        bias_bound=bias,
+        n_effective=n - undecided,
+        bias_bound=model.max_tail_bound(K),
         params={"x": x, "slack": K},
-        flags={"undecided": total["undecided"]},
-        trace=total.get("trace"),
+        flags={"undecided": undecided},
+        trace=[
+            {"outcome": names[o], "steps": int(k), "final_s": float(v)}
+            for r in total["records"] for o, k, v in zip(r.outcome[i], r.step[i], r.S[i])
+        ] if cfg.trace else None,
     )
 
 
@@ -303,14 +388,14 @@ def estimate_bigjump_sum(
         raise EstimatorError(f"n_cut must be >= 1, got {n_cut}")
     remainder = _geometric_remainder(model, x, n_cut)
 
-    def reduce(p: _Paths, hit: np.ndarray) -> dict:
+    def block(rng: np.random.Generator, n: int) -> dict:
+        # a path leaves the band once it exceeds a; it is never stopped below
+        s = _walk(model, rng, n, n_cut, [a], math.inf, score=lambda s: model.tail(x - s)).score
         # elementwise square, never a dot: a threaded BLAS dot's bits depend
         # on its thread count
-        return {"sum": float(p.score.sum()), "sumsq": float((p.score * p.score).sum())}
+        return {"sum": float(s.sum()), "sumsq": float((s * s).sum())}
 
-    # a path leaves the band once it exceeds a; it is never stopped below
-    total = _simulate(model, replace(cfg, horizon=n_cut), reduce, a, math.inf,
-                      score=lambda s: model.tail(x - s))
+    total = _simulate(cfg, block)
     n = cfg.n_paths
     mean = total["sum"] / n
     var = max(total["sumsq"] / n - mean * mean, 0.0)
@@ -341,13 +426,22 @@ def bigjump_conditional_ratio(
     K = _crude_slack(model, x)
     bias = model.max_tail_bound(K)
 
-    def reduce(p: _Paths, hit: np.ndarray) -> dict:
-        return {"big_hits": int((hit & p.overshot).sum())}
+    def block(rng: np.random.Generator, n: int) -> dict:
+        hit = np.zeros(n, dtype=bool)
 
-    total = _simulate(model, cfg, reduce, x, K, band=a)
-    _check_undecided(total["undecided"], cfg.n_paths, "bigjump_conditional_ratio")
-    hits = total["hits"]
-    flags = {"undecided": total["undecided"]}
+        def on_exit(levels, paths, step, S, outcome):
+            if outcome == HIT:
+                hit[paths] = True
+
+        walked = _walk(model, rng, n, cfg.horizon, [x], K, on_exit=on_exit, band=(a, x - a))
+        big_hits = int((hit & walked.overshot).sum())
+        return {"counts": walked.counts[:, 0], "big_hits": big_hits}
+
+    total = _simulate(cfg, block)
+    undecided, hits, _ = (int(v) for v in total["counts"])
+    _check_undecided(undecided, cfg.n_paths,
+                     f"bigjump_conditional_ratio at x = {x:g} (slack {K:g})")
+    flags = {"undecided": undecided}
     if hits == 0:
         flags["inconclusive"] = True
         estimate, stderr = math.nan, 0.0
@@ -432,32 +526,41 @@ def renewal_diagnostics(
             f"misses, got phi({gamma:.6g}) = {phg:.6g}; lower --gamma"
         )
     phi_ratio = phg / (1.0 - phg)
+    r_grid = [float(R) for R in r_grid]
 
-    def reduce(p: _Paths, hit: np.ndarray) -> dict:
-        # elementwise sums, never a dot (see estimate_bigjump_sum)
-        w = np.exp(gamma * p.S[hit])
-        missed = float(np.exp(gamma * p.S[p.outcome == MISS]).sum())
-        return {"phi_sum": float(w.sum()), "phi_sumsq": float((w * w).sum()),
-                "phi_bias": missed * phi_ratio}
+    def block(rng: np.random.Generator, n: int) -> dict:
+        sums = np.zeros((3, len(r_grid)))  # per barrier: sum w, sum w^2, missed
 
+        def on_exit(levels, paths, step, S, outcome):
+            # elementwise sums, never a dot (see estimate_bigjump_sum)
+            w = gamma * S
+            np.exp(w, out=w)
+            if outcome == HIT:
+                sums[0] += np.bincount(levels, w, len(r_grid))
+                sums[1] += np.bincount(levels, np.square(w, out=w), len(r_grid))
+            elif outcome == MISS:
+                sums[2] += np.bincount(levels, w, len(r_grid))
+
+        walked = _walk(model, rng, n, cfg.horizon, r_grid, K_r, c, on_exit)
+        return {"counts": walked.counts, "sums": sums}
+
+    total = _simulate(cfg, block)
+    n = cfg.n_paths
     rows = []
-    for R in r_grid:
-        R = float(R)
-        total = _simulate(model, cfg, reduce, R, K_r, c=c)
-        n = cfg.n_paths
-        delta = total["hits"] / n
-        phi_mean = total["phi_sum"] / n
-        phi_var = max(total["phi_sumsq"] / n - phi_mean * phi_mean, 0.0)
+    for R, (undecided, hits, _), (phi_sum, phi_sumsq, missed) in zip(
+            r_grid, total["counts"].T.tolist(), total["sums"].T.tolist()):
+        phi_mean = phi_sum / n
+        phi_var = max(phi_sumsq / n - phi_mean * phi_mean, 0.0)
         rows.append(
             {
                 "R": R,
-                "delta": delta,
-                "delta_stderr": _binomial_stderr(total["hits"], n),
+                "delta": hits / n,
+                "delta_stderr": _binomial_stderr(hits, n),
                 "delta_bias_bound": RENEWAL_MISS_BOUND,
                 "phi": phi_mean,
                 "phi_stderr": math.sqrt(phi_var / n),
-                "phi_bias_bound": total["phi_bias"] / n,
-                "undecided": int(total["undecided"]),
+                "phi_bias_bound": missed * phi_ratio / n,
+                "undecided": undecided,
             }
         )
     return RenewalTable(

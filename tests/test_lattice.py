@@ -1,6 +1,7 @@
 """Grid oracle: discretization, convolution, reflected recursion, stopping."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -718,6 +719,25 @@ class TestBigJumpFlow:
             assert part.total() == pytest.approx(full.total(), rel=n * 2.0**-52)
             assert part.beyond == pytest.approx(full.landing_mass[k:].sum(), rel=n * 2.0**-52,
                                                 abs=1e-300)
+
+    def test_exhausted_flow_carries_its_remainder(self):
+        # 60 steps leave 2.2e-4 of the flow to come; the certificate stops at 367
+        pmf = discretize(TwoPoint(u=5.0, pu=0.05, v=-1.0), 1.0)
+        cut = lattice.bigjump_flow(pmf, 2.5, 6.0, gamma=0.2, n_max=60)
+        full = lattice.bigjump_flow(pmf, 2.5, 6.0, gamma=0.2)
+        assert (cut.n_run, full.n_run, full.remainder) == (60, 367, 0.0)
+        gap = full.total() - cut.total()
+        assert gap > 1e-4 * full.total()
+        assert gap <= cut.remainder
+
+    def test_exhausted_flow_refused_by_the_ratio(self, ref_pmf, ref_law, monkeypatch):
+        from walkmax import cli
+
+        monkeypatch.setattr(cli, "bigjump_flow",
+                            functools.partial(lattice.bigjump_flow, n_max=3))
+        with pytest.raises(LatticeError, match=r"flow at x = 4 used all n_max = 3 steps "
+                                               r"with landings up to \S+ still to come"):
+            cli.bigjump_dp_ratio(ref_pmf, ref_law, 4.0, "quarter", 1.0)
 
     @pytest.mark.parametrize("gamma", [1.2, 2.0])
     def test_twist_without_certificate_refused(self, tp_pmf, sweeps, gamma):

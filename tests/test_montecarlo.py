@@ -21,7 +21,8 @@ from walkmax import (
 )
 from walkmax.cli import bigjump_dp_ratio
 from walkmax.lattice import bigjump_flow, discretize
-from walkmax.montecarlo import HIT, MISS, _walk
+from walkmax import montecarlo
+from walkmax.montecarlo import HIT, MISS, _Records, _walk
 
 
 def report_bytes(rep) -> bytes:
@@ -42,6 +43,17 @@ class TestDeterminism:
         for shards in (2, 5):
             cfg = SimConfig(n_paths=50_000, seed=7, n_shards=shards, block_size=8192)
             assert report_bytes(estimate_tail_crude(ref_model, 3.0, cfg)) == report_bytes(base)
+
+    def test_level_grids_shard_count_does_not_change_bytes(self, ref_model):
+        def run(shards):
+            cfg = SimConfig(n_paths=50_000, seed=7, n_shards=shards, block_size=8192)
+            crude = [estimate_tail_crude(ref_model, x, cfg, grid=[1.0, 2.0, 3.0])
+                     for x in (1.0, 2.0, 3.0)]
+            table = renewal_diagnostics(ref_model, [2.0, 4.0, 8.0], cfg)
+            return [report_bytes(r) for r in crude], json.dumps(table.to_json_dict())
+
+        base = run(1)
+        assert run(2) == base and run(5) == base
 
     def test_seed_changes_result(self, ref_model):
         # an estimate is a hit count over 20,000 paths, which two seeds can
@@ -94,6 +106,33 @@ class TestCrudeTail:
                 ref_model, 4.0, SimConfig(n_paths=2000, seed=0, horizon=3)
             )
 
+    def test_horizon_refusal_names_the_level(self, ref_model):
+        # in a grid the refusal must say which level ran out of steps
+        cfg = SimConfig(n_paths=2000, seed=0, horizon=3)
+        K = estimate_tail_crude(ref_model, 1.0, SimConfig(n_paths=10, seed=0)).params["slack"]
+        with pytest.raises(EstimatorError, match=rf"estimate_tail_crude at x = 1 \(slack {K:g}\): "
+                                                 r"\d+/2000 paths hit the horizon"):
+            estimate_tail_crude(ref_model, 1.0, cfg, grid=[1.0, 2.0, 3.0])
+
+    def test_grid_levels_walk_once(self, ref_model, monkeypatch):
+        walked = []
+
+        def counting_walk(*args, **kwargs):
+            walked.append(tuple(args[4]))
+            return _walk(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_walk", counting_walk)
+        montecarlo._crude_walk.cache_clear()
+        cfg = SimConfig(n_paths=3000, seed=13)  # one block
+        grid = [1.0, 2.0, 3.0]
+        reps = [estimate_tail_crude(ref_model, x, cfg, grid=grid) for x in grid]
+        assert walked == [tuple(grid)]
+        assert [r.params["x"] for r in reps] == grid
+        estimate_tail_crude(ref_model, 2.0, cfg)  # one level: a walk of its own
+        assert walked == [tuple(grid), (2.0,)]
+        with pytest.raises(EstimatorError, match="level 4 is not in the grid"):
+            estimate_tail_crude(ref_model, 4.0, cfg, grid=grid)
+
     def test_debug_trace(self, tp_model):
         cfg = SimConfig(n_paths=500, seed=2, trace=True)
         rep = estimate_tail_crude(tp_model, 2.5, cfg)
@@ -104,12 +143,17 @@ class TestCrudeTail:
         assert hits == round(rep.estimate * cfg.n_paths)
 
 
-def walk_oracle(model, rng, n, horizon, x, slack, c=0.0, band=None):
-    """Oracle for ``_walk``: every step scatters into full per-path arrays
-    through the index of the paths still walking."""
+def walk_oracle(model, rng, n, horizon, levels, slacks, c=0.0, band=None):
+    """Oracle for ``_walk``: every step scatters into full per-level,
+    per-path arrays through the index of the paths with a level still open,
+    testing every level of every such path."""
+    L = len(levels)
+    slacks = np.broadcast_to(slacks, (L,))
     S = np.zeros(n)
-    outcome = np.zeros(n, dtype=np.int8)
-    steps = np.zeros(n, dtype=np.int64)
+    outcome = np.zeros((L, n), dtype=np.int8)
+    steps = np.zeros((L, n), dtype=np.int64)
+    stop = np.zeros((L, n))
+    is_open = np.ones((L, n), dtype=bool)
     overshot = climbed = None
     if band is not None:
         overshot = np.zeros(n, dtype=bool)
@@ -119,45 +163,76 @@ def walk_oracle(model, rng, n, horizon, x, slack, c=0.0, band=None):
         if alive.size == 0:
             break
         S[alive] += model.sample(rng, alive.size)
-        steps[alive] = step
         s = S[alive]
-        line = x + step * c
-        hit = s > line
-        miss = ~hit & (s < line - slack)
         if band is not None:
-            first = ~climbed[alive] & (s > band)
+            first = ~climbed[alive] & (s > band[0])
             climbed[alive[first]] = True
-            overshot[alive[first]] = s[first] > x - band
-        outcome[alive[hit]] = HIT
-        outcome[alive[miss]] = MISS
-        alive = alive[~(hit | miss)]
-    return outcome, steps, S, overshot
+            overshot[alive[first]] = s[first] > band[1]
+        for i in range(L):
+            o = is_open[i, alive]
+            steps[i, alive[o]] = step
+            stop[i, alive[o]] = s[o]
+            line = levels[i] + step * c
+            hit = o & (s > line)
+            miss = o & ~hit & (s < line - slacks[i])
+            outcome[i, alive[hit]] = HIT
+            outcome[i, alive[miss]] = MISS
+            is_open[i, alive[hit | miss]] = False
+        alive = alive[is_open[:, alive].any(axis=0)]
+    return outcome, steps, stop, overshot
+
+
+TWOPOINT = TwoPoint(1.0, 0.25, -1.0)
 
 
 class TestWalkKernel:
     @pytest.mark.parametrize(
-        "model,n,horizon,x,slack,c,band",
+        "model,n,horizon,levels,slacks,c,band",
         [
-            ("ref", 20_000, 100_000, 3.0, 20.0, 0.0, None),
-            ("ref", 20_000, 100_000, 3.0, 20.0, 0.0, 1.5),
-            ("ref", 5_000, 100_000, 4.0, 12.0, -0.3, None),
-            ("ref", 5_000, 100_000, 4.0, 12.0, -0.3, 1.0),
-            ("ref", 3_000, 6, 4.0, 12.0, 0.2, 1.0),  # leaves undecided paths
-            (TwoPoint(1.0, 0.25, -1.0), 3_000, 100_000, 3.0, 8.0, 0.0, 1.0),
-            (TwoPoint(1.0, 0.25, -1.0), 3_000, 4, 3.0, 8.0, -0.1, None),
-            (PointMass(-0.5), 100, 50, 2.0, 3.0, 0.0, 0.5),
+            ("ref", 20_000, 100_000, [3.0], 20.0, 0.0, None),
+            ("ref", 20_000, 100_000, [3.0], 20.0, 0.0, (1.5, 1.5)),
+            ("ref", 5_000, 100_000, [4.0], 12.0, -0.3, None),
+            ("ref", 5_000, 100_000, [4.0], 12.0, -0.3, (1.0, 3.0)),
+            ("ref", 3_000, 6, [4.0], 12.0, 0.2, (1.0, 3.0)),  # leaves undecided paths
+            (TWOPOINT, 3_000, 100_000, [3.0], 8.0, 0.0, (1.0, 2.0)),
+            (TWOPOINT, 3_000, 4, [3.0], 8.0, -0.1, None),
+            (PointMass(-0.5), 100, 50, [2.0], 3.0, 0.0, (0.5, 1.5)),
+            # nested crude windows whose lower lines cross: 1 - 9 > 0.5 - 10
+            ("ref", 20_000, 100_000, [0.5, 1.0, 2.0, 3.0], [10.0, 9.0, 12.0, 14.0], 0.0, None),
+            ("ref", 20_000, 100_000, [3.0, 1.0, 2.0], [14.0, 9.0, 12.0], 0.0, (1.0, 1.5)),
+            # drifted lines with one slack, as in the renewal diagnostics
+            ("ref", 20_000, 100_000, [2.0, 4.0, 8.0, 16.0], 6.5, -0.49, None),
+            ("ref", 5_000, 12, [1.0, 2.0, 4.0], 5.0, -0.2, None),  # some levels undecided
+            (TWOPOINT, 5_000, 100_000, [0.5, 1.5, 2.5], [3.0, 4.0, 6.0], 0.0, None),
+            (TWOPOINT, 5_000, 100_000, [1.0, 2.0, 2.0, 3.0], 2.5, -0.1, None),
+            (PointMass(-0.5), 100, 50, [1.0, 2.0], [0.7, 3.0], 0.0, None),
         ],
         ids=["ref", "ref-band", "ref-drift", "ref-drift-band", "ref-short",
-             "twopoint-band", "twopoint-short", "pointmass-band"],
+             "twopoint-band", "twopoint-short", "pointmass-band",
+             "crude-levels", "crude-levels-unsorted-band", "renewal-levels",
+             "drift-levels-short", "twopoint-levels", "twopoint-drift-tied-levels",
+             "pointmass-levels"],
     )
-    def test_records_match_oracle_bits(self, ref_model, model, n, horizon, x, slack, c, band):
+    def test_records_match_oracle_bits(self, ref_model, model, n, horizon, levels, slacks,
+                                       c, band):
         model = ref_model if model == "ref" else model
-        got = _walk(model, np.random.default_rng(5), n, horizon, x, slack, c, band)
-        want = walk_oracle(model, np.random.default_rng(5), n, horizon, x, slack, c, band)
-        for name, a, b in zip(got._fields, got, want):
-            assert (a is None) == (b is None), name
-            if a is not None:
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        records = _Records(len(levels), n)
+        got = _walk(model, np.random.default_rng(5), n, horizon, levels, slacks, c,
+                    records, band)
+        want = walk_oracle(model, np.random.default_rng(5), n, horizon, levels, slacks,
+                           c, band)
+        for name, a, b in zip(("outcome", "step", "S"),
+                               (records.outcome, records.step, records.S), want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (got.overshot is None) == (band is None)
+        if band is not None:
+            assert got.overshot.tobytes() == want[3].tobytes()
+        counts = [np.bincount(row, minlength=3) for row in want[0]]
+        assert got.counts.T.tolist() == [list(row) for row in counts]
+
+    def test_drifted_lines_take_one_slack(self, ref_model):
+        with pytest.raises(EstimatorError, match="lines with a drift take one slack"):
+            _walk(ref_model, np.random.default_rng(0), 10, 5, [1.0, 2.0], [3.0, 4.0], -0.1)
 
 
 def bigjump_sum_oracle(model, x, a, n_cut, cfg):
