@@ -36,6 +36,7 @@ from .increments import (
     sgamma_diagnostic,
 )
 from .lattice import (
+    BIGJUMP_REL_TOL,
     LatticeError,
     LatticePMF,
     MaxLaw,
@@ -235,7 +236,8 @@ def bigjump_dp_ratio(
     first exceedances of x - h(x) from below the h(x) band, each landing
     weighted by the probability the remaining walk carries it past x.  The
     flow stops on the certificate of the twist ``gamma``.  Refuses a level
-    whose P(M > x) is 0 on the grid, and a flow that ran out of steps."""
+    whose P(M > x) is 0 on the grid, and a flow that ran out of steps with
+    landings above ``BIGJUMP_REL_TOL`` of P(M > x) still to come."""
     p_x = law.tail(x)
     if p_x <= 0.0:
         raise LatticeError(
@@ -244,10 +246,11 @@ def bigjump_dp_ratio(
         )
     a = band_h(h_choice, x)
     flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=gamma, level=x)
-    if flow.remainder > 0.0:
+    if flow.remainder > BIGJUMP_REL_TOL * p_x:
         raise LatticeError(
             f"the single-jump flow at x = {x:g} used all n_max = {flow.n_run} steps with "
-            f"landings up to {flow.remainder:.3g} still to come; raise the flow's n_max"
+            f"landings up to {flow.remainder:.3g} still to come: {flow.remainder / p_x:.3g} "
+            f"of P(M > x), above the {BIGJUMP_REL_TOL:g} the ratio allows"
         )
     cells = flow.landing_k0 + np.arange(flow.landing_mass.size)
     weights = law.tail(x - cells * pmf.h)

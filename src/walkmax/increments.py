@@ -198,8 +198,8 @@ class IncrementModel:
             raise ModelError("model family has no intrinsic decay rate; pass the twist explicitly")
         return self.decay_rate if gamma is None else float(gamma)
 
-    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
-        """Span [lo, hi] with true increment mass outside it below ``fold``."""
+    def default_span(self) -> tuple[float, float]:
+        """Span [lo, hi] with true increment mass outside it below 1e-15."""
         raise NotImplementedError
 
     def twist_envelope(self, alpha: float) -> float:
@@ -373,9 +373,9 @@ class PolyExp(IncrementModel):
     def decay_rate(self) -> float:
         return self.gamma
 
-    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
+    def default_span(self) -> tuple[float, float]:
         # hard left support: only the right tail is ever folded
-        return (-self.shift, self.inverse_tail(fold))
+        return (-self.shift, self.inverse_tail(1e-15))
 
     def twist_envelope(self, alpha: float) -> float:
         if alpha > self.gamma:
@@ -427,7 +427,7 @@ class TwoPoint(IncrementModel):
     def sample(self, rng: np.random.Generator, size: int):
         return np.where(rng.random(size) < self.pu, self.u, self.v)
 
-    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
+    def default_span(self) -> tuple[float, float]:
         return (self.v, self.u)
 
     def twist_envelope(self, alpha: float) -> float:
@@ -466,7 +466,7 @@ class PointMass(IncrementModel):
         rng.random(size)  # consume the stream so seeds stay comparable
         return np.full(size, self.v)
 
-    def default_span(self, fold: float = 1e-15) -> tuple[float, float]:
+    def default_span(self) -> tuple[float, float]:
         return (self.v, self.v)
 
     def twist_envelope(self, alpha: float) -> float:

@@ -104,9 +104,8 @@ class Bracket(NamedTuple):
         return self.hi - self.lo
 
     def scale(self, c: float) -> "Bracket":
-        if c >= 0:
-            return Bracket(self.value * c, self.lo * c, self.hi * c)
-        return Bracket(self.value * c, self.hi * c, self.lo * c)
+        """The bracket times a factor ``c >= 0``."""
+        return Bracket(self.value * c, self.lo * c, self.hi * c)
 
 
 def _check_cells(cells: float, where: str, h: float) -> None:
@@ -235,7 +234,8 @@ def discretize(
     return LatticePMF(h=h, k0=k_lo, probs=probs)
 
 
-def _direct_conv(a: np.ndarray, b: np.ndarray, spans=None) -> np.ndarray:
+def _direct_conv(a: np.ndarray, b: np.ndarray,
+                 window: tuple[int, int] | None = None) -> np.ndarray:
     """Direct convolution of two nonnegative vectors, as ``np.convolve(a, b)``,
     run as a block-Toeplitz matrix product.
 
@@ -245,7 +245,7 @@ def _direct_conv(a: np.ndarray, b: np.ndarray, spans=None) -> np.ndarray:
     is still the sum of exactly the products a direct summation forms, only
     in another order, so each bin of nonnegative inputs keeps a relative
     error of at most its term count times the unit roundoff.
-    Only block rows meeting ``spans`` (half-open bin ranges; None is all) are
+    Only block rows meeting ``window`` (half-open bins; None is all) are
     formed, the rest read 0; all-zero input blocks are skipped (they add exact
     zeros), so a sweep growing out of a point mass pays only for its support.
     """
@@ -259,10 +259,8 @@ def _direct_conv(a: np.ndarray, b: np.ndarray, spans=None) -> np.ndarray:
     nz_a, nz_b = np.flatnonzero(a), np.flatnonzero(b)
     if nz_a.size == 0 or nz_b.size == 0:
         return out.ravel()[:n_out]
-    wanted = np.zeros(rows + diagonals + 2, dtype=bool)  # False at both ends
-    for lo, hi in [(0, n_out)] if spans is None else spans:
-        wanted[1 + lo // B : 1 + -(-min(hi, n_out) // B)] = True
-    runs = np.flatnonzero(wanted[1:] != wanted[:-1]).reshape(-1, 2).tolist()
+    lo, hi = (0, n_out) if window is None else window
+    r0, r1 = lo // B, -(-min(hi, n_out) // B)  # the block rows formed
     A = np.zeros(rows * B)
     A[: a.size] = a
     A = A.reshape(rows, B)
@@ -271,11 +269,10 @@ def _direct_conv(a: np.ndarray, b: np.ndarray, spans=None) -> np.ndarray:
     windows = sliding_window_view(padded, B)  # windows[m, t] = padded[m + t]
     a_lo, a_hi = int(nz_a[0]) // B, int(nz_a[-1]) // B + 1  # the rows of A that are not all 0
     for d in range(int(nz_b[0]) // B, -(-int(nz_b[-1]) // B) + 1):
-        T = windows[d * B : d * B + B][::-1].copy()
-        for r0, r1 in runs:
-            o0, o1 = max(r0, a_lo + d), min(r1, a_hi + d)
-            if o0 < o1:
-                out[o0:o1] += A[o0 - d : o1 - d] @ T
+        o0, o1 = max(r0, a_lo + d), min(r1, a_hi + d)
+        if o0 < o1:
+            T = windows[d * B : d * B + B][::-1].copy()
+            out[o0:o1] += A[o0 - d : o1 - d] @ T
     return out.ravel()[:n_out]
 
 
@@ -320,7 +317,7 @@ def _sweep(V: np.ndarray, pmf: LatticePMF, reflect: bool = False, exit_at: int |
     weights = _exit_weights(pmf, V.size, nneg + (V.size if exit_at is None else exit_at))
     while True:
         up = float((V * weights).sum())
-        W = _direct_conv(V, pmf.probs, [(lo, nneg + V.size)])
+        W = _direct_conv(V, pmf.probs, (lo, nneg + V.size))
         body = W[nneg : nneg + V.size]
         V = np.zeros(V.size)  # no mass above 0 leaves ``body`` short
         V[: body.size] = body
@@ -356,9 +353,6 @@ class MaxLaw:
     def trunc_bound(self) -> float:
         """Certified bound on P(max > top), from the increment's twist scan."""
         return self.increment.chernoff_tail_bound(self.top)
-
-    def centers(self) -> np.ndarray:
-        return np.arange(len(self.probs)) * self.h
 
     def tail(self, x):
         """P(max > x) at a level or an array of levels; excludes overflow mass.
@@ -528,7 +522,7 @@ def stopped_max_sigma1(
             "choose levels at or below the grid top"
         )
     # bin nneg - j of the convolution is the cell -j, an overshoot of j cells
-    W = _direct_conv(law.probs[:nneg], pmf.probs, [(0, nneg)])[:nneg]
+    W = _direct_conv(law.probs[:nneg], pmf.probs, (0, nneg))[:nneg]
     chi_cells = np.zeros(nneg + 1)
     chi_cells[nneg + 1 - W.size :] = W[::-1]
     below = float(chi_cells.sum())  # P(M + xi < 0)
@@ -682,7 +676,7 @@ def bigjump_flow(
     k_last = math.floor(min(level / h + 1e-9, shift + occupation.size + pmf.probs.size - 2))
     lo = k_jump + 1 - shift
     hi = max(k_last + 1 - shift, lo)
-    landing = _direct_conv(occupation, pmf.probs, [(lo, hi)])[lo:hi]
+    landing = _direct_conv(occupation, pmf.probs, (lo, hi))[lo:hi]
     beyond = float((occupation * _exit_weights(pmf, occupation.size, hi)).sum())
     return BigJumpFlow(landing_k0=k_jump + 1, landing_mass=landing, n_run=n, beyond=beyond,
                        remainder=left)

@@ -4,21 +4,21 @@ Estimates carry three separately reported uncertainties: sampling error
 (``stderr``), certified truncation bias from early path stopping
 (``bias_bound``), and counts of paths the stopping rules could not decide.
 
-One kernel, ``_walk``, advances the paths of a block until each has
-decided every level ``x_i`` of a grid: it exceeds the line ``x_i + step*c``
-(hit) or falls more than a slack ``K_i`` below it (a miss, certified by the
-slack).  It hands each level's first exit from its window (outcome, step,
-final ``S``) to the estimator as it happens, and returns per-level outcome
-counts and, on request, whether the first climb above a band overshot, and
-the sum of a score of the position each step starts from.  Each position is
-the same left-to-right sum of its draws.  Every estimator is a reduction of
-those exits and records, one block at a time (``estimate_bigjump_sum``
-scores each step a path starts inside the band with the jump probability
-``tail(x - S)``); ``SimConfig.trace`` rows are read straight from them.
-The levels of one run share their paths (common random numbers), so a
-level's estimate depends on which other levels are in the grid;
-``estimate_tail_crude`` takes the grid of its level and keeps the last
-grid's walk, so one call per level walks the grid once.
+One kernel, ``_walk``, advances the paths of a block until each has decided
+every level ``x_i`` of a grid: it exceeds the line ``x_i + step*c`` (hit) or
+falls below the lower line ``f_i + step*c`` of a floor ``f_i`` (a miss,
+certified by the slack ``x_i - f_i``).  It hands each level's first exit
+from its window (outcome, step, final ``S``) to the estimator as it happens,
+and returns per-level outcome counts and, on request, whether the first
+climb above a band overshot, and the sum of a score of the position each
+step starts from.  Each position is the same left-to-right sum of its draws.
+Every estimator is a reduction of those exits and records, one block at a
+time (``estimate_bigjump_sum`` scores each step a path starts inside the
+band with the jump probability ``tail(x - S)``); ``SimConfig.trace`` rows
+are read straight from them.  The levels of one run share their paths
+(common random numbers), so a level's estimate depends on which other levels
+are in the grid; ``estimate_tail_crude`` takes the grid of its level and
+keeps the last grid's walk, so one call per level walks the grid once.
 
 Reproducibility: work is split into fixed-size blocks of paths; block ``i``
 always draws from the ``i``-th spawn of the master seed sequence and results
@@ -159,7 +159,7 @@ def _walk(
     n: int,
     horizon: int,
     levels: Sequence[float],
-    slacks: float | Sequence[float],
+    floors: Sequence[float],
     c: float = 0.0,
     on_exit: Callable[..., None] | None = None,
     band: tuple[float, float] | None = None,
@@ -167,37 +167,36 @@ def _walk(
 ) -> _Walked:
     """Walk ``n`` paths from 0, for at most ``horizon`` steps, until every
     level is decided on every path: level ``i`` is a hit once the path
-    exceeds the line ``levels[i] + step*c``, a miss once it falls more than
-    ``slacks[i]`` below it.  Each level's first exit from its window goes to
-    ``on_exit(levels, paths, step, S, outcome)`` as it happens, one call per
-    outcome (entry j is level ``levels[j]`` of path ``paths[j]``); a level
-    still open at the horizon goes there undecided, with the horizon's step
-    and position.  With ``band = (a, b)`` given, also record whether each
-    path's first climb above ``a`` landed above ``b``.  With ``score``
-    given, add ``score(S)`` into a per-path total before each draw.
+    exceeds the line ``levels[i] + step*c``, a miss once it falls below the
+    lower line ``floors[i] + step*c``.  Each level's first exit from its
+    window goes to ``on_exit(levels, paths, step, S, outcome)`` as it
+    happens, one call per outcome (entry j is level ``levels[j]`` of path
+    ``paths[j]``); a level still open at the horizon goes there undecided,
+    with the horizon's step and position.  With ``band = (a, b)`` given, also
+    record whether each path's first climb above ``a`` landed above ``b``.
+    With ``score`` given, add ``score(S)`` into a per-path total before each
+    draw.
 
     The lines keep the order of the levels at every step, and the lower lines
-    that of ``levels - slacks`` (fixed when c = 0, the lines' order under one
-    slack).  So the lines a path has ever exceeded are the lowest ones, and
-    the lower lines it has ever fallen below the highest ones: a path keeps
-    the two counts, a level is open while it is in neither set, and only a
-    path beyond its next line or next lower line does per-level work.  Only
-    the paths with a level open are kept, in compact arrays of their
-    indices, positions and counts."""
+    that of the floors (``f + step*c`` rounds monotonically in ``f``).  So
+    the lines a path has ever exceeded are the lowest ones, and the lower
+    lines it has ever fallen below the highest ones: a path keeps the two
+    counts, a level is open while it is in neither set, and only a path
+    beyond its next line or next lower line does per-level work.  Only the
+    paths with a level open are kept, in compact arrays of their indices,
+    positions and counts."""
     levels = np.asarray(levels, dtype=float)
+    floors = np.asarray(floors, dtype=float)
     L = levels.size
-    slacks = np.broadcast_to(np.asarray(slacks, dtype=float), (L,))
-    if c != 0.0 and np.any(slacks != slacks[0]):
-        raise EstimatorError("lines with a drift take one slack")
     up = np.argsort(levels, kind="stable")  # by ascending line
-    down = np.lexsort((-levels, slacks - levels))  # by descending lower line, then level
+    down = np.lexsort((-levels, -floors))  # by descending lower line, then level
     rank_up, rank_down = np.argsort(up), np.argsort(down)
     # a path with u lines and d lower lines passed has a level open iff
     # last_down[u] >= d: the highest lower-line rank among lines not passed
     last_down = np.append(np.maximum.accumulate(rank_down[up][::-1])[::-1], -1)
-    x_up, x_down, k_down = levels[up], levels[down], slacks[down]
+    x_up, f_down = levels[up], floors[down]
     tops = np.append(x_up, np.inf)  # this step's lines, then a sentinel
-    bots = np.append(x_down, -np.inf)
+    bots = np.append(f_down, -np.inf)
     counts = np.zeros((3, L), dtype=np.int64)
     overshot = total = None
     if band is not None:
@@ -247,7 +246,7 @@ def _walk(
             total[alive] += score(pos)
         pos += model.sample(rng, alive.size)
         np.add(x_up, step * c, out=tops[:L])
-        np.subtract(x_down + step * c, k_down, out=bots[:L])
+        np.add(f_down, step * c, out=bots[:L])
         # index arrays, not boolean masks: numpy gathers through them faster
         if band is not None:
             first = np.flatnonzero(~climbed & (pos > band[0]))
@@ -306,10 +305,11 @@ def _crude_walk(
     all of them.  The last grid's walk is kept, so estimating each of its
     levels in turn walks once."""
     slacks = [_crude_slack(model, x) for x in levels]
+    floors = [x - K for x, K in zip(levels, slacks)]
 
     def block(rng: np.random.Generator, n: int) -> dict:
         records = _Records(len(levels), n) if cfg.trace else None
-        walked = _walk(model, rng, n, cfg.horizon, levels, slacks, on_exit=records)
+        walked = _walk(model, rng, n, cfg.horizon, levels, floors, on_exit=records)
         return {"counts": walked.counts, "records": [records] if cfg.trace else []}
 
     return slacks, _simulate(cfg, block)
@@ -390,7 +390,7 @@ def estimate_bigjump_sum(
 
     def block(rng: np.random.Generator, n: int) -> dict:
         # a path leaves the band once it exceeds a; it is never stopped below
-        s = _walk(model, rng, n, n_cut, [a], math.inf, score=lambda s: model.tail(x - s)).score
+        s = _walk(model, rng, n, n_cut, [a], [-math.inf], score=lambda s: model.tail(x - s)).score
         # elementwise square, never a dot: a threaded BLAS dot's bits depend
         # on its thread count
         return {"sum": float(s.sum()), "sumsq": float((s * s).sum())}
@@ -433,7 +433,7 @@ def bigjump_conditional_ratio(
             if outcome == HIT:
                 hit[paths] = True
 
-        walked = _walk(model, rng, n, cfg.horizon, [x], K, on_exit=on_exit, band=(a, x - a))
+        walked = _walk(model, rng, n, cfg.horizon, [x], [x - K], on_exit=on_exit, band=(a, x - a))
         big_hits = int((hit & walked.overshot).sum())
         return {"counts": walked.counts[:, 0], "big_hits": big_hits}
 
@@ -527,6 +527,7 @@ def renewal_diagnostics(
         )
     phi_ratio = phg / (1.0 - phg)
     r_grid = [float(R) for R in r_grid]
+    floors = [R - K_r for R in r_grid]
 
     def block(rng: np.random.Generator, n: int) -> dict:
         sums = np.zeros((3, len(r_grid)))  # per barrier: sum w, sum w^2, missed
@@ -541,7 +542,7 @@ def renewal_diagnostics(
             elif outcome == MISS:
                 sums[2] += np.bincount(levels, w, len(r_grid))
 
-        walked = _walk(model, rng, n, cfg.horizon, r_grid, K_r, c, on_exit)
+        walked = _walk(model, rng, n, cfg.horizon, r_grid, floors, c, on_exit)
         return {"counts": walked.counts, "sums": sums}
 
     total = _simulate(cfg, block)

@@ -660,6 +660,16 @@ class TestTwistOverride:
             ratios[gamma] = [row["ratio"] for row in json.loads(out)["rows"]]
         assert ratios["0.5"] == pytest.approx(ratios[None], rel=1e-12, abs=0.0)
 
+    def test_zero_flow_writes_its_ratios(self, capsys):
+        # one +1 step from at most h(x) never passes x - h(x): the flow is
+        # exactly 0, which no relative stop certifies, and its remainder is far
+        # below the share of P(M > x) that could move a ratio
+        code, out, err = run(capsys, "bigjump", "--model", "twopoint:u=1,pu=0.45,v=-1",
+                             "--gamma", "0.15", "--x", "4,8,12", "--step", "0.5")
+        assert code == 2  # the verdict: no ratio reaches 0.9
+        assert [row["ratio"] for row in json.loads(out)["rows"]] == [0.0, 0.0, 0.0]
+        assert "n_max" not in err
+
     @pytest.mark.parametrize("argv", [
         ["constants"],
         ["tail-report", "--x", "0.25,0.5,0.75"],

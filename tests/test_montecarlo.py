@@ -143,12 +143,11 @@ class TestCrudeTail:
         assert hits == round(rep.estimate * cfg.n_paths)
 
 
-def walk_oracle(model, rng, n, horizon, levels, slacks, c=0.0, band=None):
+def walk_oracle(model, rng, n, horizon, levels, floors, c=0.0, band=None):
     """Oracle for ``_walk``: every step scatters into full per-level,
     per-path arrays through the index of the paths with a level still open,
     testing every level of every such path."""
     L = len(levels)
-    slacks = np.broadcast_to(slacks, (L,))
     S = np.zeros(n)
     outcome = np.zeros((L, n), dtype=np.int8)
     steps = np.zeros((L, n), dtype=np.int64)
@@ -172,9 +171,8 @@ def walk_oracle(model, rng, n, horizon, levels, slacks, c=0.0, band=None):
             o = is_open[i, alive]
             steps[i, alive[o]] = step
             stop[i, alive[o]] = s[o]
-            line = levels[i] + step * c
-            hit = o & (s > line)
-            miss = o & ~hit & (s < line - slacks[i])
+            hit = o & (s > levels[i] + step * c)
+            miss = o & ~hit & (s < floors[i] + step * c)
             outcome[i, alive[hit]] = HIT
             outcome[i, alive[miss]] = MISS
             is_open[i, alive[hit | miss]] = False
@@ -203,6 +201,10 @@ class TestWalkKernel:
             # drifted lines with one slack, as in the renewal diagnostics
             ("ref", 20_000, 100_000, [2.0, 4.0, 8.0, 16.0], 6.5, -0.49, None),
             ("ref", 5_000, 12, [1.0, 2.0, 4.0], 5.0, -0.2, None),  # some levels undecided
+            # drifted lines with unequal slacks: floors -5, -3 and -2
+            ("ref", 20_000, 100_000, [1.0, 2.0, 4.0], [6.0, 5.0, 6.0], -0.2, None),
+            # ... and lower lines ordered unlike the levels, one pair tied
+            (TWOPOINT, 5_000, 100_000, [0.5, 1.5, 2.5], [3.0, 4.0, 6.0], -0.1, None),
             (TWOPOINT, 5_000, 100_000, [0.5, 1.5, 2.5], [3.0, 4.0, 6.0], 0.0, None),
             (TWOPOINT, 5_000, 100_000, [1.0, 2.0, 2.0, 3.0], 2.5, -0.1, None),
             (PointMass(-0.5), 100, 50, [1.0, 2.0], [0.7, 3.0], 0.0, None),
@@ -210,16 +212,17 @@ class TestWalkKernel:
         ids=["ref", "ref-band", "ref-drift", "ref-drift-band", "ref-short",
              "twopoint-band", "twopoint-short", "pointmass-band",
              "crude-levels", "crude-levels-unsorted-band", "renewal-levels",
-             "drift-levels-short", "twopoint-levels", "twopoint-drift-tied-levels",
-             "pointmass-levels"],
+             "drift-levels-short", "drift-unequal-slacks", "twopoint-drift-crossing-floors",
+             "twopoint-levels", "twopoint-drift-tied-levels", "pointmass-levels"],
     )
     def test_records_match_oracle_bits(self, ref_model, model, n, horizon, levels, slacks,
                                        c, band):
         model = ref_model if model == "ref" else model
+        floors = np.subtract(levels, slacks)
         records = _Records(len(levels), n)
-        got = _walk(model, np.random.default_rng(5), n, horizon, levels, slacks, c,
+        got = _walk(model, np.random.default_rng(5), n, horizon, levels, floors, c,
                     records, band)
-        want = walk_oracle(model, np.random.default_rng(5), n, horizon, levels, slacks,
+        want = walk_oracle(model, np.random.default_rng(5), n, horizon, levels, floors,
                            c, band)
         for name, a, b in zip(("outcome", "step", "S"),
                                (records.outcome, records.step, records.S), want):
@@ -229,10 +232,6 @@ class TestWalkKernel:
             assert got.overshot.tobytes() == want[3].tobytes()
         counts = [np.bincount(row, minlength=3) for row in want[0]]
         assert got.counts.T.tolist() == [list(row) for row in counts]
-
-    def test_drifted_lines_take_one_slack(self, ref_model):
-        with pytest.raises(EstimatorError, match="lines with a drift take one slack"):
-            _walk(ref_model, np.random.default_rng(0), 10, 5, [1.0, 2.0], [3.0, 4.0], -0.1)
 
 
 def bigjump_sum_oracle(model, x, a, n_cut, cfg):
