@@ -22,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .increments import IncrementModel, ModelError
-from .lattice import (Bracket, LatticePMF, LatticeError, MaxLaw, StoppedLaw, boundary_term,
-                      exp_moment)
+from .lattice import Bracket, LatticePMF, LatticeError, MaxLaw, StoppedLaw, exp_moment
 
 __all__ = [
     "AsymptoticConstants",
@@ -100,34 +99,32 @@ def local_constant(consts: AsymptoticConstants, t: float) -> Bracket:
     return consts.constant.scale(factor)
 
 
-def finite_constant(
-    consts: AsymptoticConstants,
-    N: int,
-    horizon_laws: Sequence[MaxLaw],
-) -> Bracket:
-    """Predicted horizon-N constant: sum_{n=1}^{N} phg^{n-1} * E exp(gamma*M_{N-n}).
+def finite_constant(consts: AsymptoticConstants, Ns: Sequence[int],
+                    boundary: np.ndarray) -> list[Bracket]:
+    """Predicted horizon-N constants sum_{n=1}^{N} phg^{n-1} * E exp(gamma*M_{N-n}),
+    one per N in ``Ns`` (0 for N = 0).
 
     The horizon moments m_j = E exp(gamma*M_j) come from the one-step form
     m_0 = 1, m_{j+1} = phg * m_j + B(M_j) of M_{j+1} =d (M_j + xi)^+, with B
-    the ``boundary_term``; ``horizon_laws`` must contain the maxima laws for
-    horizons 0..N-2 (index by horizon).
+    the ``boundary_term``; row j of ``boundary`` is B(M_j) as (value, lo, hi),
+    as ``horizon_pass`` returns it, and rows 0..max(Ns)-2 are read.  One
+    moment recursion serves every N.
     """
-    if N < 1:
-        raise ModelError(f"need N >= 1, got {N}")
-    if len(horizon_laws) < N - 1:
-        raise ModelError(f"need laws for horizons 0..{N-2}, got {len(horizon_laws)}")
-    moments = [Bracket(1.0, 1.0, 1.0)]
-    for law in horizon_laws[: N - 1]:
-        m, b = moments[-1].scale(consts.phg), boundary_term(law, consts.gamma)
-        moments.append(Bracket(m.value + b.value, m.lo + b.lo, m.hi + b.hi))
-    val = lo = hi = 0.0
-    for n in range(1, N + 1):
-        w = consts.phg ** (n - 1)
-        em = moments[N - n]
-        val += w * em.value
-        lo += w * em.lo
-        hi += w * em.hi
-    return Bracket(val, lo, hi)
+    if min(Ns, default=0) < 0:
+        raise ModelError(f"need N >= 0, got {min(Ns)}")
+    top = max(Ns, default=0)
+    if len(boundary) < top - 1:
+        raise ModelError(f"need boundary terms for horizons 0..{top-2}, got {len(boundary)}")
+    moments = np.ones((top, 3))
+    for j in range(1, top):
+        moments[j] = moments[j - 1] * consts.phg + boundary[j - 1]
+    out = []
+    for N in Ns:
+        fc = np.zeros(3)
+        for n in range(1, N + 1):
+            fc += consts.phg ** (n - 1) * moments[N - n]
+        out.append(Bracket(*map(float, fc)))
+    return out
 
 
 def stopped_constant(consts: AsymptoticConstants, stopped: StoppedLaw) -> Bracket:

@@ -43,7 +43,7 @@ from .lattice import (
     bigjump_flow,
     convolution_power,
     discretize,
-    finite_horizon,
+    horizon_pass,
     lindley_fixed_point,
     stopped_max_sigma1,
 )
@@ -392,20 +392,13 @@ def cmd_finite(args):
     xs = _floats(args.x)
     bases = increment_tails(model, xs)
     pmf, top = oracle_grid(model, args.step, args.gamma, xs)
-    # the fixed point is a horizon law or sweeps on from the last one,
-    # never from M_0 a second time
-    laws = finite_horizon(pmf, max(Ns), top=top)
-    law = lindley_fixed_point(pmf, top=top, laws=laws)
+    # one reflected recursion gives the fixed point, the laws at Ns and the
+    # boundary terms of every horizon moment; no other law is kept
+    law, laws, boundary = horizon_pass(pmf, top, Ns, model.twist(args.gamma))
     consts = constants(model, law, gamma=args.gamma)
     rows = []
-    for N in Ns:
-        fc = finite_constant(consts, N, laws) if N >= 1 else None
-        entry = {
-            "N": N,
-            "predicted": fc.value if fc else 0.0,
-            "predicted_lo": fc.lo if fc else 0.0,
-            "predicted_hi": fc.hi if fc else 0.0,
-        }
+    for N, fc in zip(Ns, finite_constant(consts, Ns, boundary)):
+        entry = {"N": N, "predicted": fc.value, "predicted_lo": fc.lo, "predicted_hi": fc.hi}
         for x, b in zip(xs, bases):
             entry[f"ratio_at_{x:g}"] = laws[N].tail(x) / b
         rows.append(entry)

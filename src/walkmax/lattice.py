@@ -6,9 +6,9 @@ An increment law is discretized onto a uniform grid (cell ``k`` covers
 with the increment pmf and reports the mass that landed above the window as
 one sum.  Each oracle is a loop over that primitive:
 
-* ``lindley_fixed_point`` and ``finite_horizon`` reflect the mass below onto
-  cell 0, which is the distributional recursion ``M =d (M + xi)^+``, and
-  count the mass above the grid top as overflow;
+* ``lindley_fixed_point``, ``finite_horizon`` and ``horizon_pass`` reflect the
+  mass below onto cell 0, which is the distributional recursion
+  ``M =d (M + xi)^+``, and count the mass above the grid top as overflow;
 * ``_passage`` kills below a floor and above a barrier and sums the mass
   passing over an exit level, stopped on one twist certificate.  It is the
   first passage of ``bigjump_flow`` and, per level, of
@@ -39,7 +39,7 @@ keeps explicit truncation bookkeeping; nothing is ever silently renormalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple, Sequence
@@ -61,6 +61,7 @@ __all__ = [
     "convolution_power",
     "lindley_fixed_point",
     "finite_horizon",
+    "horizon_pass",
     "stopped_max_sigma1",
     "boundary_term",
     "exp_moment",
@@ -374,14 +375,11 @@ class MaxLaw:
         return self.tail(x) - self.tail(x + t)
 
 
-def _reflected(pmf: LatticePMF, top: float, start: MaxLaw | None = None):
+def _reflected(pmf: LatticePMF, top: float):
     """Laws of M_0 = 0, M_1, M_2, ... on cells [0, top/h], each with the
     overflow lost above the top so far (it never returns, so its effect
-    anywhere is bounded by the accumulated amount).  From a horizon law
-    ``start`` = M_k of this pmf and grid they run M_k, M_{k+1}, ... instead:
-    the recursion is deterministic, so each is the law a sweep from M_0
-    gives, bit for bit.  Laws are not kept, so a caller that holds two at a
-    time stays that small.
+    anywhere is bounded by the accumulated amount).  Laws are not kept, so a
+    caller that holds two at a time stays that small.
     """
     _check_cells(top / pmf.h + 1, f"up to the grid top {top:g}", pmf.h)
     K = int(round(top / pmf.h))
@@ -389,13 +387,10 @@ def _reflected(pmf: LatticePMF, top: float, start: MaxLaw | None = None):
         raise LatticeError(f"top {top} is below one grid step")
     if pmf.k0 >= 0:
         raise LatticeError("increment law has no mass below 0; walk cannot reflect")
-    if start is None:
-        V, overflow, k = np.eye(1, K + 1)[0], 0.0, 0  # M_0: point mass at cell 0
-        V.flags.writeable = False
-    else:
-        V, overflow, k = start.probs, start.overflow, start.n_iter
+    V, overflow = np.eye(1, K + 1)[0], 0.0  # M_0: point mass at cell 0
+    V.flags.writeable = False
     yield V, overflow
-    for n, (V, up) in enumerate(_sweep(V, pmf, reflect=True), k + 1):
+    for n, (V, up) in enumerate(_sweep(V, pmf, reflect=True), 1):
         overflow += up
         if overflow > 1e-3:
             # a sound grid loses ~1e-30 per sweep; this is a sizing mistake
@@ -407,24 +402,9 @@ def _reflected(pmf: LatticePMF, top: float, start: MaxLaw | None = None):
         yield V, overflow
 
 
-def lindley_fixed_point(pmf: LatticePMF, top: float,
-                        laws: Sequence[MaxLaw] = ()) -> MaxLaw:
-    """Law of the all-time maximum M = sup_n S_n via the reflected recursion,
-    on the cells up to the grid top ``top``.
-
-    Each iterate is exactly the law of the n-step maximum, so ``finite_horizon``
-    runs the same recursion.  M_n differs from M only if some later partial
-    sum is above 0, so P(M != M_n) <= sum_{m>n} phi(alpha)^m
-    = phi(alpha)^{n+1}/(1 - phi(alpha)) for any twist alpha with
-    phi(alpha) < 1.  The recursion stops after the count n that brings
-    phi(alpha)^n below ``FIXED_POINT_TOL`` at alpha = 0.75 alpha_sup, and the
-    law carries that bound as ``stop_bound``.  A count above ``MAX_SWEEPS`` is
-    refused before the first sweep.
-
-    ``laws`` are horizon laws M_0 ... M_k of this pmf and top, as
-    ``finite_horizon`` returns them: the fixed point is M_n itself when
-    n <= k, and otherwise is swept on from M_k.  Other laws are refused.
-    """
+def _fixed_point_count(pmf: LatticePMF) -> tuple[int, float]:
+    """The sweep count n at which the reflected recursion stands for M, and
+    its ``stop_bound`` phi^{n+1}/(1 - phi) (see ``lindley_fixed_point``)."""
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
     a_sup = pmf.chernoff_alpha_sup  # inf when no mass lies above 0
@@ -436,38 +416,63 @@ def lindley_fixed_point(pmf: LatticePMF, top: float,
             f"phi = {phi!r} at the certifying twist bounds the fixed point only after "
             f"{sweeps:.3g} sweeps, more than {MAX_SWEEPS:.0e}: the walk is too near criticality"
         )
-    # a grid top within half a step of ``top`` is the one ``round(top / h)`` picks
-    if any(law.increment is not pmf or law.n_iter != n or not abs(law.top - top) < pmf.h / 2
-           for n, law in enumerate(laws)):
-        raise LatticeError(f"laws must be horizon laws M_0, M_1, ... of this pmf and top {top:g}")
-    start = laws[min(sweeps, len(laws) - 1)] if laws else None
-    k = start.n_iter if start else 0
-    V, overflow = next(islice(_reflected(pmf, top, start), sweeps - k, None))
-    return MaxLaw(
-        h=pmf.h,
-        probs=V,
-        increment=pmf,
-        overflow=overflow,
-        n_iter=sweeps,
-        stop_bound=phi ** (sweeps + 1) / (1.0 - phi),
-    )
+    return sweeps, phi ** (sweeps + 1) / (1.0 - phi)
 
 
-def finite_horizon(
-    pmf: LatticePMF,
-    N: int,
-    top: float,
-) -> list[MaxLaw]:
-    """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion, on
-    the cells up to the grid top ``top``.
+def lindley_fixed_point(pmf: LatticePMF, top: float) -> MaxLaw:
+    """Law of the all-time maximum M = sup_n S_n via the reflected recursion,
+    on the cells up to the grid top ``top``.
 
-    Like the pmf's ``probs``, every law is a read-only array, so a caller may
-    keep the list and hand it to ``lindley_fixed_point``.
+    Each iterate is exactly the law of the n-step maximum, so ``finite_horizon``
+    runs the same recursion.  M_n differs from M only if some later partial
+    sum is above 0, so P(M != M_n) <= sum_{m>n} phi(alpha)^m
+    = phi(alpha)^{n+1}/(1 - phi(alpha)) for any twist alpha with
+    phi(alpha) < 1.  The recursion stops after the count n that brings
+    phi(alpha)^n below ``FIXED_POINT_TOL`` at alpha = 0.75 alpha_sup, and the
+    law carries that bound as ``stop_bound``.  A count above ``MAX_SWEEPS`` is
+    refused before the first sweep.
     """
+    sweeps, stop_bound = _fixed_point_count(pmf)
+    V, overflow = next(islice(_reflected(pmf, top), sweeps, None))
+    return MaxLaw(h=pmf.h, probs=V, increment=pmf, overflow=overflow, n_iter=sweeps,
+                  stop_bound=stop_bound)
+
+
+def finite_horizon(pmf: LatticePMF, N: int, top: float) -> list[MaxLaw]:
+    """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion, on
+    the cells up to the grid top ``top``; every law is a read-only array."""
     if N < 0:
         raise LatticeError(f"horizon must be >= 0, got {N}")
     return [MaxLaw(h=pmf.h, probs=V, increment=pmf, overflow=leaked, n_iter=n)
             for n, (V, leaked) in enumerate(islice(_reflected(pmf, top), N + 1))]
+
+
+def horizon_pass(pmf: LatticePMF, top: float, horizons: Sequence[int],
+                 gamma: float) -> tuple[MaxLaw, dict[int, MaxLaw], np.ndarray]:
+    """One reflected recursion for the horizon laws and the fixed point.
+
+    Runs to the larger of max(``horizons``) and the fixed-point count, and
+    returns the law ``lindley_fixed_point`` gives, the laws M_N for N in
+    ``horizons`` by N, and ``boundary_term(M_n, gamma)`` for n < max(horizons)
+    as rows (value, lo, hi).  Every other law is dropped after its sweep, so
+    memory is one law per horizon asked for and three floats per horizon up
+    to the largest, where ``finite_horizon`` keeps every law.  A horizon
+    above ``MAX_SWEEPS`` is refused before the first sweep.
+    """
+    sweeps, stop_bound = _fixed_point_count(pmf)
+    n_terms = max(horizons, default=0)
+    if n_terms > MAX_SWEEPS:
+        raise LatticeError(f"horizon {n_terms} needs as many sweeps, more than {MAX_SWEEPS:.0e}")
+    boundary, kept = np.empty((n_terms, 3)), {}
+    for n, (V, overflow) in enumerate(islice(_reflected(pmf, top), max(n_terms, sweeps) + 1)):
+        law = MaxLaw(h=pmf.h, probs=V, increment=pmf, overflow=overflow, n_iter=n)
+        if n < n_terms:
+            boundary[n] = boundary_term(law, gamma)
+        if n in horizons:
+            kept[n] = law
+        if n == sweeps:
+            fixed = replace(law, stop_bound=stop_bound)
+    return fixed, kept, boundary
 
 
 @dataclass
@@ -620,6 +625,8 @@ def _passage(pmf: LatticePMF, k_lo: int, k_hi: int, k_exit: int, cut: float,
     sum_y V(y) e^{gamma y} / (1 - phi) bounds all future passages.  The loop
     stops, with ``left`` = 0, once that is below ``BIGJUMP_REL_TOL`` of the
     total; after ``n_max`` steps without that stop ``left`` is the bound.
+    No jump from the window passes an exit cell at or above ``k_hi`` plus the
+    pmf's largest cell: such a passage returns 0 after 0 steps, ``left`` = 0.
     """
     phi = pmf.mgf(gamma)
     if not phi < 1.0:
@@ -627,6 +634,8 @@ def _passage(pmf: LatticePMF, k_lo: int, k_hi: int, k_exit: int, cut: float,
                            f"phi({gamma:g}) = {phi!r}; lower the twist")
     V = np.eye(1, k_hi - k_lo + 1, -k_lo)[0]  # point mass at cell 0
     occupation = np.zeros(V.size)
+    if k_hi + pmf.k0 + pmf.probs.size - 1 <= k_exit:
+        return occupation, 0.0, 0, 0.0
     weights = np.exp(gamma * (np.arange(k_lo, k_hi + 1) * pmf.h - cut)) / (1.0 - phi)
     total, remaining, n = 0.0, math.inf, 0
     for n, (survivors, passed) in enumerate(

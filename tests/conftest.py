@@ -3,6 +3,7 @@ built once per session."""
 
 import math
 
+import numpy as np
 import pytest
 
 from walkmax import (
@@ -14,6 +15,7 @@ from walkmax import (
     finite_horizon,
     lindley_fixed_point,
 )
+from walkmax.lattice import boundary_term
 
 REF_GAMMA = 1.0
 REF_BETA = 2.0
@@ -65,6 +67,12 @@ def ref_law_half(ref_pmf_half):
 @pytest.fixture(scope="session")
 def ref_horizon_laws(ref_pmf):
     return finite_horizon(ref_pmf, 100, top=ORACLE_TOP)
+
+
+@pytest.fixture(scope="session")
+def ref_boundary(ref_consts, ref_horizon_laws):
+    """Boundary terms B(M_0) ... B(M_100), one row (value, lo, hi) per law."""
+    return np.array([boundary_term(law, ref_consts.gamma) for law in ref_horizon_laws])
 
 
 @pytest.fixture(scope="session")

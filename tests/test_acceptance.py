@@ -139,13 +139,13 @@ def test_criterion_05_convolution_tails(ref_model):
     )
 
 
-def test_criterion_06_finite_horizon(ref_model, ref_consts, ref_horizon_laws):
+def test_criterion_06_finite_horizon(ref_model, ref_consts, ref_horizon_laws, ref_boundary):
     x_edge = ref_model.inverse_tail(1e-9)
     c = ref_consts.constant.value
     checks = []
     prev = 0.0
-    for N in (5, 20, 50):
-        fc = finite_constant(ref_consts, N, ref_horizon_laws)
+    Ns = (5, 20, 50)
+    for N, fc in zip(Ns, finite_constant(ref_consts, Ns, ref_boundary)):
         assert fc.value >= prev - 1e-12
         prev = fc.value
         gap = c - fc.value

@@ -165,11 +165,11 @@ class TestLocalConstant:
 
 
 class TestFiniteConstant:
-    def test_single_step_is_one(self, ref_consts, ref_horizon_laws):
-        fc = finite_constant(ref_consts, 1, ref_horizon_laws)
+    def test_single_step_is_one(self, ref_consts, ref_boundary):
+        fc, = finite_constant(ref_consts, [1], ref_boundary)
         assert fc.value == pytest.approx(1.0, abs=1e-15)
 
-    def test_two_step_against_direct_quadrature(self, ref_model, ref_consts, ref_horizon_laws):
+    def test_two_step_against_direct_quadrature(self, ref_model, ref_consts, ref_boundary):
         # horizon-2 value is E e^{g M_1} + phg * E e^{g M_0}; the one-step
         # maximum is xi^+, so its moment is P(xi <= 0) + E[e^{g xi}; xi > 0]
         # over the model's whole tail, past the grid's span edge too
@@ -179,24 +179,23 @@ class TestFiniteConstant:
         pos, err = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-12, limit=500)
         assert err < 1e-9
         e_m1 = float(ref_model.cdf(0.0)) + pos
-        fc = finite_constant(ref_consts, 2, ref_horizon_laws)
+        fc, = finite_constant(ref_consts, [2], ref_boundary)
         assert fc.value == pytest.approx(e_m1 + ref_consts.phg, rel=1e-3)
 
-    def test_monotone_and_bounded_by_limit(self, ref_consts, ref_horizon_laws):
-        vals = [
-            finite_constant(ref_consts, N, ref_horizon_laws).value
-            for N in (1, 2, 5, 10, 20, 40, 80)
-        ]
+    def test_monotone_and_bounded_by_limit(self, ref_consts, ref_boundary):
+        Ns = [0, 1, 2, 5, 10, 20, 40, 80]
+        vals = [fc.value for fc in finite_constant(ref_consts, Ns, ref_boundary)]
+        assert vals[0] == 0.0
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         c = ref_consts.constant.value
         assert all(v <= c + 1e-9 for v in vals)
 
-    def test_geometric_remainder(self, ref_consts, ref_horizon_laws):
+    def test_geometric_remainder(self, ref_consts, ref_boundary):
         # C - fc(N) <= phg^N/(1-phg) * (N + E e^{gM}): the N-linear factor
         # covers the horizon-truncated moments (each one obeys
         # E e^{gM} - E e^{gM_k} <= phg^{k+1}/(1-phg) by the union bound)
-        for N in (2, 5, 10, 20, 50):
-            fc = finite_constant(ref_consts, N, ref_horizon_laws)
+        Ns = [2, 5, 10, 20, 50]
+        for N, fc in zip(Ns, finite_constant(ref_consts, Ns, ref_boundary)):
             gap = ref_consts.constant.value - fc.value
             bound = (
                 ref_consts.phg**N
@@ -205,9 +204,13 @@ class TestFiniteConstant:
             )
             assert -5e-11 <= gap <= bound + 2e-11
 
-    def test_missing_laws(self, ref_consts, ref_horizon_laws):
-        with pytest.raises(ModelError):
-            finite_constant(ref_consts, len(ref_horizon_laws) + 2, ref_horizon_laws)
+    def test_missing_laws(self, ref_consts, ref_boundary):
+        # rows 0 ... N-2 are read: 101 rows serve N = 102, not N = 103
+        assert len(finite_constant(ref_consts, [len(ref_boundary) + 1], ref_boundary)) == 1
+        with pytest.raises(ModelError, match="need boundary terms for horizons 0..101"):
+            finite_constant(ref_consts, [len(ref_boundary) + 2], ref_boundary)
+        with pytest.raises(ModelError, match="need N >= 0"):
+            finite_constant(ref_consts, [3, -1], ref_boundary)
 
 
 class TestStoppedConstant:

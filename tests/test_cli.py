@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import importlib.util
 import json
 import math
@@ -11,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -339,7 +341,7 @@ class TestZeroTailCheckedFirst:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the level tails were checked")
 
-        for name in ("discretize", "lindley_fixed_point", "finite_horizon",
+        for name in ("discretize", "lindley_fixed_point", "horizon_pass",
                      "convolution_power"):
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.setattr(montecarlo, "_simulate", no_work)
@@ -369,7 +371,7 @@ class TestLevelsBelowTheGridTop:
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept before the levels were checked")
 
-        for name in ("lindley_fixed_point", "finite_horizon", "stopped_max_sigma1",
+        for name in ("lindley_fixed_point", "horizon_pass", "stopped_max_sigma1",
                      "bigjump_flow"):
             monkeypatch.setattr(cli, name, no_sweep)
         code, out, err = run(capsys, *argv, "--model", REF, "--step", "0.05")
@@ -438,6 +440,14 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert "horizons must be >= 0, got -1" in err
 
+    def test_finite_horizon_beyond_the_sweep_limit_is_refused(self, capsys, monkeypatch):
+        # 10^10 horizons would need 224 GiB of boundary terms and as many sweeps
+        monkeypatch.setattr(lattice, "_sweep", None)
+        code, out, err = run(capsys, "finite", "--model", REF, "--N", "1,10000000000",
+                             "--x", "5", "--step", "0.05")
+        assert (code, out) == (2, "")
+        assert "finite: horizon 10000000000 needs as many sweeps, more than 1e+06" in err
+
     @pytest.mark.parametrize("levels,level", [("10,80,200", "80"), ("10,75", "75")])
     def test_finite_level_at_or_above_grid_top_is_refused(self, capsys, monkeypatch,
                                                           levels, level):
@@ -446,7 +456,7 @@ class TestOtherCommands:
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept before the levels were checked")
 
-        for name in ("finite_horizon", "lindley_fixed_point"):
+        for name in ("horizon_pass", "lindley_fixed_point"):
             monkeypatch.setattr(cli, name, no_sweep)
         code, out, err = run(capsys, "finite", "--model", REF, "--N", "1,5", "--x", levels,
                              "--step", "0.05")
@@ -700,12 +710,12 @@ class TestOracleWorkOnce:
     @pytest.mark.parametrize("Ns, reads", [("1,2,5,10,50", True), ("1,5", False)],
                              ids=["reads", "resumes"])
     def test_finite_sweeps_once(self, capsys, monkeypatch, Ns, reads):
-        # the fixed point reads the horizon law M_n (N >= n_iter) or sweeps on
-        # from M_N, so the reflected recursion runs max(N, n_iter) sweeps
+        # the fixed point is read on the way to M_N (N >= n_iter) or swept on
+        # past it, so the reflected recursion runs max(N, n_iter) sweeps
         from walkmax import cli
 
         reflected, counts = [0], []
-        sweep, fixed_point = lattice._sweep, cli.lindley_fixed_point
+        sweep, one_pass = lattice._sweep, cli.horizon_pass
 
         def counting(V, pmf, reflect=False, **kwargs):
             for step in sweep(V, pmf, reflect, **kwargs):
@@ -713,17 +723,44 @@ class TestOracleWorkOnce:
                 yield step
 
         def counted(*args, **kwargs):
-            law = fixed_point(*args, **kwargs)
+            law, laws, boundary = one_pass(*args, **kwargs)
             counts.append(law.n_iter)
-            return law
+            return law, laws, boundary
 
         monkeypatch.setattr(lattice, "_sweep", counting)
-        monkeypatch.setattr(cli, "lindley_fixed_point", counted)
+        monkeypatch.setattr(cli, "horizon_pass", counted)
+        monkeypatch.setattr(cli, "lindley_fixed_point", None)
         code, out, _ = run(capsys, "finite", "--N", Ns, "--model", REF, "--step", "0.05")
         assert code == 0
         N = int(Ns.split(",")[-1])
         assert (N >= counts[0]) == reads
         assert reflected[0] == max(N, counts[0])
+
+    def test_finite_memory_does_not_grow_with_the_horizon(self, capsys):
+        # one law is 3751 cells (30 kB) here, and each horizon up to 400 adds
+        # three floats: the peak stays within two laws of that of horizon 5.
+        # Python keeps freed small objects for reuse, up to a fixed count of
+        # each kind, and tracemalloc counts them: every sweep leaves a few, so
+        # one untraced run of 2,000 sweeps fills those lists first, and the
+        # collector, whose full passes empty them, stays off meanwhile
+        def peak(Ns, traced=True):
+            if traced:
+                tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "finite", "--N", Ns, "--model", REF, "--x", "5",
+                                 "--step", "0.02")
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        gc.disable()
+        try:
+            peak("1,2000", traced=False)
+            (code_short, short), (code_long, long) = peak("1,5"), peak("1,400")
+        finally:
+            gc.enable()
+        assert (code_short, code_long) == (0, 0)
+        assert long - short <= 2 * 3751 * 8, (short, long)
 
     def test_stopped_sweeps_only_level_passages(self, capsys, monkeypatch):
         # the overshoot law is read from the fixed point: apart from the

@@ -22,9 +22,9 @@ from walkmax import (
     lindley_fixed_point,
     stopped_max_sigma1,
 )
-from walkmax import finite_constant
-from walkmax import lattice
-from walkmax.lattice import CONV_BLOCK, LatticePMF, _direct_conv, _sweep, boundary_term
+from walkmax import asymptotics, finite_constant, lattice
+from walkmax.lattice import (CONV_BLOCK, Bracket, LatticePMF, _direct_conv, _sweep,
+                             boundary_term, horizon_pass)
 
 from conftest import ORACLE_TOP, TP_TOP
 
@@ -394,7 +394,7 @@ class TestStopped:
     def test_pointmass(self, pm_model):
         law = lindley_fixed_point(discretize(pm_model, 1.0), top=40.0)
         stopped = stopped_max_sigma1(law, [0.5], 1.0)
-        assert stopped.horizon_used == 1  # stops at step 1
+        assert stopped.horizon_used == 0  # no step rises, so no level is ever passed
         assert stopped.chi.tail(0.5) == pytest.approx(1.0, abs=1e-15)  # overshoot 1
         assert stopped.max_tail[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -616,6 +616,20 @@ def sweeps(monkeypatch):
     return steps
 
 
+def all_laws_constant(consts, N, terms):
+    """The horizon-N constant as one recursion per N over the boundary terms
+    ``terms`` of every horizon law, in Bracket arithmetic."""
+    moments = [Bracket(1.0, 1.0, 1.0)]
+    for b in terms[: N - 1]:
+        m = moments[-1].scale(consts.phg)
+        moments.append(Bracket(m.value + b.value, m.lo + b.lo, m.hi + b.hi))
+    val = lo = hi = 0.0
+    for n in range(1, N + 1):
+        w, em = consts.phg ** (n - 1), moments[N - n]
+        val, lo, hi = val + w * em.value, lo + w * em.lo, hi + w * em.hi
+    return Bracket(val, lo, hi)
+
+
 class TestWorkOnce:
     """Work that depends only on the pmf, or that the caller already holds,
     is not done again."""
@@ -626,10 +640,11 @@ class TestWorkOnce:
             pmf.probs[0] = 0.5
 
     def test_horizon_moments_scan_no_twist(self, ref_model, ref_consts, mgf_calls):
-        laws = finite_horizon(discretize(ref_model, 0.05), 50, top=75.0)
+        pmf = discretize(ref_model, 0.05)
+        boundary = horizon_pass(pmf, 75.0, [50], ref_consts.gamma)[2]
         mgf_calls[0] = 0
-        first = finite_constant(ref_consts, 50, laws)
-        assert finite_constant(ref_consts, 50, laws) == first
+        first = finite_constant(ref_consts, [1, 5, 50], boundary)
+        assert finite_constant(ref_consts, [1, 5, 50], boundary) == first
         assert mgf_calls[0] == 0
 
     def test_alpha_sup_scans_once_per_pmf(self, ref_model, mgf_calls):
@@ -643,29 +658,42 @@ class TestWorkOnce:
 
     @pytest.mark.parametrize("k", [50, 5])
     def test_fixed_point_from_horizon_laws(self, ref_model, sweeps, k):
-        # k >= n reads M_n, k < n sweeps on from M_k: either way the law a
-        # fresh recursion gives, bit for bit, after only the missing sweeps
+        # the pass reads the fixed point as M_n on its way to M_k (k >= n) or
+        # sweeps on past M_k to it (k < n): either way the law a fresh
+        # recursion gives, bit for bit, in max(k, n) sweeps
         pmf = discretize(ref_model, 0.05)
-        laws = finite_horizon(pmf, k, top=75.0)
-        sweeps[0] = 0
-        law = lindley_fixed_point(pmf, top=75.0, laws=laws)
-        assert sweeps[0] == max(law.n_iter - k, 0)
+        law, laws, _ = horizon_pass(pmf, 75.0, [k], 1.0)
+        assert sweeps[0] == max(law.n_iter, k)
         fresh = lindley_fixed_point(discretize(ref_model, 0.05), top=75.0)
         assert 5 < fresh.n_iter < 50
         assert np.array_equal(law.probs, fresh.probs)
         for name in ("overflow", "stop_bound", "trunc_bound", "n_iter"):
             assert getattr(law, name) == getattr(fresh, name), name
+        assert list(laws) == [k] and laws[k].n_iter == k and laws[k].stop_bound == 0.0
 
-    def test_foreign_horizon_laws_refused(self, ref_model, sweeps):
-        pmf = discretize(ref_model, 0.05)
-        laws = finite_horizon(pmf, 5, top=75.0)
-        sweeps[0] = 0
-        for other, top in [(discretize(ref_model, 0.05), 75.0), (pmf, 50.0)]:
-            with pytest.raises(LatticeError, match=r"horizon laws M_0, M_1, \.\.\. of this pmf"):
-                lindley_fixed_point(other, top=top, laws=laws)
-        with pytest.raises(LatticeError, match="horizon laws"):
-            lindley_fixed_point(pmf, top=75.0, laws=laws[1:])
-        assert sweeps[0] == 0
+    @pytest.mark.parametrize("which", list(ITEM1_MODELS))
+    def test_streamed_finite_matches_all_laws(self, which):
+        # the one pass against every law kept: the kept laws, the boundary
+        # terms and the horizon constants agree bit for bit, for horizons
+        # below, at and above the fixed-point count
+        model = ITEM1_MODELS[which]
+        pmf, g = discretize(model, 0.05), model.twist(None)
+        fixed = lindley_fixed_point(pmf, top=75.0)
+        consts = asymptotics.constants(model, fixed)
+        n = fixed.n_iter
+        Ns = [0, 1, 2, n - 1, n, n + 1, 2 * n + 3]
+        law, laws, boundary = horizon_pass(pmf, 75.0, Ns, g)
+        assert np.array_equal(law.probs, fixed.probs)
+        for name in ("overflow", "stop_bound", "n_iter"):
+            assert getattr(law, name) == getattr(fixed, name), name
+        every = finite_horizon(pmf, max(Ns), top=75.0)
+        terms = [boundary_term(m, g) for m in every[: max(Ns)]]
+        assert boundary.tolist() == [list(b) for b in terms]
+        for N in Ns:
+            assert np.array_equal(laws[N].probs, every[N].probs)
+            assert laws[N].overflow == every[N].overflow
+        assert finite_constant(consts, Ns, boundary) == [
+            all_laws_constant(consts, N, terms) for N in Ns]
 
     def test_each_top_sweeps_its_own_grid(self, ref_model, sweeps):
         pmf = discretize(ref_model, 0.05)
@@ -728,6 +756,17 @@ class TestBigJumpFlow:
         gap = full.total() - cut.total()
         assert gap > 1e-4 * full.total()
         assert gap <= cut.remainder
+
+    def test_unreachable_exit_is_zero_without_sweeping(self, sweeps):
+        # one jump rises 2 cells at most, so from the barrier cell 2 no path
+        # lands past the exit cell 4; from exit cell 3 one can
+        pmf = discretize(TwoPoint(u=1.0, pu=0.45, v=-1.0), 0.5)
+        flow = lattice.bigjump_flow(pmf, barrier=1.0, jump_level=2.0, gamma=0.15, level=4.0)
+        assert (flow.n_run, flow.remainder, flow.total(), sweeps[0]) == (0, 0.0, 0.0, 0)
+        assert not flow.landing_mass.any()
+        near = lattice.bigjump_flow(pmf, barrier=1.0, jump_level=1.5, gamma=0.15, n_max=5)
+        assert (near.n_run, sweeps[0]) == (5, 5)
+        assert near.total() > 0.0 and near.remainder > 0.0
 
     def test_exhausted_flow_refused_by_the_ratio(self, ref_pmf, ref_law, monkeypatch):
         from walkmax import cli
