@@ -54,18 +54,6 @@ class AsymptoticConstants:
     c_lo: float
     c_hi: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "phg": self.phg,
-            "exp_moment_m": {"value": self.exp_moment_m.value,
-                             "lo": self.exp_moment_m.lo, "hi": self.exp_moment_m.hi},
-            "constant": {"value": self.constant.value,
-                         "lo": self.constant.lo, "hi": self.constant.hi},
-            "c_lo": self.c_lo,
-            "c_hi": self.c_hi,
-        }
-
 
 def constants(
     model: IncrementModel,
@@ -237,30 +225,6 @@ class ConvergenceReport:
     verdict: str
     loose_trend: bool
     final_dev: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "predicted": self.predicted,
-            # JSON cannot hold a non-finite float; write its repr ("inf")
-            "tol": self.tol if math.isfinite(self.tol) else repr(self.tol),
-            "provenance": self.provenance,
-            "rows": self.rows,
-            "verdict": self.verdict,
-            "loose_trend": self.loose_trend,
-            "final_dev": self.final_dev,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "x": r["x"],
-                "measured": r["measured"],
-                "predicted": self.predicted,
-                "ratio": r["ratio"],
-                "dev": r["dev"],
-            }
-            for r in self.rows
-        ]
 
 
 def check_levels(xs: Sequence[float]) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -37,11 +38,13 @@ from .increments import (
 )
 from .lattice import (
     BIGJUMP_REL_TOL,
+    Bracket,
     LatticeError,
     LatticePMF,
     MaxLaw,
+    _check_cells,
     bigjump_flow,
-    convolution_power,
+    convolve,
     discretize,
     horizon_pass,
     lindley_fixed_point,
@@ -56,6 +59,7 @@ from .montecarlo import (
 )
 from .asymptotics import (
     AsymptoticConstants,
+    ConvergenceReport,
     check_levels,
     constants,
     convergence_report,
@@ -128,15 +132,27 @@ def _emit(out: str, name: str, payload: dict, csv_rows: list[dict] | None = None
         (outdir / f"{name}.csv").write_bytes(_csv_bytes(csv_rows))
 
 
-def _json_value(v):
-    """``v``, or its repr for a non-finite float, which JSON cannot hold
-    (``--t inf`` asks for the whole tail)."""
-    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+def _record(obj):
+    """The payload form of ``obj``: a ``Bracket`` as its ``{value, lo, hi}``,
+    a dataclass as its fields (each in payload form) and a non-finite float
+    as its repr, which JSON cannot hold (``--t inf`` asks for the whole
+    tail); lists, dicts and everything else pass unchanged."""
+    if isinstance(obj, Bracket):
+        return obj._asdict()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _record(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return repr(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _report_rows(report: ConvergenceReport) -> list[dict]:
+    """The CSV rows of a convergence report: each level's row with the prediction."""
+    return [{"x": r["x"], "measured": r["measured"], "predicted": report.predicted,
+             "ratio": r["ratio"], "dev": r["dev"]} for r in report.rows]
 
 
 def _manifest(args) -> dict:
     """The command, its model spec and every option it read, defaults resolved."""
-    params = {k: _json_value(v) for k, v in vars(args).items() if k not in ("func", "out")}
+    params = {k: _record(v) for k, v in vars(args).items() if k not in ("func", "out")}
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "walkmax",
@@ -264,32 +280,26 @@ def cmd_verify_class(args):
     model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
     ks = _floats(args.k)
-    wide = [x for x in xs if not band_h(args.h_choice, x) <= x / 2.0]
+    # x > 0 first: sqrt has no h(x) below 0
+    wide = [x for x in xs if not (x > 0 and band_h(args.h_choice, x) <= x / 2.0)]
     if wide and model.in_class:  # a lattice family has no middle band to split
-        raise UsageError(f"h(x)={band_h(args.h_choice, wide[0])} exceeds x/2 at x={wide[0]}")
+        x = wide[0]
+        raise UsageError(f"h(x)={band_h(args.h_choice, x)} exceeds x/2 at x={x}" if x > 0
+                         else f"levels must be > 0 for a middle band, got x={x}")
     lg = lgamma_diagnostic(model, ks, xs)
     sg = sgamma_diagnostic(model, args.h_choice, xs)
-    payload = {
-        "shifted_tail_ratio": {
-            "rows": lg.rows, "summary": lg.summary, "passed": lg.passed,
-            "not_in_class": lg.flagged_out_of_class, "notes": lg.notes,
-        },
-        "middle_band_mass": {
-            "rows": sg.rows, "summary": sg.summary, "passed": sg.passed,
-            "not_in_class": sg.flagged_out_of_class, "notes": sg.notes,
-        },
-    }
-    if lg.flagged_out_of_class:
+    payload = {"shifted_tail_ratio": _record(lg), "middle_band_mass": _record(sg)}
+    if lg.not_in_class:
         print("not_in_class: lattice family, smooth-tail diagnostics skipped",
               file=sys.stderr)
-    return payload, None, lg.flagged_out_of_class or (lg.passed and sg.passed)
+    return payload, None, lg.not_in_class or (lg.passed and sg.passed)
 
 
 def cmd_constants(args):
     model = _as_usage(parse_model, args.model, require_subcritical=False)
     pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
     payload = {
-        "constants": consts.to_json_dict(),
+        "constants": _record(consts),
         "oracle": {
             "top": law.top,
             "iterations": law.n_iter,
@@ -312,7 +322,7 @@ def _report(args, measured_rows, predicted: float, top: float, extra_payload: di
         passed = report.verdict == "converging"
     else:
         passed = report.loose_trend and report.final_dev <= args.tol
-    return {"report": report.to_json_dict(), **extra_payload}, report.csv_rows(), passed
+    return {"report": _record(report), **extra_payload}, _report_rows(report), passed
 
 
 def _check_mode(args) -> None:
@@ -360,7 +370,7 @@ def cmd_tail_report(args):
             if rep.trace is not None:
                 trace_rows.extend({"x": x, "path": i, **t} for i, t in enumerate(rep.trace))
     result = _report(args, rows, consts.constant.value, law.top,
-                     {"constants": consts.to_json_dict()}, provenance=args.measured)
+                     {"constants": _record(consts)}, provenance=args.measured)
     if trace_rows:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "tail_report_trace.csv").write_bytes(_csv_bytes(trace_rows))
@@ -380,7 +390,7 @@ def cmd_local_report(args):
     # windowed deviations legitimately change sign on the way in, so this
     # report gates on the loose trend rather than strict monotonicity
     return _report(args, rows, pred.value, law.top,
-                   {"constants": consts.to_json_dict(), "window": _json_value(args.t)},
+                   {"constants": _record(consts), "window": _record(args.t)},
                    gate="loose")
 
 
@@ -402,7 +412,7 @@ def cmd_finite(args):
         for x, b in zip(xs, bases):
             entry[f"ratio_at_{x:g}"] = laws[N].tail(x) / b
         rows.append(entry)
-    return {"constant_limit": consts.to_json_dict(), "rows": rows}, rows, True
+    return {"constant_limit": _record(consts), "rows": rows}, rows, True
 
 
 def cmd_stopped(args):
@@ -420,8 +430,8 @@ def cmd_stopped(args):
     return _report(
         args, rows, pred.value, law.top,
         {
-            "constants": consts.to_json_dict(),
-            "stopped_constant": {"value": pred.value, "lo": pred.lo, "hi": pred.hi},
+            "constants": _record(consts),
+            "stopped_constant": _record(pred),
             "overshoot_moment": stopped.chi.mgf(-consts.gamma),
             "residual": stopped.residual,
         },
@@ -432,6 +442,11 @@ def cmd_stopped(args):
 def cmd_bigjump(args):
     model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
+    for x in xs:  # x > 0 first: sqrt has no h(x) below 0
+        if not (x > 0 and band_h(args.h_choice, x) < x / 2.0):
+            h = f", h(x) = {band_h(args.h_choice, x):g}" if x > 0 else ""
+            raise UsageError(f"bigjump: no single-jump split at x = {x:g}{h} with --h-choice "
+                             f"{args.h_choice}: levels need x > 0 and h(x) < x/2")
     if args.measured == "oracle":
         # span must cover jumps past x - h(x) with decay margin
         x_top = max(xs)
@@ -468,29 +483,34 @@ def cmd_bigjump(args):
 def cmd_renewal_diag(args):
     model = _as_usage(parse_model, args.model)
     table = renewal_diagnostics(model, _floats(args.R), _mc_config(args), gamma=args.gamma)
-    return {"table": table.to_json_dict()}, table.rows, True
+    return {"table": {"method": "renewal_diagnostics", **_record(table)}}, table.rows, True
 
 
 def cmd_convolution_check(args):
     model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
     ns = _ints(args.n)
-    if min(ns) < 1:  # powers[n - 1] would index another sum's law
+    if min(ns) < 1:  # no law of a sum of fewer than one increment
         raise UsageError(f"summand counts must be >= 1, got {min(ns)}")
     _as_usage(check_levels, xs)
     bases = increment_tails(model, xs)
     pmf, _ = oracle_grid(model, args.step, args.gamma, reach=(max(xs), 15.0))
-    powers = convolution_power(pmf, max(ns))
+    _check_cells(max(ns) * (pmf.probs.size - 1) + 1, f"for the law of S_{max(ns)}", pmf.h)
+    # the law of S_n from that of S_{n-1}; only the sums at ns are kept
+    law, laws = pmf, {1: pmf}
+    for n in range(2, max(ns) + 1):
+        law = convolve(law, pmf)
+        if n in ns:
+            laws[n] = law
     rows = []
     verdicts = []
     for n in ns:
         pred = convolution_prediction(model, n, gamma=args.gamma)
-        measured = [(x, powers[n - 1].tail(x) / b) for x, b in zip(xs, bases)]
+        measured = [(x, laws[n].tail(x) / b) for x, b in zip(xs, bases)]
         rep = convergence_report(pred, measured, tol=args.tol, provenance="oracle",
-                                 top=float(powers[n - 1].centers()[-1]))
+                                 top=float(laws[n].centers()[-1]))
         verdicts.append(rep.verdict == "converging")
-        for r in rep.csv_rows():
-            rows.append({"n": n, **r})
+        rows.extend({"n": n, **r} for r in _report_rows(rep))
     return {"rows": rows}, rows, all(verdicts)
 
 

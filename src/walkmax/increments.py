@@ -523,14 +523,14 @@ class ClassDiagnostic:
     """Table produced by the tail-shape diagnostics.
 
     ``rows`` holds one entry per probe point; ``summary`` is the headline
-    deviation; ``flagged_out_of_class`` is set for the lattice test families,
+    deviation; ``not_in_class`` is set for the lattice test families,
     for which the smooth-tail ratios are undefined.
     """
 
     rows: list[dict]
     summary: float | None
     passed: bool
-    flagged_out_of_class: bool = False
+    not_in_class: bool = False
     notes: str = ""
 
 
@@ -545,7 +545,7 @@ def lgamma_diagnostic(model: IncrementModel, k_grid, x_grid) -> ClassDiagnostic:
             rows=[],
             summary=None,
             passed=True,
-            flagged_out_of_class=True,
+            not_in_class=True,
             notes="lattice family: shifted-tail ratios are undefined",
         )
     assert isinstance(model, PolyExp)
@@ -600,7 +600,7 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
             rows=rows,
             summary=0.0,
             passed=True,
-            flagged_out_of_class=True,
+            not_in_class=True,
             notes="lattice family: middle band empty on the probe grid",
         )
     assert isinstance(model, PolyExp)

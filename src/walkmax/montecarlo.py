@@ -285,11 +285,8 @@ def _simulate(cfg: SimConfig, block: Callable[[np.random.Generator, int], dict])
     def run(i: int) -> dict:
         return block(np.random.default_rng(seeds[i]), sizes[i])
 
-    if cfg.n_shards > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_shards) as ex:
-            results = list(ex.map(run, range(len(sizes))))
-    else:
-        results = [run(i) for i in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=cfg.n_shards) as ex:
+        results = list(ex.map(run, range(len(sizes))))
     total = results[0]
     for r in results[1:]:
         for k, v in r.items():
@@ -470,17 +467,6 @@ class RenewalTable:
     rows: list[dict]
     n_paths: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": "renewal_diagnostics",
-            "model": self.model,
-            "drift_c": self.drift_c,
-            "gamma": self.gamma,
-            "rows": self.rows,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-        }
 
 
 def _shifted_cross_slack(model: IncrementModel, c: float) -> float:

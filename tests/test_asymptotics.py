@@ -30,7 +30,7 @@ from walkmax import (
     stopped_max_sigma1,
 )
 from walkmax.asymptotics import AsymptoticConstants
-from walkmax.cli import constants_pipeline
+from walkmax.cli import _report_rows, constants_pipeline
 from walkmax.increments import IncrementModel
 from walkmax.lattice import LatticeError, convolution_power
 
@@ -354,4 +354,4 @@ class TestConvergenceReport:
     def test_csv_rows_carry_prediction(self):
         rows = [(x, 2.0) for x in (1.0, 2.0, 3.0)]
         rep = convergence_report(2.0, rows)
-        assert all(r["predicted"] == 2.0 for r in rep.csv_rows())
+        assert all(r["predicted"] == 2.0 for r in _report_rows(rep))

@@ -221,6 +221,19 @@ BAD_USAGE = [
     # the middle band [h(x), x - h(x)] is empty where h(x) = sqrt(x) > x/2
     (["verify-class", "--h-choice", "sqrt", "--x", "1,2,3"],
      "walkmax: h(x)=1.0 exceeds x/2 at x=1.0"),
+    # sqrt has no h(x) below 0: x > 0 is checked first
+    (["verify-class", "--h-choice", "sqrt", "--x=-1,20"],
+     "walkmax: levels must be > 0 for a middle band, got x=-1.0"),
+    # a single-jump split needs the band (h(x), x - h(x)) to be nonempty
+    (["bigjump", "--measured", "mc", "--h-choice", "sqrt", "--x", "1.5,2,3"],
+     "walkmax: bigjump: no single-jump split at x = 1.5, h(x) = 1.22474 with --h-choice sqrt"
+     ": levels need x > 0 and h(x) < x/2"),
+    (["bigjump", "--h-choice", "sqrt", "--x", "1.5,2,3"],
+     "walkmax: bigjump: no single-jump split at x = 1.5, h(x) = 1.22474 with --h-choice sqrt"),
+    (["bigjump", "--measured", "mc", "--x=-1,2,3"],
+     "walkmax: bigjump: no single-jump split at x = -1 with --h-choice quarter"),
+    (["bigjump", "--h-choice", "sqrt", "--x=-1,2,3"],
+     "walkmax: bigjump: no single-jump split at x = -1 with --h-choice sqrt"),
 ] + [
     # an option only the other --measured mode reads
     ([*argv, option, *value], f"{argv[0]}: {option} is read only by --measured {mode}")
@@ -249,7 +262,7 @@ class TestUsageCheckedFirst:
     @pytest.mark.parametrize("argv,message", BAD_USAGE,
                              ids=[" ".join(argv) for argv, _ in BAD_USAGE])
     def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv, message):
-        from walkmax import cli
+        from walkmax import cli, montecarlo
 
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the usage was checked")
@@ -258,6 +271,7 @@ class TestUsageCheckedFirst:
                      "renewal_diagnostics", "bigjump_conditional_ratio",
                      "lgamma_diagnostic", "sgamma_diagnostic"):
             monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(montecarlo, "_simulate", no_work)
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, *argv, "--model", REF, "--out", str(out_dir))
         assert code == 1
@@ -341,8 +355,7 @@ class TestZeroTailCheckedFirst:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the level tails were checked")
 
-        for name in ("discretize", "lindley_fixed_point", "horizon_pass",
-                     "convolution_power"):
+        for name in ("discretize", "lindley_fixed_point", "horizon_pass", "convolve"):
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.setattr(montecarlo, "_simulate", no_work)
         out_dir = tmp_path / "out"
@@ -528,6 +541,22 @@ class TestOtherCommands:
                              "--n", "1,2", "--step", "0.05")
         assert (code, out) == (2, "")
         assert "oracle value at x = 20 is 0 on the grid (top 12)" in err
+
+    def test_convolution_check_refuses_an_oversized_support_before_convolving(
+            self, capsys, monkeypatch, tmp_path):
+        from walkmax import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("convolved before the support was checked")
+
+        monkeypatch.setattr(cli, "convolve", no_work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "convolution-check", "--model", REF, "--n", "2,1000000",
+                             "--step", "0.02", "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert ("convolution-check: grid step 0.02 needs about 2.02e+09 cells for the law "
+                "of S_1000000, above the limit of 10000000") in err
+        assert not out_dir.exists()
 
     def test_renewal_runs(self, capsys):
         code, out, _ = run(
@@ -762,6 +791,24 @@ class TestOracleWorkOnce:
         assert (code_short, code_long) == (0, 0)
         assert long - short <= 2 * 3751 * 8, (short, long)
 
+    def test_convolution_memory_grows_with_the_largest_sum_only(self, capsys):
+        # the increment law has 2021 cells here and S_n's law n times that.
+        # Keeping only the sums at --n, the peak above --n 2,3 is the law of
+        # S_30 and the convolution's working copies of it (about four); every
+        # law S_1 ... S_30 would be fifteen
+        def peak(ns):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "convolution-check", "--n", ns, "--model", REF,
+                                 "--step", "0.02")
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (code_short, short), (code_long, long) = peak("2,3"), peak("2,30")
+        assert code_short == 0 and code_long in (0, 2)  # 2: a failed verdict
+        assert long - short <= 6 * 30 * 2021 * 8, (short, long)
+
     def test_stopped_sweeps_only_level_passages(self, capsys, monkeypatch):
         # the overshoot law is read from the fixed point: apart from the
         # reflected sweep, every window is a level's, below the grid top
@@ -891,3 +938,24 @@ class TestOptionSets:
                           for e in ast.parse(literal, mode="eval").body.elts])
         assert len(argvs) >= 3
         assert [argv for argv in argvs if not parses(argv)] == []
+
+
+def test_traced_cli_targets_exist():
+    # bench/traced_cli.py wraps each target by name: a module attribute, or a
+    # function in a class's own __dict__, which install() reads
+    spec = importlib.util.spec_from_file_location("bench_traced_cli",
+                                                  ROOT / "bench" / "traced_cli.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    missing = []
+    for name, module_name, path, _, _ in traced.TARGETS:
+        module = importlib.import_module(module_name)
+        owner, _, attr = path.rpartition(".")
+        if owner:
+            found = attr in vars(getattr(module, owner, object))
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append((name, module_name, path))
+    assert len(traced.TARGETS) > 10
+    assert missing == []

@@ -390,7 +390,7 @@ class TestShiftedTailRatio:
 
     def test_lattice_family_flagged(self, tp_model):
         diag = lgamma_diagnostic(tp_model, [1.0], [10.0])
-        assert diag.flagged_out_of_class
+        assert diag.not_in_class
         assert diag.rows == []
 
 
@@ -436,7 +436,7 @@ class TestMiddleBandMass:
 
     def test_pointmass_band_is_empty(self, pm_model):
         diag = sgamma_diagnostic(pm_model, "quarter", [20.0, 40.0])
-        assert diag.flagged_out_of_class
+        assert diag.not_in_class
         assert all(r["integral"] == 0.0 for r in diag.rows)
 
     def test_band_choices_agree_on_verdict(self, d0_model):

@@ -19,7 +19,7 @@ from walkmax import (
     estimate_tail_crude,
     renewal_diagnostics,
 )
-from walkmax.cli import bigjump_dp_ratio
+from walkmax.cli import _record, bigjump_dp_ratio
 from walkmax.lattice import bigjump_flow, discretize
 from walkmax import montecarlo
 from walkmax.montecarlo import HIT, MISS, _Records, _walk
@@ -50,7 +50,7 @@ class TestDeterminism:
             crude = [estimate_tail_crude(ref_model, x, cfg, grid=[1.0, 2.0, 3.0])
                      for x in (1.0, 2.0, 3.0)]
             table = renewal_diagnostics(ref_model, [2.0, 4.0, 8.0], cfg)
-            return [report_bytes(r) for r in crude], json.dumps(table.to_json_dict())
+            return [report_bytes(r) for r in crude], json.dumps(_record(table))
 
         base = run(1)
         assert run(2) == base and run(5) == base

@@ -7,12 +7,15 @@ use 70,000 paths, which is two 65,536-path blocks, so block merging and the
 two-shard schedule are both covered.
 """
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from walkmax.cli import main
+from walkmax.cli import _record, main
+from walkmax.lattice import Bracket
 
 DATA = Path(__file__).parent / "data"
 REF = "polyexp:gamma=1,beta=2,shift=1.3862943611198906"
@@ -55,3 +58,26 @@ def test_payload_matches_record(name, argv, code, capsys):
     got = json.loads(capsys.readouterr().out)
     want = json.loads((DATA / f"{name}.json").read_text())
     assert_same(got, want)
+
+
+def test_record_writes_each_field():
+    @dataclasses.dataclass
+    class Inner:
+        bound: Bracket
+        tol: float
+
+    @dataclasses.dataclass
+    class Outer:
+        inner: Inner
+        rows: list
+        table: dict
+        width: float
+        name: str
+
+    rows = [{"x": 1.0, "dev": 0.5}]
+    table = {"lo": 0.0}
+    got = _record(Outer(Inner(Bracket(1.0, 0.5, 2.0), math.inf), rows, table, math.nan, "a"))
+    assert got == {"inner": {"bound": {"value": 1.0, "lo": 0.5, "hi": 2.0}, "tol": "inf"},
+                   "rows": rows, "table": table, "width": "nan", "name": "a"}
+    assert got["rows"] is rows and got["table"] is table  # passed through untouched
+    assert [_record(v) for v in (-math.inf, 0.25, 3, None)] == ["-inf", 0.25, 3, None]
