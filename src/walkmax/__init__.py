@@ -23,7 +23,6 @@ from .lattice import (
     LatticePMF,
     MaxLaw,
     StoppedLaw,
-    convolution_power,
     convolve,
     discretize,
     exp_moment,
@@ -69,7 +68,6 @@ __all__ = [
     "StoppedLaw",
     "discretize",
     "convolve",
-    "convolution_power",
     "lindley_fixed_point",
     "finite_horizon",
     "stopped_max_sigma1",

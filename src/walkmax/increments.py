@@ -478,27 +478,46 @@ class PointMass(IncrementModel):
 
 # --- model specification grammar -------------------------------------------------
 
+# the fields of each family's spec
+_FIELDS = {"polyexp": ("gamma", "beta", "shift"), "pointmass": ("v",),
+           "twopoint": ("u", "pu", "v")}
+
+
 def _parse_kv(body: str, spec: str) -> dict[str, float]:
     out = {}
     for tok in body.split(","):
         if "=" not in tok:
             raise ModelError(f"malformed token {tok!r} in model spec {spec!r}")
         key, _, val = tok.partition("=")
+        key = key.strip()
         try:
-            out[key.strip()] = float(val)
+            value = float(val)
         except ValueError:
             raise ModelError(f"malformed token {tok!r} in model spec {spec!r}") from None
+        if key in out:
+            raise ModelError(f"model spec {spec!r} repeats field {key!r}")
+        if not math.isfinite(value):
+            raise ModelError(f"model spec {spec!r} gives field {key!r} the non-finite "
+                             f"value {val.strip()}")
+        out[key] = value
     return out
 
 
 def parse_model(spec: str, require_subcritical: bool = True) -> IncrementModel:
     """Parse ``polyexp:gamma=..,beta=..,shift=..`` | ``pointmass:v=..`` |
-    ``twopoint:u=..,pu=..,v=..``."""
+    ``twopoint:u=..,pu=..,v=..``: each field at most once, finite, and one
+    the family takes."""
     family, sep, body = spec.partition(":")
     if not sep:
         raise ModelError(f"model spec {spec!r} is missing the ':' separator")
     family = family.strip().lower()
     kv = _parse_kv(body, spec)
+    if family not in _FIELDS:
+        raise ModelError(f"unknown model family {family!r}")
+    for key in kv:
+        if key not in _FIELDS[family]:
+            raise ModelError(f"model spec {spec!r} has unknown field {key!r}; "
+                             f"{family} takes {', '.join(_FIELDS[family])}")
     try:
         if family == "polyexp":
             return PolyExp(
@@ -509,11 +528,9 @@ def parse_model(spec: str, require_subcritical: bool = True) -> IncrementModel:
             )
         if family == "pointmass":
             return PointMass(v=kv.pop("v"))
-        if family == "twopoint":
-            return TwoPoint(u=kv.pop("u"), pu=kv.pop("pu"), v=kv.pop("v"))
+        return TwoPoint(u=kv.pop("u"), pu=kv.pop("pu"), v=kv.pop("v"))
     except KeyError as exc:
         raise ModelError(f"model spec {spec!r} is missing field {exc.args[0]!r}") from None
-    raise ModelError(f"unknown model family {family!r}")
 
 
 # --- class membership diagnostics -------------------------------------------------

@@ -58,7 +58,6 @@ __all__ = [
     "BigJumpFlow",
     "discretize",
     "convolve",
-    "convolution_power",
     "lindley_fixed_point",
     "finite_horizon",
     "horizon_pass",
@@ -284,16 +283,6 @@ def convolve(a: LatticePMF, b: LatticePMF) -> LatticePMF:
     if a.h != b.h:
         raise LatticeError(f"grid step mismatch: {a.h} vs {b.h}")
     return LatticePMF(h=a.h, k0=a.k0 + b.k0, probs=_direct_conv(a.probs, b.probs))
-
-
-def convolution_power(pmf: LatticePMF, n: int) -> list[LatticePMF]:
-    """Laws of S_1, ..., S_n (n-fold convolutions), computed iteratively."""
-    if n < 1:
-        raise LatticeError(f"need n >= 1, got {n}")
-    out = [pmf]
-    for _ in range(n - 1):
-        out.append(convolve(out[-1], pmf))
-    return out
 
 
 def _exit_weights(pmf: LatticePMF, size: int, cut: int) -> np.ndarray:

@@ -9,16 +9,17 @@ every level ``x_i`` of a grid: it exceeds the line ``x_i + step*c`` (hit) or
 falls below the lower line ``f_i + step*c`` of a floor ``f_i`` (a miss,
 certified by the slack ``x_i - f_i``).  It hands each level's first exit
 from its window (outcome, step, final ``S``) to the estimator as it happens,
-and returns per-level outcome counts and, on request, whether the first
-climb above a band overshot, and the sum of a score of the position each
-step starts from.  Each position is the same left-to-right sum of its draws.
-Every estimator is a reduction of those exits and records, one block at a
-time (``estimate_bigjump_sum`` scores each step a path starts inside the
-band with the jump probability ``tail(x - S)``); ``SimConfig.trace`` rows
-are read straight from them.  The levels of one run share their paths
-(common random numbers), so a level's estimate depends on which other levels
-are in the grid; ``estimate_tail_crude`` takes the grid of its level and
-keeps the last grid's walk, so one call per level walks the grid once.
+and returns per-level outcome counts and, on request, the sum of a score of
+the position each step starts from.  Each position is the same left-to-right
+sum of its draws.  Every estimator is a reduction of those exits, one block
+at a time: ``bigjump_conditional_ratio`` reads the overshoot of a path's
+first climb above ``a`` from level ``a``'s hit exit, ``estimate_bigjump_sum``
+scores each step a path starts inside the band with the jump probability
+``tail(x - S)``, and ``SimConfig.trace`` rows are the exits themselves.  The
+levels of one run share their paths (common random numbers), so a level's
+estimate depends on which other levels are in the grid; ``estimate_tail_crude``
+walks the grid of its level (the level alone without one) and keeps the last
+grid's walk, so one call per level walks the grid once.
 
 Reproducibility: work is split into fixed-size blocks of paths; block ``i``
 always draws from the ``i``-th spawn of the master seed sequence and results
@@ -134,7 +135,6 @@ class _Walked(NamedTuple):
     """What one block's walk returns besides the exits it hands out."""
 
     counts: np.ndarray  # int64 (3, levels): paths per outcome UNDECIDED, HIT, MISS
-    overshot: np.ndarray | None  # per path: the first climb above band[0] landed above band[1]
     score: np.ndarray | None  # per path: sum of score(S) over the positions steps start from
 
 
@@ -162,7 +162,6 @@ def _walk(
     floors: Sequence[float],
     c: float = 0.0,
     on_exit: Callable[..., None] | None = None,
-    band: tuple[float, float] | None = None,
     score: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> _Walked:
     """Walk ``n`` paths from 0, for at most ``horizon`` steps, until every
@@ -172,10 +171,8 @@ def _walk(
     window goes to ``on_exit(levels, paths, step, S, outcome)`` as it
     happens, one call per outcome (entry j is level ``levels[j]`` of path
     ``paths[j]``); a level still open at the horizon goes there undecided,
-    with the horizon's step and position.  With ``band = (a, b)`` given, also
-    record whether each path's first climb above ``a`` landed above ``b``.
-    With ``score`` given, add ``score(S)`` into a per-path total before each
-    draw.
+    with the horizon's step and position.  With ``score`` given, add
+    ``score(S)`` into a per-path total before each draw.
 
     The lines keep the order of the levels at every step, and the lower lines
     that of the floors (``f + step*c`` rounds monotonically in ``f``).  So
@@ -198,12 +195,7 @@ def _walk(
     tops = np.append(x_up, np.inf)  # this step's lines, then a sentinel
     bots = np.append(f_down, -np.inf)
     counts = np.zeros((3, L), dtype=np.int64)
-    overshot = total = None
-    if band is not None:
-        overshot = np.zeros(n, dtype=bool)
-        climbed = np.zeros(n, dtype=bool)
-    if score is not None:
-        total = np.zeros(n)
+    total = None if score is None else np.zeros(n)
     alive = np.arange(n)
     pos = np.zeros(n)
     n_up = np.zeros(n, dtype=np.intp)  # lines ever exceeded
@@ -214,14 +206,6 @@ def _walk(
         line at a time, deciding the line's level if the level is still
         open; return the paths left with no level open."""
         done = []
-        if L == 1:  # a path beyond the one line decides its level and is done
-            k = np.flatnonzero(beyond(pos, lines[0]))
-            if k.size:
-                counts[outcome, 0] += k.size
-                if on_exit is not None:
-                    on_exit(np.zeros(k.size, dtype=np.intp), alive[k], step, pos[k], outcome)
-                done.append(k)
-            return done
         k = np.flatnonzero(beyond(pos, lines[mine]))
         while k.size:
             j = order[mine[k]]
@@ -248,11 +232,6 @@ def _walk(
         np.add(x_up, step * c, out=tops[:L])
         np.add(f_down, step * c, out=bots[:L])
         # index arrays, not boolean masks: numpy gathers through them faster
-        if band is not None:
-            first = np.flatnonzero(~climbed & (pos > band[0]))
-            if first.size:
-                climbed[first] = True
-                overshot[alive[first]] = pos[first] > band[1]
         done = (cross(np.greater, tops, n_up, up, n_down, rank_down, HIT)
                 + cross(np.less, bots, n_down, down, n_up, rank_up, MISS))
         if done:
@@ -264,14 +243,12 @@ def _walk(
             pos = pos[keep]
             n_up = n_up[keep]
             n_down = n_down[keep]
-            if band is not None:
-                climbed = climbed[keep]
     for i in range(L):
         k = np.flatnonzero((rank_up[i] >= n_up) & (rank_down[i] >= n_down))
         counts[UNDECIDED, i] += k.size
         if on_exit is not None and k.size:
             on_exit(np.full(k.size, i), alive[k], horizon, pos[k], UNDECIDED)
-    return _Walked(counts, overshot, total)
+    return _Walked(counts, total)
 
 
 def _simulate(cfg: SimConfig, block: Callable[[np.random.Generator, int], dict]) -> dict:
@@ -318,17 +295,15 @@ def estimate_tail_crude(
     """Crude estimate of P(M > x): follow each path until it exceeds x (hit)
     or drops below x - K (certified miss).
 
-    With ``grid``, a level grid that holds x, the paths are those of one walk
-    of every level of the grid, which goes on until each path has decided
-    them all; x's estimate then depends on the other levels of the grid.
-    Calling this for each level of a grid walks once.  A call without a grid
-    walks its one level and keeps nothing."""
+    The paths walk every level of ``grid``, which must hold x (x alone
+    without a grid), until each path has decided them all, so x's estimate
+    depends on the other levels of the grid.  Calling this for each level
+    of a grid walks once."""
     levels = (x,) if grid is None else tuple(float(v) for v in grid)
     if x not in levels:
         raise EstimatorError(f"level {x:g} is not in the grid {list(levels)}")
     i = levels.index(x)
-    walk = _crude_walk if grid is not None else _crude_walk.__wrapped__
-    slacks, total = walk(model, levels, cfg)
+    slacks, total = _crude_walk(model, levels, cfg)
     K = slacks[i]
     n = cfg.n_paths
     undecided, hits, _ = (int(v) for v in total["counts"][:, i])
@@ -416,23 +391,30 @@ def bigjump_conditional_ratio(
     """Of the paths whose maximum exceeds x, the fraction whose first climb
     above a = h(x) overshot straight past x - h(x).
 
-    Numerator and denominator share paths (common random numbers), so the
-    ratio is a conditional relative frequency with binomial error.
+    The paths walk the levels a < x, both with x's floor x - K: a path
+    closes a no later than x, so x alone sets how long it lives, and on a
+    path that exceeds x, a's exit is its first climb above a.  Numerator and
+    denominator share paths (common random numbers), so the ratio is a
+    conditional relative frequency with binomial error.
     """
-    a = band_h(h_choice, x)
+    a = band_h(h_choice, x) if x > 0 else math.inf  # sqrt has no h(x) below 0
+    if not a < x / 2:
+        raise EstimatorError(f"no single-jump split at x = {x:g}: need x > 0 and h(x) < x/2")
     K = _crude_slack(model, x)
     bias = model.max_tail_bound(K)
 
     def block(rng: np.random.Generator, n: int) -> dict:
         hit = np.zeros(n, dtype=bool)
+        overshot = np.zeros(n, dtype=bool)
 
         def on_exit(levels, paths, step, S, outcome):
             if outcome == HIT:
-                hit[paths] = True
+                at_a = levels == 0
+                overshot[paths[at_a]] = S[at_a] > x - a
+                hit[paths[~at_a]] = True
 
-        walked = _walk(model, rng, n, cfg.horizon, [x], [x - K], on_exit=on_exit, band=(a, x - a))
-        big_hits = int((hit & walked.overshot).sum())
-        return {"counts": walked.counts[:, 0], "big_hits": big_hits}
+        walked = _walk(model, rng, n, cfg.horizon, [a, x], [x - K, x - K], on_exit=on_exit)
+        return {"counts": walked.counts[:, 1], "big_hits": int((hit & overshot).sum())}
 
     total = _simulate(cfg, block)
     undecided, hits, _ = (int(v) for v in total["counts"])

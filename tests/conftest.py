@@ -11,6 +11,7 @@ from walkmax import (
     PointMass,
     TwoPoint,
     constants,
+    convolve,
     discretize,
     finite_horizon,
     lindley_fixed_point,
@@ -24,6 +25,14 @@ ORACLE_TOP = 75.0
 # the ruin chain's grid top: 75 decay lengths of the twist 0.9, whose
 # phi(0.9) < 1, as the command line sizes it
 TP_TOP = 75.0 / 0.9
+
+
+def sum_laws(pmf, n):
+    """Laws of S_1, ..., S_n: each is the last convolved once more with ``pmf``."""
+    laws = [pmf]
+    for _ in range(n - 1):
+        laws.append(convolve(laws[-1], pmf))
+    return laws
 
 
 @pytest.fixture(scope="session")

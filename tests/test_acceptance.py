@@ -34,10 +34,10 @@ from walkmax import (
     stopped_max_sigma1,
 )
 from walkmax.cli import bigjump_dp_ratio, main as cli_main
-from walkmax.lattice import bigjump_flow, convolution_power
+from walkmax.lattice import bigjump_flow
 from walkmax.montecarlo import bigjump_conditional_ratio
 
-from conftest import ORACLE_TOP, TP_TOP
+from conftest import ORACLE_TOP, TP_TOP, sum_laws
 
 
 def certify(number: int, ok: bool, detail: str) -> None:
@@ -119,7 +119,7 @@ def test_criterion_04_window_constant(ref_model, ref_law, ref_consts):
 
 def test_criterion_05_convolution_tails(ref_model):
     pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0))
-    powers = convolution_power(pmf, 3)
+    powers = sum_laws(pmf, 3)
     xs = [12.0, 16.0, 20.0, 24.0]
     dev2 = [
         abs(powers[1].tail(x) / float(ref_model.tail(x)) - 1.0) for x in xs
@@ -216,7 +216,7 @@ def test_criterion_09_stopped_walk(ref_model, ref_law, ref_consts):
 
 
 def test_criterion_10_tilted_partial_sums(ref_consts, ref_pmf, ref_law):
-    steps = convolution_power(ref_pmf, 29)
+    steps = sum_laws(ref_pmf, 29)
     delta0 = type(ref_pmf)(h=ref_pmf.h, k0=0, probs=np.array([1.0]))
     rows = lambda_partial_sums(ref_consts, 30, [25.0], [delta0] + steps, ref_law)
     total = rows[-1]["partial_sum"]

@@ -32,9 +32,9 @@ from walkmax import (
 from walkmax.asymptotics import AsymptoticConstants
 from walkmax.cli import _report_rows, constants_pipeline
 from walkmax.increments import IncrementModel
-from walkmax.lattice import LatticeError, convolution_power
+from walkmax.lattice import LatticeError
 
-from conftest import ORACLE_TOP
+from conftest import ORACLE_TOP, sum_laws
 
 
 def degenerate_consts(gamma: float = 1.0, phg: float = 0.5) -> AsymptoticConstants:
@@ -252,7 +252,7 @@ class TestLambdaPartialSums:
         assert lams[2] == pytest.approx(1.0, abs=1e-3)
 
     def test_rows_below_geometric_sum(self, ref_consts, ref_pmf, ref_law):
-        steps = convolution_power(ref_pmf, 9)
+        steps = sum_laws(ref_pmf, 9)
         rows = lambda_partial_sums(
             ref_consts, 10, [25.0], [ref_pmf_delta()] + steps, ref_law
         )

@@ -55,6 +55,26 @@ class TestVerifyClass:
         assert code == 1
         assert "gamma" in err
 
+    @pytest.mark.parametrize("spec,field", [
+        ("polyexp:gamma=1,beta=2,shift=1.3862943611198906,bta=7", "bta"),
+        ("twopoint:u=1,pu=0.25,v=-1,u=5", "u"),
+        ("pointmass:v=nan", "v"),
+        ("polyexp:gamma=inf,beta=2,shift=1", "gamma"),
+    ], ids=["unknown", "repeated", "nan", "inf"])
+    def test_bad_field_is_usage_error(self, capsys, monkeypatch, tmp_path, spec, field):
+        from walkmax import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran on a refused model spec")
+
+        monkeypatch.setattr(cli, "discretize", no_work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "constants", "--model", spec, "--step", "0.05",
+                             "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert re.match(rf"walkmax: .*field '{field}'", err)
+        assert not out_dir.exists()
+
     def test_missing_model_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify-class")
         assert code == 1

@@ -246,6 +246,20 @@ class TestParse:
         with pytest.raises(ModelError):
             parse_model(bad)
 
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ("polyexp:gamma=1,beta=2,shift=1.3862943611198906,bta=7", "bta"),
+            ("twopoint:u=1,pu=0.25,v=-1,u=5", "u"),
+            ("pointmass:v=nan", "v"),
+            ("polyexp:gamma=inf,beta=2,shift=1", "gamma"),
+        ],
+        ids=["unknown", "repeated", "nan", "inf"],
+    )
+    def test_field_refused(self, spec, field):
+        with pytest.raises(ModelError, match=f"field '{field}'"):
+            parse_model(spec)
+
 
 class TestSampling:
     def test_pointmass_constant(self, pm_model):

@@ -14,7 +14,6 @@ from walkmax import (
     LatticeError,
     PolyExp,
     TwoPoint,
-    convolution_power,
     convolve,
     discretize,
     exp_moment,
@@ -26,7 +25,7 @@ from walkmax import asymptotics, finite_constant, lattice
 from walkmax.lattice import (CONV_BLOCK, Bracket, LatticePMF, _direct_conv, _sweep,
                              boundary_term, horizon_pass)
 
-from conftest import ORACLE_TOP, TP_TOP
+from conftest import ORACLE_TOP, TP_TOP, sum_laws
 
 
 class TestDiscretize:
@@ -108,7 +107,7 @@ class TestConvolve:
         # nothing is renormalized: each bin of nonnegative products is exact
         # within n unit roundoffs, n the shorter input's length
         a = discretize(ref_model, h)
-        b = convolution_power(a, 3)[-1]
+        b = sum_laws(a, 3)[-1]
         got = math.fsum(convolve(a, b).probs)
         want = math.fsum(a.probs) * math.fsum(b.probs)
         assert abs(got - want) <= a.probs.size * 2.0**-52 * want
@@ -705,19 +704,19 @@ class TestWorkOnce:
 
 class TestConvolutionPowerTail:
     def test_power_one_is_identity(self, ref_pmf):
-        law = convolution_power(ref_pmf, 1)[-1]
+        law = sum_laws(ref_pmf, 1)[-1]
         for x in (1.0, 5.0):
             assert law.tail(x) == pytest.approx(ref_pmf.tail(x), abs=1e-15)
 
     def test_pair_ratio_near_prediction(self, ref_model):
         pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0))
         # twisted moment 1/2: two-fold tails approach 2 * 0.5 = 1.0 times the base
-        ratio = convolution_power(pmf, 2)[-1].tail(24.0) / float(ref_model.tail(24.0))
+        ratio = sum_laws(pmf, 2)[-1].tail(24.0) / float(ref_model.tail(24.0))
         assert ratio == pytest.approx(1.0, abs=0.012)
 
     def test_triple_ratio_near_prediction(self, ref_model):
         pmf = discretize(ref_model, 0.01, span=(-ref_model.shift, 40.0))
-        ratio = convolution_power(pmf, 3)[-1].tail(24.0) / float(ref_model.tail(24.0))
+        ratio = sum_laws(pmf, 3)[-1].tail(24.0) / float(ref_model.tail(24.0))
         assert ratio == pytest.approx(0.75, abs=0.75 * 0.025)
 
 

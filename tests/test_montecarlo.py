@@ -143,7 +143,7 @@ class TestCrudeTail:
         assert hits == round(rep.estimate * cfg.n_paths)
 
 
-def walk_oracle(model, rng, n, horizon, levels, floors, c=0.0, band=None):
+def walk_oracle(model, rng, n, horizon, levels, floors, c=0.0):
     """Oracle for ``_walk``: every step scatters into full per-level,
     per-path arrays through the index of the paths with a level still open,
     testing every level of every such path."""
@@ -153,20 +153,12 @@ def walk_oracle(model, rng, n, horizon, levels, floors, c=0.0, band=None):
     steps = np.zeros((L, n), dtype=np.int64)
     stop = np.zeros((L, n))
     is_open = np.ones((L, n), dtype=bool)
-    overshot = climbed = None
-    if band is not None:
-        overshot = np.zeros(n, dtype=bool)
-        climbed = np.zeros(n, dtype=bool)
     alive = np.arange(n)
     for step in range(1, horizon + 1):
         if alive.size == 0:
             break
         S[alive] += model.sample(rng, alive.size)
         s = S[alive]
-        if band is not None:
-            first = ~climbed[alive] & (s > band[0])
-            climbed[alive[first]] = True
-            overshot[alive[first]] = s[first] > band[1]
         for i in range(L):
             o = is_open[i, alive]
             steps[i, alive[o]] = step
@@ -177,37 +169,39 @@ def walk_oracle(model, rng, n, horizon, levels, floors, c=0.0, band=None):
             outcome[i, alive[miss]] = MISS
             is_open[i, alive[hit | miss]] = False
         alive = alive[is_open[:, alive].any(axis=0)]
-    return outcome, steps, stop, overshot
+    return outcome, steps, stop
 
 
 TWOPOINT = TwoPoint(1.0, 0.25, -1.0)
 
 
 class TestWalkKernel:
+    # the "-band" cases hold a band top a below a level x as one more level
+    # with the floor of x, as ``bigjump_conditional_ratio`` walks them
     @pytest.mark.parametrize(
-        "model,n,horizon,levels,slacks,c,band",
+        "model,n,horizon,levels,slacks,c",
         [
-            ("ref", 20_000, 100_000, [3.0], 20.0, 0.0, None),
-            ("ref", 20_000, 100_000, [3.0], 20.0, 0.0, (1.5, 1.5)),
-            ("ref", 5_000, 100_000, [4.0], 12.0, -0.3, None),
-            ("ref", 5_000, 100_000, [4.0], 12.0, -0.3, (1.0, 3.0)),
-            ("ref", 3_000, 6, [4.0], 12.0, 0.2, (1.0, 3.0)),  # leaves undecided paths
-            (TWOPOINT, 3_000, 100_000, [3.0], 8.0, 0.0, (1.0, 2.0)),
-            (TWOPOINT, 3_000, 4, [3.0], 8.0, -0.1, None),
-            (PointMass(-0.5), 100, 50, [2.0], 3.0, 0.0, (0.5, 1.5)),
+            ("ref", 20_000, 100_000, [3.0], 20.0, 0.0),
+            ("ref", 20_000, 100_000, [1.5, 3.0], [18.5, 20.0], 0.0),
+            ("ref", 5_000, 100_000, [4.0], 12.0, -0.3),
+            ("ref", 5_000, 100_000, [1.0, 4.0], [9.0, 12.0], -0.3),
+            ("ref", 3_000, 6, [1.0, 4.0], [9.0, 12.0], 0.2),  # leaves undecided paths
+            (TWOPOINT, 3_000, 100_000, [1.0, 3.0], [6.0, 8.0], 0.0),
+            (TWOPOINT, 3_000, 4, [3.0], 8.0, -0.1),
+            (PointMass(-0.5), 100, 50, [0.5, 2.0], [1.5, 3.0], 0.0),
             # nested crude windows whose lower lines cross: 1 - 9 > 0.5 - 10
-            ("ref", 20_000, 100_000, [0.5, 1.0, 2.0, 3.0], [10.0, 9.0, 12.0, 14.0], 0.0, None),
-            ("ref", 20_000, 100_000, [3.0, 1.0, 2.0], [14.0, 9.0, 12.0], 0.0, (1.0, 1.5)),
+            ("ref", 20_000, 100_000, [0.5, 1.0, 2.0, 3.0], [10.0, 9.0, 12.0, 14.0], 0.0),
+            ("ref", 20_000, 100_000, [3.0, 1.0, 2.0, 1.0], [14.0, 9.0, 12.0, 12.0], 0.0),
             # drifted lines with one slack, as in the renewal diagnostics
-            ("ref", 20_000, 100_000, [2.0, 4.0, 8.0, 16.0], 6.5, -0.49, None),
-            ("ref", 5_000, 12, [1.0, 2.0, 4.0], 5.0, -0.2, None),  # some levels undecided
+            ("ref", 20_000, 100_000, [2.0, 4.0, 8.0, 16.0], 6.5, -0.49),
+            ("ref", 5_000, 12, [1.0, 2.0, 4.0], 5.0, -0.2),  # some levels undecided
             # drifted lines with unequal slacks: floors -5, -3 and -2
-            ("ref", 20_000, 100_000, [1.0, 2.0, 4.0], [6.0, 5.0, 6.0], -0.2, None),
+            ("ref", 20_000, 100_000, [1.0, 2.0, 4.0], [6.0, 5.0, 6.0], -0.2),
             # ... and lower lines ordered unlike the levels, one pair tied
-            (TWOPOINT, 5_000, 100_000, [0.5, 1.5, 2.5], [3.0, 4.0, 6.0], -0.1, None),
-            (TWOPOINT, 5_000, 100_000, [0.5, 1.5, 2.5], [3.0, 4.0, 6.0], 0.0, None),
-            (TWOPOINT, 5_000, 100_000, [1.0, 2.0, 2.0, 3.0], 2.5, -0.1, None),
-            (PointMass(-0.5), 100, 50, [1.0, 2.0], [0.7, 3.0], 0.0, None),
+            (TWOPOINT, 5_000, 100_000, [0.5, 1.5, 2.5], [3.0, 4.0, 6.0], -0.1),
+            (TWOPOINT, 5_000, 100_000, [0.5, 1.5, 2.5], [3.0, 4.0, 6.0], 0.0),
+            (TWOPOINT, 5_000, 100_000, [1.0, 2.0, 2.0, 3.0], 2.5, -0.1),
+            (PointMass(-0.5), 100, 50, [1.0, 2.0], [0.7, 3.0], 0.0),
         ],
         ids=["ref", "ref-band", "ref-drift", "ref-drift-band", "ref-short",
              "twopoint-band", "twopoint-short", "pointmass-band",
@@ -215,21 +209,15 @@ class TestWalkKernel:
              "drift-levels-short", "drift-unequal-slacks", "twopoint-drift-crossing-floors",
              "twopoint-levels", "twopoint-drift-tied-levels", "pointmass-levels"],
     )
-    def test_records_match_oracle_bits(self, ref_model, model, n, horizon, levels, slacks,
-                                       c, band):
+    def test_records_match_oracle_bits(self, ref_model, model, n, horizon, levels, slacks, c):
         model = ref_model if model == "ref" else model
         floors = np.subtract(levels, slacks)
         records = _Records(len(levels), n)
-        got = _walk(model, np.random.default_rng(5), n, horizon, levels, floors, c,
-                    records, band)
-        want = walk_oracle(model, np.random.default_rng(5), n, horizon, levels, floors,
-                           c, band)
+        got = _walk(model, np.random.default_rng(5), n, horizon, levels, floors, c, records)
+        want = walk_oracle(model, np.random.default_rng(5), n, horizon, levels, floors, c)
         for name, a, b in zip(("outcome", "step", "S"),
                                (records.outcome, records.step, records.S), want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert (got.overshot is None) == (band is None)
-        if band is not None:
-            assert got.overshot.tobytes() == want[3].tobytes()
         counts = [np.bincount(row, minlength=3) for row in want[0]]
         assert got.counts.T.tolist() == [list(row) for row in counts]
 
@@ -341,6 +329,47 @@ class TestConditionalRatio:
         dp_ratio = bigjump_dp_ratio(ref_pmf, ref_law, x, "quarter", ref_model.decay_rate)
         assert rep.n_effective > 50
         assert abs(rep.estimate - dp_ratio) < 3 * rep.stderr + 0.01
+
+    @pytest.mark.parametrize(
+        "model,x,h_choice",
+        [
+            ("ref", 1.0, "quarter"),
+            (TWOPOINT, 4.0, "quarter"),  # unit steps: no first climb overshoots
+            (TwoPoint(5.0, 0.05, -1.0), 8.0, "quarter"),
+            (TwoPoint(5.0, 0.05, -1.0), 9.0, "sqrt"),
+            # no upward step: the slack falls back to K = 1, so x - K lies above a
+            (TwoPoint(-0.5, 0.5, -1.0), 4.0, "quarter"),
+        ],
+        ids=["ref", "twopoint", "jumpy-twopoint", "jumpy-twopoint-sqrt", "no-upward-step"],
+    )
+    def test_counts_match_oracle_records(self, ref_model, model, x, h_choice):
+        model = ref_model if model == "ref" else model
+        cfg = SimConfig(n_paths=20_000, seed=9)  # one block
+        rep = bigjump_conditional_ratio(model, x, h_choice, cfg)
+        a, K = rep.params["a"], rep.params["slack"]
+        assert (K == 1.0) == (x - K > a)
+
+        def records(levels):
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+            return walk_oracle(model, rng, cfg.n_paths, cfg.horizon, levels, [x - K] * len(levels))
+
+        outcome, _, S = records([a, x])
+        # the level a leaves every path's draws as the walk of x alone makes them
+        assert outcome[1].tobytes() == records([x])[0][0].tobytes()
+        hit = outcome[1] == HIT
+        big_hits = int((hit & (S[0] > x - a)).sum())
+        assert rep.n_effective == int(hit.sum())
+        assert rep.flags["undecided"] == int((outcome[1] == 0).sum())
+        if rep.n_effective:
+            assert rep.estimate == big_hits / rep.n_effective
+            assert 0 < big_hits < rep.n_effective or model is TWOPOINT
+        else:
+            assert rep.flags["inconclusive"]
+
+    @pytest.mark.parametrize("x,h_choice", [(-1.0, "quarter"), (0.0, "quarter"), (4.0, "sqrt")])
+    def test_level_without_split_refused(self, ref_model, x, h_choice):
+        with pytest.raises(EstimatorError, match=f"no single-jump split at x = {x:g}"):
+            bigjump_conditional_ratio(ref_model, x, h_choice, SimConfig(n_paths=100, seed=0))
 
     def test_inconclusive_when_level_unreachable(self, ref_model):
         rep = bigjump_conditional_ratio(ref_model, 25.0, "quarter", SimConfig(n_paths=2000, seed=1))
