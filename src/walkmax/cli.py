@@ -200,14 +200,20 @@ def _as_usage(check, *args, **kwargs):
 def oracle_grid(model: IncrementModel, h: float, gamma: float | None, levels=(),
                 reach: tuple[float, float] | None = None) -> tuple[LatticePMF, float]:
     """Increment lattice and grid top of every oracle command, sized before
-    any sweep.  ``reach = (level, decay_lengths)`` widens a smooth tail's span
-    to cover jumps past ``level`` (atomic families keep their exact support).
-    The top is 75 decay lengths of the decay rate, or of ``gamma`` for atomic
-    families, which keeps the tail range certified; with neither, the model
-    is refused before any work.  A level at or above the top cell is refused:
-    the laws end there, so no tail at it is whole."""
+    any sweep.  A model with no twist, or with phi >= 1 there, is refused
+    first: it has no tail constant.  ``reach = (level, decay_lengths)``
+    widens a smooth tail's span to cover jumps past ``level`` (atomic
+    families keep their exact support).  The top is 75 decay lengths of the
+    decay rate, or of ``gamma`` for atomic families, which keeps the tail
+    range certified.  A level at or above the top cell is refused: the laws
+    end there, so no tail at it is whole."""
+    twist = model.twist(gamma)
+    phi = model.mgf(twist)
+    if not phi < 1.0:
+        raise LatticeError(f"twisted moment phi({twist:g}) = {phi:.6g} is not below 1: no "
+                           "tail constant at that twist; choose a model or --gamma with phi < 1")
     rate = model.decay_rate
-    top = 75.0 / (rate or model.twist(gamma))
+    top = 75.0 / (rate or twist)
     span = None
     if reach and rate:
         lo, hi = model.default_span()
@@ -296,7 +302,7 @@ def cmd_verify_class(args):
 
 
 def cmd_constants(args):
-    model = _as_usage(parse_model, args.model, require_subcritical=False)
+    model = _as_usage(parse_model, args.model)
     pmf, law, consts = constants_pipeline(model, h=args.step, gamma=args.gamma)
     payload = {
         "constants": _record(consts),

@@ -20,7 +20,7 @@ state and can be shared freely across worker shards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -115,7 +115,8 @@ def _de_quad(what: str, f, a: float, b: float = math.inf) -> tuple[float, float]
 def twist_sup(mgf, mean: float, top: float) -> float:
     """Largest twist alpha with mgf(alpha) < 1 for a law with this mean and
     largest support point ``top``: 0 for a nonnegative mean, inf when no mass
-    lies above 0, else doubling up to 1e4 and then 200 bisections."""
+    lies above 0, else doubling up to 1e4 and then up to 200 bisections, which
+    stop once the midpoint rounds onto an end, as no end moves after that."""
     if mean >= 0:
         return 0.0
     if top <= 0:
@@ -127,6 +128,8 @@ def twist_sup(mgf, mean: float, top: float) -> float:
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if mgf(mid) < 1.0:
             lo = mid
         else:
@@ -158,9 +161,17 @@ def chernoff_tail(mgf, a_sup: float, t: float) -> float:
 
 
 class IncrementModel:
-    """Common interface of the increment families."""
+    """Common interface of the increment families.  A family is a frozen
+    dataclass: its finite fields, in order and with their defaults, are its
+    spec, and its lowercased class name names it there."""
 
     in_class: bool  # smooth exponential-with-heavy-prefactor tail family?
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ModelError(f"{type(self).__name__} field {f.name!r} must be finite, "
+                                 f"got {getattr(self, f.name)}")
 
     # --- distribution surface -------------------------------------------------
     def tail(self, x):
@@ -231,7 +242,9 @@ class IncrementModel:
         return hi
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """The spec ``parse_model`` reads back: family name, then every field."""
+        body = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        return f"{type(self).__name__.lower()}:{body}"
 
 
 @dataclass(frozen=True)
@@ -249,38 +262,23 @@ class PolyExp(IncrementModel):
         Polynomial prefactor index, > 1 (keeps the twisted moment finite).
     shift : float
         Location offset; the support of xi is [-shift, inf).
-    require_subcritical : bool
-        When True (the default), reject parameterizations whose twisted moment
-        E exp(gamma*xi) is >= 1.  Oracle-validation fits may disable this.
+
+    phi(gamma) = ``mgf_at_gamma`` may be >= 1: the computations that need it
+    below 1 refuse such a model, the distribution surface does not.
     """
 
     gamma: float
     beta: float
     shift: float = 0.0
-    require_subcritical: bool = field(default=True, compare=False)
 
     in_class = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.gamma > 0):
             raise ModelError(f"gamma must be > 0, got {self.gamma}")
         if not (self.beta > 1):
             raise ModelError(f"beta must be > 1, got {self.beta}")
-        if not math.isfinite(self.shift):
-            raise ModelError(f"shift must be finite, got {self.shift}")
-        if self.require_subcritical:
-            if self.mgf_at_gamma >= 1.0:
-                raise ModelError(
-                    f"twisted moment {self.mgf_at_gamma:.6f} >= 1; the walk "
-                    "maximum has no light tail in this regime"
-                )
-            # subcritical twist forces a negative mean (convexity of the mgf);
-            # E eta <= min(1/(beta-1), 1/gamma), as the integrand of E eta is
-            # below each factor alone, so quadrature runs only when that bound
-            # leaves the sign open
-            eta_bound = min(1.0 / (self.beta - 1.0), 1.0 / self.gamma)
-            if eta_bound >= self.shift and self.mean() >= 0:
-                raise ModelError(f"mean {self.mean():.6f} must be negative")
 
     # --- closed forms -----------------------------------------------------------
     @property
@@ -388,9 +386,6 @@ class PolyExp(IncrementModel):
             raise ModelError("no certified bound: twisted moment >= 1")
         return math.exp(-self.gamma * t) / (1.0 - phg)
 
-    def spec_string(self) -> str:
-        return f"polyexp:gamma={self.gamma:g},beta={self.beta:g},shift={self.shift:g}"
-
 
 @dataclass(frozen=True)
 class TwoPoint(IncrementModel):
@@ -403,6 +398,7 @@ class TwoPoint(IncrementModel):
     in_class = False
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 < self.pu < 1.0):
             raise ModelError(f"pu must be in (0,1), got {self.pu}")
         if not self.u > self.v:
@@ -433,9 +429,6 @@ class TwoPoint(IncrementModel):
     def twist_envelope(self, alpha: float) -> float:
         # step tail: the envelope peaks at the left edge of each level piece
         return max(math.exp(alpha * self.v), self.pu * math.exp(alpha * self.u))
-
-    def spec_string(self) -> str:
-        return f"twopoint:u={self.u:g},pu={self.pu:g},v={self.v:g}"
 
 
 @dataclass(frozen=True)
@@ -472,65 +465,47 @@ class PointMass(IncrementModel):
     def twist_envelope(self, alpha: float) -> float:
         return math.exp(alpha * self.v)
 
-    def spec_string(self) -> str:
-        return f"pointmass:v={self.v:g}"
-
 
 # --- model specification grammar -------------------------------------------------
 
-# the fields of each family's spec
-_FIELDS = {"polyexp": ("gamma", "beta", "shift"), "pointmass": ("v",),
-           "twopoint": ("u", "pu", "v")}
+_FAMILIES = {cls.__name__.lower(): cls for cls in (PolyExp, PointMass, TwoPoint)}
 
 
 def _parse_kv(body: str, spec: str) -> dict[str, float]:
     out = {}
     for tok in body.split(","):
-        if "=" not in tok:
-            raise ModelError(f"malformed token {tok!r} in model spec {spec!r}")
         key, _, val = tok.partition("=")
         key = key.strip()
         try:
-            value = float(val)
+            value = float(val)  # a token without "=" has no value either
         except ValueError:
             raise ModelError(f"malformed token {tok!r} in model spec {spec!r}") from None
         if key in out:
             raise ModelError(f"model spec {spec!r} repeats field {key!r}")
-        if not math.isfinite(value):
-            raise ModelError(f"model spec {spec!r} gives field {key!r} the non-finite "
-                             f"value {val.strip()}")
         out[key] = value
     return out
 
 
-def parse_model(spec: str, require_subcritical: bool = True) -> IncrementModel:
+def parse_model(spec: str) -> IncrementModel:
     """Parse ``polyexp:gamma=..,beta=..,shift=..`` | ``pointmass:v=..`` |
-    ``twopoint:u=..,pu=..,v=..``: each field at most once, finite, and one
-    the family takes."""
+    ``twopoint:u=..,pu=..,v=..``: each field at most once, one the family
+    takes, and given unless it has a default; the family checks the values."""
     family, sep, body = spec.partition(":")
     if not sep:
         raise ModelError(f"model spec {spec!r} is missing the ':' separator")
     family = family.strip().lower()
     kv = _parse_kv(body, spec)
-    if family not in _FIELDS:
+    if family not in _FAMILIES:
         raise ModelError(f"unknown model family {family!r}")
+    defaults = {f.name: f.default for f in fields(_FAMILIES[family])}
     for key in kv:
-        if key not in _FIELDS[family]:
+        if key not in defaults:
             raise ModelError(f"model spec {spec!r} has unknown field {key!r}; "
-                             f"{family} takes {', '.join(_FIELDS[family])}")
-    try:
-        if family == "polyexp":
-            return PolyExp(
-                gamma=kv.pop("gamma"),
-                beta=kv.pop("beta"),
-                shift=kv.pop("shift", 0.0),
-                require_subcritical=require_subcritical,
-            )
-        if family == "pointmass":
-            return PointMass(v=kv.pop("v"))
-        return TwoPoint(u=kv.pop("u"), pu=kv.pop("pu"), v=kv.pop("v"))
-    except KeyError as exc:
-        raise ModelError(f"model spec {spec!r} is missing field {exc.args[0]!r}") from None
+                             f"{family} takes {', '.join(defaults)}")
+    for name, default in defaults.items():
+        if name not in kv and default is MISSING:
+            raise ModelError(f"model spec {spec!r} is missing field {name!r}")
+    return _FAMILIES[family](**kv)
 
 
 # --- class membership diagnostics -------------------------------------------------

@@ -44,8 +44,8 @@ def ref_model():
 @pytest.fixture(scope="session")
 def d0_model():
     """Unshifted variant (positive mean, supercritical twist): only usable
-    for distribution-surface checks, so the subcritical guard is off."""
-    return PolyExp(gamma=1.0, beta=2.0, shift=0.0, require_subcritical=False)
+    for distribution-surface checks."""
+    return PolyExp(gamma=1.0, beta=2.0, shift=0.0)
 
 
 @pytest.fixture(scope="session")

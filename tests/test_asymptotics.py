@@ -90,7 +90,7 @@ class PollaczekKhinchine(IncrementModel):
 
     def __init__(self, lam: float):
         self.lam = lam
-        self.eta = PolyExp(1.0, 2.0, 0.0, require_subcritical=False)
+        self.eta = PolyExp(1.0, 2.0, 0.0)
 
     def mgf(self, alpha: float) -> float:
         return self.eta.mgf(alpha) * self.lam / (self.lam + alpha)
@@ -128,7 +128,7 @@ class TestOutsideGate:
 @settings(max_examples=25, deadline=None)
 def test_random_subcritical_constant_in_apriori_enclosure(gamma, beta, phi):
     # the shift that puts the twisted moment at phi
-    phi0 = PolyExp(gamma, beta, 0.0, require_subcritical=False).mgf(gamma)
+    phi0 = PolyExp(gamma, beta, 0.0).mgf(gamma)
     model = PolyExp(gamma, beta, math.log(phi0 / phi) / gamma)
     try:
         _, _, consts = constants_pipeline(model, h=0.05)

@@ -387,6 +387,51 @@ class TestZeroTailCheckedFirst:
         assert not out_dir.exists()
 
 
+SUPERCRITICAL = {
+    "negative-mean": "polyexp:gamma=1,beta=2,shift=0.65",  # phi(1) = 1.044
+    "positive-mean": "polyexp:gamma=1,beta=2,shift=0",  # phi(1) = 2
+}
+
+
+class TestSupercriticalRefusedFirst:
+    """A model with phi(gamma) >= 1 has no tail constant: every walk command
+    refuses it before any sweep or walk, and verify-class still runs."""
+
+    @pytest.mark.parametrize("spec", SUPERCRITICAL.values(), ids=SUPERCRITICAL.keys())
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--step", "0.05"],
+        ["tail-report", "--x", "2,4,6", "--step", "0.05"],
+        ["tail-report", "--measured", "mc", "--x", "2,4,6", "--n-paths", "2000"],
+        ["local-report", "--x", "2,4,6", "--step", "0.05"],
+        ["finite", "--N", "1,5", "--x", "2", "--step", "0.05"],
+        ["stopped", "--x", "2,4,6", "--step", "0.05"],
+        ["bigjump", "--x", "10,20,40", "--step", "0.05"],
+        ["bigjump", "--measured", "mc", "--x", "10,20,40", "--n-paths", "2000"],
+        ["renewal-diag", "--n-paths", "2000"],
+        ["convolution-check", "--x", "2,4,6", "--step", "0.05"],
+    ], ids=lambda argv: "-".join(argv[:3 if "--measured" in argv else 1]))
+    def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv, spec):
+        from walkmax import cli, montecarlo
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran on a model with phi(gamma) >= 1")
+
+        monkeypatch.setattr(cli, "discretize", no_work)
+        monkeypatch.setattr(montecarlo, "_simulate", no_work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--model", spec, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert not out_dir.exists()
+        assert len([line for line in err.splitlines() if line.startswith(f"{argv[0]}: ")]) == 1
+        assert "walkmax: " not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", SUPERCRITICAL.values(), ids=SUPERCRITICAL.keys())
+    def test_verify_class_runs(self, capsys, spec):
+        code, out, _ = run(capsys, "verify-class", "--model", spec)
+        assert code == 0
+        assert json.loads(out)["manifest"]["model"] == spec
+
+
 class TestLevelsBelowTheGridTop:
     """Every oracle command refuses a level, or a finite window end, at or
     above the top cell of its grid (75 here) before any sweep."""
@@ -851,7 +896,7 @@ class TestOracleWorkOnce:
             sys.modules["scipy"] = None
             from walkmax import PolyExp
             from walkmax.cli import main
-            assert 0.4 < PolyExp(1.0, 2.0, 0.0, require_subcritical=False).mean() < 0.41
+            assert 0.4 < PolyExp(1.0, 2.0, 0.0).mean() < 0.41
             assert abs(PolyExp(1.0, 2.0, math.log(4.0)).mgf(0.6) - 0.586977979077) < 1e-12
             step, paths = ["--step", "0.05"], ["--n-paths", "2000"]
             for argv in (["renewal-diag", *paths], ["bigjump", "--measured", "mc", *paths],

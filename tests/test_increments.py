@@ -76,7 +76,7 @@ class TestTail:
     )
     @settings(max_examples=60, deadline=None)
     def test_tail_monotone_and_bounded(self, gamma, beta, shift):
-        m = PolyExp(gamma, beta, shift, require_subcritical=False)
+        m = PolyExp(gamma, beta, shift)
         xs = np.linspace(-shift - 1.0, 40.0, 120)
         t = np.asarray(m.tail(xs))
         assert np.all(t >= 0) and np.all(t <= 1)
@@ -112,7 +112,7 @@ class TestMgf:
         for gamma in (0.5, 1.0, 2.0):
             for beta in (1.5, 2.0, 3.0):
                 for shift in (0.5, 1.0, 2.0):
-                    m = PolyExp(gamma, beta, shift, require_subcritical=False)
+                    m = PolyExp(gamma, beta, shift)
                     assert m.mgf_at_gamma == pytest.approx(
                         quad_mgf(m, gamma), abs=1e-8
                     ), (gamma, beta, shift)
@@ -139,7 +139,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("beta", [2, 3, 5])
     @pytest.mark.parametrize("gamma", [0.05, 1.0, 2.0])
     def test_laplace_matches_closed_form(self, gamma, beta):
-        m = PolyExp(gamma, float(beta), 0.0, require_subcritical=False)
+        m = PolyExp(gamma, float(beta), 0.0)
         for s in gamma * np.geomspace(1e-3, 1.0, 13):
             assert m._laplace(float(s)) == pytest.approx(
                 laplace_closed_form(beta, float(s)), rel=1e-13
@@ -148,7 +148,7 @@ class TestQuadrature:
     def test_small_rate_regression(self):
         # adaptive Gauss-Kronrod (scipy's quad) read 0.2497503738904802 here,
         # 9e-12 off while reporting 6.9e-14; reference value from mpmath
-        m = PolyExp(1.0, 5.0, 0.0, require_subcritical=False)
+        m = PolyExp(1.0, 5.0, 0.0)
         assert m._laplace(0.003) == pytest.approx(0.249750373892720955, rel=1e-15)
 
     @pytest.mark.parametrize("model", [
@@ -191,12 +191,6 @@ class TestConstruction:
         with pytest.raises(ModelError):
             PolyExp(gamma=1.0, beta=1.0)
 
-    def test_rejects_supercritical_when_flagged(self):
-        # shift 0 gives twisted moment 2
-        with pytest.raises(ModelError):
-            PolyExp(gamma=1.0, beta=2.0, shift=0.0)
-        PolyExp(gamma=1.0, beta=2.0, shift=0.0, require_subcritical=False)
-
     def test_subcritical_mean_is_negative(self, ref_model):
         assert ref_model.mean() < 0
 
@@ -207,8 +201,8 @@ class TestConstruction:
     )
     @settings(max_examples=40, deadline=None)
     def test_closed_form_mean_bound_is_sound(self, gamma, beta, margin):
-        # construction trusts E eta <= min(1/(beta-1), 1/gamma) to settle the
-        # sign of the mean; quadrature must never land above it
+        # E eta <= min(1/(beta-1), 1/gamma), as the integrand of E eta is
+        # below each factor alone; quadrature must never land above it
         shift = math.log1p(gamma / (beta - 1.0)) / gamma + margin  # subcritical
         m = PolyExp(gamma, beta, shift)
         assert m.mgf_at_gamma < 1.0
@@ -220,12 +214,29 @@ class TestConstruction:
         with pytest.raises(ModelError):
             TwoPoint(u=-1.0, pu=0.5, v=1.0)
 
+    @pytest.mark.parametrize("build,field", [
+        (lambda: PolyExp(gamma=math.inf, beta=2.0, shift=1.0), "gamma"),
+        (lambda: PolyExp(gamma=1.0, beta=math.inf, shift=1.0), "beta"),
+        (lambda: PointMass(v=math.nan), "v"),
+        (lambda: TwoPoint(u=math.inf, pu=0.25, v=-1.0), "u"),
+        (lambda: TwoPoint(u=1.0, pu=0.25, v=-math.inf), "v"),
+    ], ids=["polyexp-gamma", "polyexp-beta", "pointmass-v", "twopoint-u", "twopoint-v"])
+    def test_non_finite_field_refused(self, build, field):
+        # built directly, not only through a spec string
+        with pytest.raises(ModelError, match=f"field '{field}' must be finite"):
+            build()
+
 
 class TestParse:
     def test_round_trip(self, ref_model, tp_model, pm_model):
         for m in (ref_model, tp_model, pm_model):
-            again = parse_model(m.spec_string(), require_subcritical=False)
+            again = parse_model(m.spec_string())
             assert again.spec_string() == m.spec_string()
+
+    def test_shift_defaults_to_zero(self):
+        m = parse_model("polyexp:beta=2,gamma=1")
+        assert m == PolyExp(1.0, 2.0)
+        assert m.spec_string() == "polyexp:gamma=1,beta=2,shift=0"
 
     def test_reference_spec(self):
         m = parse_model("polyexp:gamma=1,beta=2,shift=1.3862943611198906")

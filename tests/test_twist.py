@@ -25,29 +25,35 @@ from walkmax import (
     TwoPoint,
     discretize,
 )
+from walkmax.increments import twist_sup
 from walkmax.montecarlo import RENEWAL_MISS_BOUND, _geometric_remainder, _shifted_cross_slack
 
 # --- the replaced searches ---------------------------------------------------------
 
 
-def alpha_sup_oracle(pmf):
-    """LatticePMF._alpha_sup_scan before the shared search."""
-    if pmf.mean() >= 0:
+def twist_sup_oracle(mgf, mean, top):
+    """twist_sup with all 200 bisections, as LatticePMF._alpha_sup_scan ran
+    them before the shared search."""
+    if mean >= 0:
         return 0.0
-    if pmf.centers()[-1] <= 0:
+    if top <= 0:
         return math.inf
     lo, hi = 0.0, 1.0
-    while pmf.mgf(hi) < 1.0 and hi < 1e4:
+    while mgf(hi) < 1.0 and hi < 1e4:
         lo, hi = hi, hi * 2.0
-    if pmf.mgf(hi) < 1.0:
+    if mgf(hi) < 1.0:
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if pmf.mgf(mid) < 1.0:
+        if mgf(mid) < 1.0:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def alpha_sup_oracle(pmf):
+    return twist_sup_oracle(pmf.mgf, pmf.mean(), pmf.centers()[-1])
 
 
 def twist_scan_oracle(pmf, lo, hi, bound):
@@ -183,6 +189,32 @@ class TestLatticeCertificates:
         assert 354.0 < pmf.chernoff_alpha_sup < 355.0
         assert pmf.chernoff_tail_bound(3.0) == 0.0  # e^{-3 alpha} underflows
         assert pmf.chernoff_tail_bound(-2.0) == 1.0
+
+
+class TestTwistSup:
+    @given(
+        u=st.floats(0.05, 5.0),
+        pu=st.floats(0.001, 0.95),
+        v=st.floats(-3.0, -0.05),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_two_point_laws_equal_the_200_step_bisection(self, u, pu, v):
+        model = TwoPoint(u, pu, v)
+        assume(model.mean() < 0)
+        args = (model.mgf, model.mean(), u)
+        assert twist_sup(*args) == twist_sup_oracle(*args)
+
+    def test_stops_where_the_bisection_stalls(self):
+        # the ends are adjacent floats after about 53 halvings of [1, 2]
+        pmf = discretize(PolyExp(1.0, 2.0, math.log(4.0)), 0.02)
+        calls = []
+
+        def mgf(a):
+            calls.append(a)
+            return pmf.mgf(a)
+
+        assert twist_sup(mgf, pmf.mean(), pmf.centers()[-1]) == alpha_sup_oracle(pmf)
+        assert len(calls) < 60
 
 
 # --- atomic max_tail_bound ---------------------------------------------------------
