@@ -60,6 +60,15 @@ MAX_SLACK = 1e4
 LOG_DOMAIN_THRESHOLD = 600.0
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, reading an overflow as inf: a moment past the float range
+    is refused by the same ``phi >= 1`` checks as a divergent one."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 class ModelError(ValueError):
     """Invalid model parameterization or unusable operation for the family."""
 
@@ -283,8 +292,9 @@ class PolyExp(IncrementModel):
     # --- closed forms -----------------------------------------------------------
     @property
     def mgf_at_gamma(self) -> float:
-        """E exp(gamma*xi) = exp(-gamma*shift) * (1 + gamma/(beta-1))."""
-        return math.exp(-self.gamma * self.shift) * (1.0 + self.gamma / (self.beta - 1.0))
+        """E exp(gamma*xi) = exp(-gamma*shift) * (1 + gamma/(beta-1)); inf past
+        the float range."""
+        return _exp(-self.gamma * self.shift) * (1.0 + self.gamma / (self.beta - 1.0))
 
     def log_tail(self, x):
         """log P(xi > x); 0 for x <= -shift.  Safe at extreme x."""
@@ -337,7 +347,7 @@ class PolyExp(IncrementModel):
         if alpha == self.gamma:
             return self.mgf_at_gamma
         # E exp(alpha*eta) = 1 + alpha * int_0^inf exp(alpha y) P(eta>y) dy
-        return math.exp(-alpha * self.shift) * (1.0 + alpha * self._laplace(self.gamma - alpha))
+        return _exp(-alpha * self.shift) * (1.0 + alpha * self._laplace(self.gamma - alpha))
 
     # --- sampling ---------------------------------------------------------------
     def inverse_tail(self, p: float) -> float:
@@ -378,12 +388,13 @@ class PolyExp(IncrementModel):
     def twist_envelope(self, alpha: float) -> float:
         if alpha > self.gamma:
             raise ModelError("twist above the decay rate has no finite envelope")
-        return math.exp(-alpha * self.shift)
+        return _exp(-alpha * self.shift)
 
     def max_tail_bound(self, t: float) -> float:
         phg = self.mgf_at_gamma
         if phg >= 1.0:
-            raise ModelError("no certified bound: twisted moment >= 1")
+            raise ModelError(f"twisted moment phi({self.gamma:g}) = {phg:.6g} is not below 1: "
+                             "no certified bound on the walk maximum; choose a model with phi < 1")
         return math.exp(-self.gamma * t) / (1.0 - phg)
 
 
@@ -415,10 +426,7 @@ class TwoPoint(IncrementModel):
     def mgf(self, alpha: float) -> float:
         if alpha < 0:
             raise ModelError(f"alpha must be >= 0, got {alpha}")
-        try:
-            return self.pu * math.exp(alpha * self.u) + (1.0 - self.pu) * math.exp(alpha * self.v)
-        except OverflowError:  # past the float range
-            return math.inf
+        return self.pu * _exp(alpha * self.u) + (1.0 - self.pu) * _exp(alpha * self.v)
 
     def sample(self, rng: np.random.Generator, size: int):
         return np.where(rng.random(size) < self.pu, self.u, self.v)
@@ -428,7 +436,7 @@ class TwoPoint(IncrementModel):
 
     def twist_envelope(self, alpha: float) -> float:
         # step tail: the envelope peaks at the left edge of each level piece
-        return max(math.exp(alpha * self.v), self.pu * math.exp(alpha * self.u))
+        return max(_exp(alpha * self.v), self.pu * _exp(alpha * self.u))
 
 
 @dataclass(frozen=True)
@@ -450,10 +458,7 @@ class PointMass(IncrementModel):
     def mgf(self, alpha: float) -> float:
         if alpha < 0:
             raise ModelError(f"alpha must be >= 0, got {alpha}")
-        try:
-            return math.exp(alpha * self.v)
-        except OverflowError:  # past the float range
-            return math.inf
+        return _exp(alpha * self.v)
 
     def sample(self, rng: np.random.Generator, size: int):
         rng.random(size)  # consume the stream so seeds stay comparable
@@ -463,7 +468,7 @@ class PointMass(IncrementModel):
         return (self.v, self.v)
 
     def twist_envelope(self, alpha: float) -> float:
-        return math.exp(alpha * self.v)
+        return _exp(alpha * self.v)
 
 
 # --- model specification grammar -------------------------------------------------

@@ -6,9 +6,10 @@ An increment law is discretized onto a uniform grid (cell ``k`` covers
 with the increment pmf and reports the mass that landed above the window as
 one sum.  Each oracle is a loop over that primitive:
 
-* ``lindley_fixed_point``, ``finite_horizon`` and ``horizon_pass`` reflect the
-  mass below onto cell 0, which is the distributional recursion
-  ``M =d (M + xi)^+``, and count the mass above the grid top as overflow;
+* ``horizon_pass`` is the one reflected pass: it moves the mass below onto
+  cell 0 (the recursion ``M =d (M + xi)^+``), counts the mass above the grid
+  top as overflow, and stops at the fixed point (``lindley_fixed_point``) or
+  the largest horizon; ``finite_horizon`` keeps every law, as a reference;
 * ``_passage`` kills below a floor and above a barrier and sums the mass
   passing over an exit level, stopped on one twist certificate.  It is the
   first passage of ``bigjump_flow`` and, per level, of
@@ -391,9 +392,40 @@ def _reflected(pmf: LatticePMF, top: float):
         yield V, overflow
 
 
-def _fixed_point_count(pmf: LatticePMF) -> tuple[int, float]:
-    """The sweep count n at which the reflected recursion stands for M, and
-    its ``stop_bound`` phi^{n+1}/(1 - phi) (see ``lindley_fixed_point``)."""
+def lindley_fixed_point(pmf: LatticePMF, top: float) -> MaxLaw:
+    """Law of the all-time maximum M = sup_n S_n on the cells up to the grid
+    top ``top``: the fixed point of ``horizon_pass``, with its ``stop_bound``."""
+    return horizon_pass(pmf, top)[0]
+
+
+def finite_horizon(pmf: LatticePMF, N: int, top: float) -> list[MaxLaw]:
+    """Laws of M_0, ..., M_N (M_0 identically 0) of ``horizon_pass``'s recursion,
+    every one kept, on the cells up to the grid top ``top``; each is read-only."""
+    if N < 0:
+        raise LatticeError(f"horizon must be >= 0, got {N}")
+    return [MaxLaw(h=pmf.h, probs=V, increment=pmf, overflow=leaked, n_iter=n)
+            for n, (V, leaked) in enumerate(islice(_reflected(pmf, top), N + 1))]
+
+
+def horizon_pass(pmf: LatticePMF, top: float, horizons: Sequence[int] = (),
+                 gamma: float | None = None) -> tuple[MaxLaw, dict[int, MaxLaw], np.ndarray]:
+    """One reflected recursion for the fixed point and the horizon laws.
+
+    Each iterate is exactly the law of the n-step maximum M_n.  M_n differs
+    from M only if some later partial sum is above 0, so P(M != M_n) <=
+    sum_{m>n} phi(alpha)^m = phi(alpha)^{n+1}/(1 - phi(alpha)) for any twist
+    alpha with phi(alpha) < 1.  The fixed point is M_n at the count n that
+    brings phi(alpha)^n below ``FIXED_POINT_TOL`` at alpha = 0.75 alpha_sup,
+    and carries that bound as ``stop_bound``.
+
+    Runs to the larger of n and max(``horizons``), and returns the fixed
+    point, the laws M_N for N in ``horizons`` by N, and ``boundary_term(M_n,
+    gamma)`` for n < max(horizons) as rows (value, lo, hi).  Every other law
+    is dropped after its sweep, so memory is one law per horizon asked for
+    and three floats per horizon up to the largest, where ``finite_horizon``
+    keeps every law.  A count or a horizon above ``MAX_SWEEPS`` is refused
+    before the first sweep, and so is a horizon without a twist.
+    """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
     a_sup = pmf.chernoff_alpha_sup  # inf when no mass lies above 0
@@ -405,50 +437,6 @@ def _fixed_point_count(pmf: LatticePMF) -> tuple[int, float]:
             f"phi = {phi!r} at the certifying twist bounds the fixed point only after "
             f"{sweeps:.3g} sweeps, more than {MAX_SWEEPS:.0e}: the walk is too near criticality"
         )
-    return sweeps, phi ** (sweeps + 1) / (1.0 - phi)
-
-
-def lindley_fixed_point(pmf: LatticePMF, top: float) -> MaxLaw:
-    """Law of the all-time maximum M = sup_n S_n via the reflected recursion,
-    on the cells up to the grid top ``top``.
-
-    Each iterate is exactly the law of the n-step maximum, so ``finite_horizon``
-    runs the same recursion.  M_n differs from M only if some later partial
-    sum is above 0, so P(M != M_n) <= sum_{m>n} phi(alpha)^m
-    = phi(alpha)^{n+1}/(1 - phi(alpha)) for any twist alpha with
-    phi(alpha) < 1.  The recursion stops after the count n that brings
-    phi(alpha)^n below ``FIXED_POINT_TOL`` at alpha = 0.75 alpha_sup, and the
-    law carries that bound as ``stop_bound``.  A count above ``MAX_SWEEPS`` is
-    refused before the first sweep.
-    """
-    sweeps, stop_bound = _fixed_point_count(pmf)
-    V, overflow = next(islice(_reflected(pmf, top), sweeps, None))
-    return MaxLaw(h=pmf.h, probs=V, increment=pmf, overflow=overflow, n_iter=sweeps,
-                  stop_bound=stop_bound)
-
-
-def finite_horizon(pmf: LatticePMF, N: int, top: float) -> list[MaxLaw]:
-    """Laws of M_0, ..., M_N (M_0 identically 0) from the same recursion, on
-    the cells up to the grid top ``top``; every law is a read-only array."""
-    if N < 0:
-        raise LatticeError(f"horizon must be >= 0, got {N}")
-    return [MaxLaw(h=pmf.h, probs=V, increment=pmf, overflow=leaked, n_iter=n)
-            for n, (V, leaked) in enumerate(islice(_reflected(pmf, top), N + 1))]
-
-
-def horizon_pass(pmf: LatticePMF, top: float, horizons: Sequence[int],
-                 gamma: float) -> tuple[MaxLaw, dict[int, MaxLaw], np.ndarray]:
-    """One reflected recursion for the horizon laws and the fixed point.
-
-    Runs to the larger of max(``horizons``) and the fixed-point count, and
-    returns the law ``lindley_fixed_point`` gives, the laws M_N for N in
-    ``horizons`` by N, and ``boundary_term(M_n, gamma)`` for n < max(horizons)
-    as rows (value, lo, hi).  Every other law is dropped after its sweep, so
-    memory is one law per horizon asked for and three floats per horizon up
-    to the largest, where ``finite_horizon`` keeps every law.  A horizon
-    above ``MAX_SWEEPS`` is refused before the first sweep.
-    """
-    sweeps, stop_bound = _fixed_point_count(pmf)
     n_terms = max(horizons, default=0)
     if n_terms > MAX_SWEEPS:
         raise LatticeError(f"horizon {n_terms} needs as many sweeps, more than {MAX_SWEEPS:.0e}")
@@ -460,7 +448,7 @@ def horizon_pass(pmf: LatticePMF, top: float, horizons: Sequence[int],
         if n in horizons:
             kept[n] = law
         if n == sweeps:
-            fixed = replace(law, stop_bound=stop_bound)
+            fixed = replace(law, stop_bound=phi ** (sweeps + 1) / (1.0 - phi))
     return fixed, kept, boundary
 
 
@@ -541,7 +529,7 @@ def stopped_max_sigma1(
     )
 
 
-def boundary_term(law: MaxLaw, gamma: float) -> Bracket:
+def boundary_term(law: MaxLaw, gamma: float | None) -> Bracket:
     """B = E[1 - e^{gamma (M + xi)}; M + xi <= 0] for the walk maximum M of
     ``law`` and an independent increment xi, for a positive twist ``gamma``.
 
@@ -552,7 +540,7 @@ def boundary_term(law: MaxLaw, gamma: float) -> Bracket:
     probability plus its ``overflow`` in lost mass, and B moves by at most that
     much; the enclosure charges both.
     """
-    if not gamma > 0:
+    if gamma is None or not gamma > 0:
         raise LatticeError(f"boundary term needs a positive twist, got {gamma}")
     inc = law.increment
     n = min(-inc.k0, len(law.probs) - 1) + 1

@@ -391,13 +391,15 @@ SUPERCRITICAL = {
     "negative-mean": "polyexp:gamma=1,beta=2,shift=0.65",  # phi(1) = 1.044
     "positive-mean": "polyexp:gamma=1,beta=2,shift=0",  # phi(1) = 2
 }
+# phi(1) = 2 e^1000 overflows a float: it reads as inf, and is refused the same way
+REFUSED = {**SUPERCRITICAL, "overflow": "polyexp:gamma=1,beta=2,shift=-1000"}
 
 
 class TestSupercriticalRefusedFirst:
     """A model with phi(gamma) >= 1 has no tail constant: every walk command
     refuses it before any sweep or walk, and verify-class still runs."""
 
-    @pytest.mark.parametrize("spec", SUPERCRITICAL.values(), ids=SUPERCRITICAL.keys())
+    @pytest.mark.parametrize("spec", REFUSED.values(), ids=REFUSED.keys())
     @pytest.mark.parametrize("argv", [
         ["constants", "--step", "0.05"],
         ["tail-report", "--x", "2,4,6", "--step", "0.05"],
@@ -424,6 +426,14 @@ class TestSupercriticalRefusedFirst:
         assert not out_dir.exists()
         assert len([line for line in err.splitlines() if line.startswith(f"{argv[0]}: ")]) == 1
         assert "walkmax: " not in err and "Traceback" not in err
+
+    def test_mc_bound_names_the_moment_and_the_fix(self, capsys):
+        code, out, err = run(capsys, "bigjump", "--measured", "mc", "--x", "10,20,40",
+                             "--model", SUPERCRITICAL["negative-mean"])
+        assert (code, out) == (2, "")
+        assert ("bigjump: twisted moment phi(1) = 1.04409 is not below 1: no certified bound "
+                "on the walk maximum; choose a model with phi < 1") in err
+        assert "--gamma" not in err
 
     @pytest.mark.parametrize("spec", SUPERCRITICAL.values(), ids=SUPERCRITICAL.keys())
     def test_verify_class_runs(self, capsys, spec):

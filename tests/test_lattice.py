@@ -658,17 +658,30 @@ class TestWorkOnce:
     @pytest.mark.parametrize("k", [50, 5])
     def test_fixed_point_from_horizon_laws(self, ref_model, sweeps, k):
         # the pass reads the fixed point as M_n on its way to M_k (k >= n) or
-        # sweeps on past M_k to it (k < n): either way the law a fresh
-        # recursion gives, bit for bit, in max(k, n) sweeps
+        # sweeps on past M_k to it (k < n): either way, in max(k, n) sweeps,
+        # the law M_n that a recursion keeping every law gives, bit for bit,
+        # with n and its stop bound phi^{n+1}/(1 - phi) at 0.75 alpha_sup
         pmf = discretize(ref_model, 0.05)
         law, laws, _ = horizon_pass(pmf, 75.0, [k], 1.0)
-        assert sweeps[0] == max(law.n_iter, k)
-        fresh = lindley_fixed_point(discretize(ref_model, 0.05), top=75.0)
-        assert 5 < fresh.n_iter < 50
-        assert np.array_equal(law.probs, fresh.probs)
-        for name in ("overflow", "stop_bound", "trunc_bound", "n_iter"):
-            assert getattr(law, name) == getattr(fresh, name), name
+        n = law.n_iter
+        assert sweeps[0] == max(n, k)
+        assert 5 < n < 50
+        phi = pmf.mgf(0.75 * pmf.chernoff_alpha_sup)
+        assert n == math.ceil(math.log(lattice.FIXED_POINT_TOL) / math.log(phi))
+        assert law.stop_bound == phi ** (n + 1) / (1.0 - phi)
+        reference = finite_horizon(discretize(ref_model, 0.05), n, top=75.0)[n]
+        assert np.array_equal(law.probs, reference.probs)
+        for name in ("overflow", "trunc_bound", "n_iter"):
+            assert getattr(law, name) == getattr(reference, name), name
         assert list(laws) == [k] and laws[k].n_iter == k and laws[k].stop_bound == 0.0
+
+    def test_horizons_without_a_twist_are_refused(self, ref_model, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the twist was checked")
+
+        monkeypatch.setattr(lattice, "_sweep", no_sweep)
+        with pytest.raises(LatticeError, match="boundary term needs a positive twist, got None"):
+            horizon_pass(discretize(ref_model, 0.05), 75.0, [3])
 
     @pytest.mark.parametrize("which", list(ITEM1_MODELS))
     def test_streamed_finite_matches_all_laws(self, which):
@@ -682,10 +695,12 @@ class TestWorkOnce:
         n = fixed.n_iter
         Ns = [0, 1, 2, n - 1, n, n + 1, 2 * n + 3]
         law, laws, boundary = horizon_pass(pmf, 75.0, Ns, g)
-        assert np.array_equal(law.probs, fixed.probs)
-        for name in ("overflow", "stop_bound", "n_iter"):
-            assert getattr(law, name) == getattr(fixed, name), name
         every = finite_horizon(pmf, max(Ns), top=75.0)
+        assert np.array_equal(law.probs, every[n].probs)
+        for name in ("overflow", "n_iter"):
+            assert getattr(law, name) == getattr(every[n], name), name
+        phi = pmf.mgf(0.75 * pmf.chernoff_alpha_sup)
+        assert law.stop_bound == phi ** (n + 1) / (1.0 - phi)
         terms = [boundary_term(m, g) for m in every[: max(Ns)]]
         assert boundary.tolist() == [list(b) for b in terms]
         for N in Ns:
