@@ -61,10 +61,7 @@ def constants(
     gamma: float | None = None,
 ) -> AsymptoticConstants:
     """Assemble the predicted constants from the oracle maximum law."""
-    g = model.twist(gamma)
-    phg = model.mgf(g)
-    if not phg < 1.0:
-        raise ModelError(f"twisted moment {phg:.6f} >= 1; no subcritical constant")
+    g, phg = model.certified_twist(gamma)
     em = exp_moment(max_law, g, phg)
     c = em.scale(1.0 / (1.0 - phg))
     c_lo = 1.0 / (1.0 - phg)

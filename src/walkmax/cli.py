@@ -207,11 +207,7 @@ def oracle_grid(model: IncrementModel, h: float, gamma: float | None, levels=(),
     decay rate, or of ``gamma`` for atomic families, which keeps the tail
     range certified.  A level at or above the top cell is refused: the laws
     end there, so no tail at it is whole."""
-    twist = model.twist(gamma)
-    phi = model.mgf(twist)
-    if not phi < 1.0:
-        raise LatticeError(f"twisted moment phi({twist:g}) = {phi:.6g} is not below 1: no "
-                           "tail constant at that twist; choose a model or --gamma with phi < 1")
+    twist = model.certified_twist(gamma)[0]
     rate = model.decay_rate
     top = 75.0 / (rate or twist)
     span = None
@@ -263,8 +259,8 @@ def bigjump_dp_ratio(
     p_x = law.tail(x)
     if p_x <= 0.0:
         raise LatticeError(
-            f"P(M > {x:g}) = 0 on the oracle grid (top {law.top:g}): no "
-            "single-jump ratio at that level; choose levels below the grid top"
+            f"P(M > {x:g}) = 0 on the oracle grid (top {law.top:g}): the lattice "
+            f"maximum never exceeds {x:g}, so no single-jump ratio exists at that level"
         )
     a = band_h(h_choice, x)
     flow = bigjump_flow(pmf, barrier=a, jump_level=x - a, gamma=gamma, level=x)
@@ -286,12 +282,8 @@ def cmd_verify_class(args):
     model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
     ks = _floats(args.k)
-    # x > 0 first: sqrt has no h(x) below 0
-    wide = [x for x in xs if not (x > 0 and band_h(args.h_choice, x) <= x / 2.0)]
-    if wide and model.in_class:  # a lattice family has no middle band to split
-        x = wide[0]
-        raise UsageError(f"h(x)={band_h(args.h_choice, x)} exceeds x/2 at x={x}" if x > 0
-                         else f"levels must be > 0 for a middle band, got x={x}")
+    for x in xs if model.in_class else ():  # a lattice family has no middle band to split
+        _as_usage(band_h, args.h_choice, x)
     lg = lgamma_diagnostic(model, ks, xs)
     sg = sgamma_diagnostic(model, args.h_choice, xs)
     payload = {"shifted_tail_ratio": _record(lg), "middle_band_mass": _record(sg)}
@@ -448,16 +440,11 @@ def cmd_stopped(args):
 def cmd_bigjump(args):
     model = _as_usage(parse_model, args.model)
     xs = _floats(args.x)
-    for x in xs:  # x > 0 first: sqrt has no h(x) below 0
-        if not (x > 0 and band_h(args.h_choice, x) < x / 2.0):
-            h = f", h(x) = {band_h(args.h_choice, x):g}" if x > 0 else ""
-            raise UsageError(f"bigjump: no single-jump split at x = {x:g}{h} with --h-choice "
-                             f"{args.h_choice}: levels need x > 0 and h(x) < x/2")
+    bands = [_as_usage(band_h, args.h_choice, x) for x in xs]
     if args.measured == "oracle":
-        # span must cover jumps past x - h(x) with decay margin
-        x_top = max(xs)
-        pmf, top = oracle_grid(model, args.step, args.gamma, xs,
-                               reach=(x_top - band_h(args.h_choice, x_top), 22.0))
+        # span must cover jumps past x - h(x) at the top level, with decay margin
+        x_top, h_top = max(zip(xs, bands))
+        pmf, top = oracle_grid(model, args.step, args.gamma, xs, reach=(x_top - h_top, 22.0))
         law = lindley_fixed_point(pmf, top=top)
         gamma = model.twist(args.gamma)
         rows = [

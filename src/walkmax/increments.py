@@ -62,7 +62,7 @@ LOG_DOMAIN_THRESHOLD = 600.0
 
 def _exp(x: float) -> float:
     """``math.exp``, reading an overflow as inf: a moment past the float range
-    is refused by the same ``phi >= 1`` checks as a divergent one."""
+    is refused by ``certified_twist`` like a divergent one."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -217,6 +217,17 @@ class IncrementModel:
         if gamma is None and self.decay_rate is None:
             raise ModelError("model family has no intrinsic decay rate; pass the twist explicitly")
         return self.decay_rate if gamma is None else float(gamma)
+
+    def certified_twist(self, gamma: float | None = None) -> tuple[float, float]:
+        """The twist ``twist(gamma)`` and phi = mgf(twist), refused unless phi < 1:
+        without it no tail constant or certified bound on the maximum exists."""
+        g = self.twist(gamma)
+        phi = self.mgf(g)
+        if not phi < 1.0:
+            fix = "a model" if gamma is None else "a model or a lower --gamma"
+            raise ModelError(f"twisted moment phi({g:g}) = {phi:.6g} is not below 1: no certified "
+                             f"bound on the walk maximum; choose {fix} with phi < 1")
+        return g, phi
 
     def default_span(self) -> tuple[float, float]:
         """Span [lo, hi] with true increment mass outside it below 1e-15."""
@@ -391,11 +402,8 @@ class PolyExp(IncrementModel):
         return _exp(-alpha * self.shift)
 
     def max_tail_bound(self, t: float) -> float:
-        phg = self.mgf_at_gamma
-        if phg >= 1.0:
-            raise ModelError(f"twisted moment phi({self.gamma:g}) = {phg:.6g} is not below 1: "
-                             "no certified bound on the walk maximum; choose a model with phi < 1")
-        return math.exp(-self.gamma * t) / (1.0 - phg)
+        g, phg = self.certified_twist()
+        return math.exp(-g * t) / (1.0 - phg)
 
 
 @dataclass(frozen=True)
@@ -535,7 +543,8 @@ def lgamma_diagnostic(model: IncrementModel, k_grid, x_grid) -> ClassDiagnostic:
     """Probe tail(x-k)/tail(x) - exp(gamma*k) on a grid.
 
     For the smooth family the ratio is computed in the log domain, so probes at
-    x large enough to underflow exp(-gamma*x) remain exact.
+    x large enough to underflow exp(-gamma*x) remain exact.  It passes when each
+    k's |deviation| strictly decreases along the x grid, or stays at most 1e-12.
     """
     if not model.in_class:
         return ClassDiagnostic(
@@ -564,7 +573,10 @@ def lgamma_diagnostic(model: IncrementModel, k_grid, x_grid) -> ClassDiagnostic:
             )
             if x == x_top:
                 summary = max(summary, abs(dev))
-    return ClassDiagnostic(rows=rows, summary=summary, passed=True)
+    devs = np.abs([r["deviation"] for r in rows]).reshape(len(k_grid), len(x_grid))
+    passed = bool(np.all((devs[:, 1:] < devs[:, :-1]) | (devs[:, 1:] <= 1e-12)))
+    return ClassDiagnostic(rows=rows, summary=summary, passed=passed,
+                           notes="pass requires each k's |deviation| to decrease along the grid")
 
 
 BAND_RULES = ("quarter", "sqrt")
@@ -572,12 +584,16 @@ BAND_RULES = ("quarter", "sqrt")
 
 def band_h(h_choice: str, x: float) -> float:
     """Band width h(x) of the single-jump split: "quarter" gives x/4 and
-    "sqrt" gives sqrt(x)."""
-    if h_choice == "quarter":
-        return x / 4.0
-    if h_choice == "sqrt":
-        return math.sqrt(x)
-    raise ModelError(f"h_choice must be one of {BAND_RULES}, got {h_choice!r}")
+    "sqrt" gives sqrt(x).  A level without x > 0 and h(x) < x/2 has no split
+    (the band (h(x), x - h(x)) is empty) and is refused."""
+    if h_choice not in BAND_RULES:
+        raise ModelError(f"h_choice must be one of {BAND_RULES}, got {h_choice!r}")
+    hx = x / 4.0 if h_choice == "quarter" else math.sqrt(max(x, 0.0))
+    if not (x > 0 and hx < x / 2.0):
+        shown = f", h(x) = {hx:g}" if x > 0 else ""  # sqrt has no h(x) below 0
+        raise ModelError(f"no single-jump split at x = {x:g}{shown} with --h-choice {h_choice}: "
+                         "levels need x > 0 and h(x) < x/2")
+    return hx
 
 
 def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiagnostic:
@@ -585,11 +601,9 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
     int_{h(x)}^{x-h(x)} tail(x-y) f(y) dy, which must decay to 0 for the
     single-jump tail arithmetic to hold.
 
-    ``h_choice`` is "quarter" (h(x) = x/4) or "sqrt" (h(x) = sqrt(x)); both
-    satisfy h(x) <= x/2 and h(x) -> inf on the probe range.
+    ``h_choice`` is "quarter" (h(x) = x/4) or "sqrt" (h(x) = sqrt(x)); a
+    level ``band_h`` refuses is refused before any quadrature.
     """
-    if h_choice not in BAND_RULES:
-        raise ModelError(f"h_choice must be one of {BAND_RULES}, got {h_choice!r}")
     if not model.in_class:
         # the middle band carries no mass for an atom at or below 0
         rows = [{"x": float(x), "integral": 0.0, "error": 0.0} for x in x_grid]
@@ -603,11 +617,8 @@ def sgamma_diagnostic(model: IncrementModel, h_choice: str, x_grid) -> ClassDiag
     assert isinstance(model, PolyExp)
     rows = []
     values = []
-    for x in x_grid:
-        x = float(x)
-        hx = band_h(h_choice, x)
-        if not hx <= x / 2.0:
-            raise ModelError(f"h(x)={hx} exceeds x/2 at x={x}")
+    bands = [band_h(h_choice, float(x)) for x in x_grid]
+    for x, hx in zip(map(float, x_grid), bands):
         log_tx = float(model.log_tail(x))
         try:
             # tail(x-y)/tail(x) * f(y), the tail ratio formed in the log domain

@@ -162,7 +162,7 @@ class LatticePMF:
         if np.any(self.probs < -1e-15):
             raise LatticeError("probs must be nonnegative")
         self.probs = np.maximum(self.probs, 0.0)
-        total = self.probs.sum()
+        total = float(self.probs.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise LatticeError(f"probs must sum to 1 within {MASS_TOL:g}, got {total!r}")
         self.probs.flags.writeable = False
@@ -423,8 +423,8 @@ def horizon_pass(pmf: LatticePMF, top: float, horizons: Sequence[int] = (),
     gamma)`` for n < max(horizons) as rows (value, lo, hi).  Every other law
     is dropped after its sweep, so memory is one law per horizon asked for
     and three floats per horizon up to the largest, where ``finite_horizon``
-    keeps every law.  A count or a horizon above ``MAX_SWEEPS`` is refused
-    before the first sweep, and so is a horizon without a twist.
+    keeps every law.  A count or a horizon above ``MAX_SWEEPS``, a negative
+    horizon and a horizon without a twist are refused before the first sweep.
     """
     if pmf.mean() >= 0:
         raise LatticeError(f"fixed point needs a negative mean, got {pmf.mean():.6g}")
@@ -437,6 +437,8 @@ def horizon_pass(pmf: LatticePMF, top: float, horizons: Sequence[int] = (),
             f"phi = {phi!r} at the certifying twist bounds the fixed point only after "
             f"{sweeps:.3g} sweeps, more than {MAX_SWEEPS:.0e}: the walk is too near criticality"
         )
+    if min(horizons, default=0) < 0:
+        raise LatticeError(f"horizon must be >= 0, got {min(horizons)}")
     n_terms = max(horizons, default=0)
     if n_terms > MAX_SWEEPS:
         raise LatticeError(f"horizon {n_terms} needs as many sweeps, more than {MAX_SWEEPS:.0e}")

@@ -397,9 +397,7 @@ def bigjump_conditional_ratio(
     denominator share paths (common random numbers), so the ratio is a
     conditional relative frequency with binomial error.
     """
-    a = band_h(h_choice, x) if x > 0 else math.inf  # sqrt has no h(x) below 0
-    if not a < x / 2:
-        raise EstimatorError(f"no single-jump split at x = {x:g}: need x > 0 and h(x) < x/2")
+    a = band_h(h_choice, x)
     K = _crude_slack(model, x)
     bias = model.max_tail_bound(K)
 
@@ -481,18 +479,10 @@ def renewal_diagnostics(
     K_r below the line; the per-path neglected contributions are accumulated
     into the reported bias bounds.
     """
-    gamma = model.twist(gamma)
-    mean = model.mean()
-    if not mean < 0:
-        raise EstimatorError(f"renewal diagnostics need a negative mean, got {mean}")
-    c = mean / 2.0
+    # phi(gamma) < 1 bounds the bias of certified misses, and makes the mean negative
+    gamma, phg = model.certified_twist(gamma)
+    c = model.mean() / 2.0
     K_r = _shifted_cross_slack(model, c)
-    phg = model.mgf(gamma)
-    if not phg < 1.0:
-        raise EstimatorError(
-            "renewal diagnostics need phi(gamma) < 1 to bound the bias of certified "
-            f"misses, got phi({gamma:.6g}) = {phg:.6g}; lower --gamma"
-        )
     phi_ratio = phg / (1.0 - phg)
     r_grid = [float(R) for R in r_grid]
     floors = [R - K_r for R in r_grid]

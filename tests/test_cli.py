@@ -238,22 +238,31 @@ BAD_USAGE = [
      "argument --seed: must be an integer >= 0"),
     (["bigjump", "--measured", "mc", "--seed", "-1"],
      "argument --seed: must be an integer >= 0"),
-    # the middle band [h(x), x - h(x)] is empty where h(x) = sqrt(x) > x/2
+    # one band rule, band_h, for verify-class and bigjump: the middle band
+    # (h(x), x - h(x)) must be nonempty, so h(x) = sqrt(x) needs x > 4
     (["verify-class", "--h-choice", "sqrt", "--x", "1,2,3"],
-     "walkmax: h(x)=1.0 exceeds x/2 at x=1.0"),
+     "walkmax: no single-jump split at x = 1, h(x) = 1 with --h-choice sqrt"
+     ": levels need x > 0 and h(x) < x/2"),
+    # h(x) = x/2 leaves the band empty too; verify-class used to accept it
+    (["verify-class", "--h-choice", "sqrt", "--x", "4,9,16"],
+     "walkmax: no single-jump split at x = 4, h(x) = 2 with --h-choice sqrt"
+     ": levels need x > 0 and h(x) < x/2"),
     # sqrt has no h(x) below 0: x > 0 is checked first
     (["verify-class", "--h-choice", "sqrt", "--x=-1,20"],
-     "walkmax: levels must be > 0 for a middle band, got x=-1.0"),
-    # a single-jump split needs the band (h(x), x - h(x)) to be nonempty
+     "walkmax: no single-jump split at x = -1 with --h-choice sqrt"
+     ": levels need x > 0 and h(x) < x/2"),
     (["bigjump", "--measured", "mc", "--h-choice", "sqrt", "--x", "1.5,2,3"],
-     "walkmax: bigjump: no single-jump split at x = 1.5, h(x) = 1.22474 with --h-choice sqrt"
+     "walkmax: no single-jump split at x = 1.5, h(x) = 1.22474 with --h-choice sqrt"
      ": levels need x > 0 and h(x) < x/2"),
     (["bigjump", "--h-choice", "sqrt", "--x", "1.5,2,3"],
-     "walkmax: bigjump: no single-jump split at x = 1.5, h(x) = 1.22474 with --h-choice sqrt"),
+     "walkmax: no single-jump split at x = 1.5, h(x) = 1.22474 with --h-choice sqrt"
+     ": levels need x > 0 and h(x) < x/2"),
     (["bigjump", "--measured", "mc", "--x=-1,2,3"],
-     "walkmax: bigjump: no single-jump split at x = -1 with --h-choice quarter"),
+     "walkmax: no single-jump split at x = -1 with --h-choice quarter"
+     ": levels need x > 0 and h(x) < x/2"),
     (["bigjump", "--h-choice", "sqrt", "--x=-1,2,3"],
-     "walkmax: bigjump: no single-jump split at x = -1 with --h-choice sqrt"),
+     "walkmax: no single-jump split at x = -1 with --h-choice sqrt"
+     ": levels need x > 0 and h(x) < x/2"),
 ] + [
     # an option only the other --measured mode reads
     ([*argv, option, *value], f"{argv[0]}: {option} is read only by --measured {mode}")
@@ -643,10 +652,10 @@ class TestOtherCommands:
         assert rows[0]["delta"] > rows[1]["delta"]
 
     @pytest.mark.parametrize(
-        "model,gamma", [(REF, "1.5"), ("twopoint:u=1,pu=0.25,v=-1", "1.2")],
+        "model,gamma,phi", [(REF, "1.5", "inf"), ("twopoint:u=1,pu=0.25,v=-1", "1.2", "1.05592")],
         ids=["ref-phi-infinite", "twopoint-phi-above-one"],
     )
-    def test_renewal_refuses_unbounded_miss_bias(self, capsys, model, gamma):
+    def test_renewal_refuses_unbounded_miss_bias(self, capsys, model, gamma, phi):
         # phi(gamma) >= 1 leaves the bias of certified misses unbounded; it
         # used to be reported as a certified-looking 0
         code, out, err = run(
@@ -654,7 +663,8 @@ class TestOtherCommands:
             "--n-paths", "20000", "--gamma", gamma,
         )
         assert (code, out) == (2, "")
-        assert "phi(gamma) < 1" in err and f"phi({gamma}) = " in err and "--gamma" in err
+        assert (f"renewal-diag: twisted moment phi({gamma}) = {phi} is not below 1: no certified "
+                "bound on the walk maximum; choose a model or a lower --gamma with phi < 1\n") in err
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
@@ -745,6 +755,15 @@ class TestTwistOverride:
         assert code == 2
         assert out == ""
         assert "bigjump: level 100 is at or above the grid top 83" in err
+
+    def test_bigjump_level_the_maximum_never_exceeds_is_refused(self, capsys):
+        # every increment is negative: the lattice maximum is identically 0,
+        # though 4 lies far below the grid top
+        code, out, err = run(capsys, "bigjump", "--model", "twopoint:u=-0.5,pu=0.5,v=-1",
+                             "--gamma", "1", "--x", "4,8,12", "--step", "0.5")
+        assert (code, out) == (2, "")
+        assert ("bigjump: P(M > 4) = 0 on the oracle grid (top 75): the lattice maximum "
+                "never exceeds 4, so no single-jump ratio exists at that level\n") in err
 
     def test_bigjump_flow_reads_the_twist(self, capsys, monkeypatch):
         from walkmax import cli

@@ -1,6 +1,7 @@
 """Distribution surfaces, samplers, and class diagnostics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -124,6 +125,29 @@ class TestMgf:
     def test_negative_alpha_rejected(self, ref_model):
         with pytest.raises(ModelError):
             ref_model.mgf(-0.1)
+
+
+class TestCertifiedTwist:
+    """``certified_twist`` is the one refusal of a twisted moment phi >= 1."""
+
+    def test_twist_and_moment(self, ref_model, tp_model):
+        assert ref_model.certified_twist() == (1.0, ref_model.mgf_at_gamma)
+        assert tp_model.certified_twist(0.9) == (0.9, tp_model.mgf(0.9))
+
+    @pytest.mark.parametrize("gamma,fix", [(None, "a model"), (1.0, "a model or a lower --gamma")])
+    def test_refuses_phi_at_least_one(self, d0_model, gamma, fix):
+        # --gamma is named only where the caller chose the twist
+        message = (f"twisted moment phi(1) = 2 is not below 1: no certified bound on the "
+                   f"walk maximum; choose {fix} with phi < 1")
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            d0_model.certified_twist(gamma)
+
+    def test_callers_refuse_through_it(self, d0_model):
+        from walkmax import constants
+
+        for call in (lambda: d0_model.max_tail_bound(1.0), lambda: constants(d0_model, None)):
+            with pytest.raises(ModelError, match=r"^twisted moment phi\(1\) = 2 is not below 1"):
+                call()
 
 
 def laplace_closed_form(beta: int, s: float) -> float:
@@ -398,6 +422,8 @@ class TestShiftedTailRatio:
         diag = lgamma_diagnostic(ref_model, [0.0], [10.0, 100.0])
         for row in diag.rows:
             assert row["deviation"] == pytest.approx(0.0, abs=1e-14)
+        # a deviation at rounding level may stay there
+        assert diag.passed
 
     def test_large_x_deviation(self, d0_model):
         # at x = 1e4, k = 1: ratio = e * ((1+x)/x)^2, deviation = e*(2e-4 + 1e-8)
@@ -406,12 +432,28 @@ class TestShiftedTailRatio:
         # the log-domain path pays ~x*eps in the exponent difference
         assert diag.rows[0]["deviation"] == pytest.approx(expected, rel=1e-6)
         assert diag.summary < 1e-3
+        assert diag.passed  # one probe has nothing to decrease against
 
     def test_log_domain_far_probe(self, d0_model):
         # x = 1e4 underflows exp(-x); the ratio must still be finite and close
         diag = lgamma_diagnostic(d0_model, [2.0], [1e4])
         assert math.isfinite(diag.rows[0]["ratio"])
         assert diag.rows[0]["ratio"] == pytest.approx(math.exp(2.0), rel=1e-3)
+
+    @pytest.mark.parametrize("spec", ["polyexp:gamma=1,beta=2,shift=1.3862943611198906",
+                                      "polyexp:gamma=1,beta=3,shift=0.8"])
+    def test_shrinking_deviations_pass(self, spec):
+        diag = lgamma_diagnostic(parse_model(spec), [0.5, 1.0, 2.0], [20.0, 40.0, 80.0])
+        assert diag.passed
+
+    def test_probes_below_the_support_fail(self):
+        # every x - k lies below the left end 1000: each ratio reads 1, so
+        # each deviation stays at 1 - e^k whatever x is
+        model = parse_model("polyexp:gamma=1,beta=2,shift=-1000")
+        diag = lgamma_diagnostic(model, [0.5, 1.0, 2.0], [20.0, 40.0, 80.0])
+        assert [r["deviation"] for r in diag.rows] == pytest.approx(
+            [1.0 - math.exp(k) for k in (0.5, 1.0, 2.0) for _ in range(3)], rel=1e-12)
+        assert not diag.passed
 
     def test_lattice_family_flagged(self, tp_model):
         diag = lgamma_diagnostic(tp_model, [1.0], [10.0])

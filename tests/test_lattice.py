@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -798,4 +799,47 @@ class TestBigJumpFlow:
         with pytest.raises(LatticeError, match=rf"lattice twisted moment below 1, got "
                                                rf"phi\({gamma:g}\) = 1\."):
             lattice.bigjump_flow(tp_pmf, barrier=0.5, jump_level=1.5, gamma=gamma)
+        assert sweeps[0] == 0
+
+
+def ruin_pmf():
+    """The +-1 ruin chain: up with probability 1/4."""
+    return LatticePMF(h=1.0, k0=-1, probs=[0.75, 0.0, 0.25])
+
+
+class TestRefusals:
+    """Each lattice refusal raises ``LatticeError`` with its own message."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: exp_moment(finite_horizon(ruin_pmf(), 0, top=4.0)[0], 1.0, 1.0),
+         "exp_moment needs a twisted moment below 1, got 1.0"),
+        (lambda: finite_horizon(ruin_pmf(), 0, top=4.0)[0].window(1.0, 0.0),
+         "window width must be positive, got 0.0"),
+        (lambda: next(lattice._reflected(ruin_pmf(), 0.4)), "top 0.4 is below one grid step"),
+        (lambda: next(lattice._reflected(LatticePMF(h=1.0, k0=0, probs=[0.5, 0.5]), 4.0)),
+         "increment law has no mass below 0; walk cannot reflect"),
+        (lambda: finite_horizon(ruin_pmf(), -1, top=4.0), "horizon must be >= 0, got -1"),
+        (lambda: lattice.bigjump_flow(ruin_pmf(), barrier=2.0, jump_level=2.0, gamma=0.5),
+         "need jump_level > barrier, got 2.0 <= 2.0"),
+        # the floor sits 30 decay lengths of the twist below 0
+        (lambda: lattice.bigjump_flow(ruin_pmf(), barrier=-40.0, jump_level=1.0, gamma=1.0),
+         "barrier -40.0 must lie above the floor -30.0"),
+        (lambda: discretize(TwoPoint(u=1.0, pu=0.25, v=-1.0), 0.5, span=(1.0, -1.0)),
+         "empty span (1.0, -1.0)"),
+        (lambda: LatticePMF(h=1.0, k0=0, probs=[]), "probs must be a nonempty 1-D vector"),
+        (lambda: LatticePMF(h=1.0, k0=0, probs=[1.5, -0.5]), "probs must be nonnegative"),
+        (lambda: LatticePMF(h=1.0, k0=0, probs=[0.5, 0.25]),
+         "probs must sum to 1 within 1e-12, got 0.75"),
+    ], ids=["exp-moment-phi-1", "window-width-0", "reflect-top-below-step",
+            "reflect-no-mass-below-0", "finite-horizon-negative", "bigjump-level-at-barrier",
+            "bigjump-barrier-below-floor", "discretize-empty-span", "pmf-empty",
+            "pmf-negative", "pmf-mass"])
+    def test_refusal_names_its_cause(self, call, message):
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_negative_horizon_refused_before_sweeping(self, sweeps):
+        # it used to reach numpy as "negative dimensions are not allowed"
+        with pytest.raises(LatticeError, match="^horizon must be >= 0, got -1$"):
+            horizon_pass(ruin_pmf(), 75.0, [-1], 1.0)
         assert sweeps[0] == 0

@@ -4,6 +4,7 @@ grid oracle, certified bounds."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -366,9 +367,14 @@ class TestConditionalRatio:
         else:
             assert rep.flags["inconclusive"]
 
-    @pytest.mark.parametrize("x,h_choice", [(-1.0, "quarter"), (0.0, "quarter"), (4.0, "sqrt")])
-    def test_level_without_split_refused(self, ref_model, x, h_choice):
-        with pytest.raises(EstimatorError, match=f"no single-jump split at x = {x:g}"):
+    @pytest.mark.parametrize("x,h_choice,band", [(-1.0, "quarter", ""), (0.0, "quarter", ""),
+                                                 (4.0, "sqrt", ", h(x) = 2")],
+                             ids=["-1.0-quarter", "0.0-quarter", "4.0-sqrt"])
+    def test_level_without_split_refused(self, ref_model, x, h_choice, band):
+        # band_h is the one band rule: the library refuses as the command line does
+        message = (f"no single-jump split at x = {x:g}{band} with --h-choice {h_choice}: "
+                   "levels need x > 0 and h(x) < x/2")
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             bigjump_conditional_ratio(ref_model, x, h_choice, SimConfig(n_paths=100, seed=0))
 
     def test_inconclusive_when_level_unreachable(self, ref_model):
